@@ -33,16 +33,19 @@ def popcount(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def pack_words(words: Sequence[int], n: int) -> np.ndarray:
-    """Pack bitmask ints into a uint64 array; requires n <= 64."""
-    if n > 64:
-        raise ValueError(f"packed arrays support lengths up to 64, got {n}")
-    return np.array(words, dtype=np.uint64)
+def pack_lanes(words: Sequence[int], n: int) -> np.ndarray:
+    """Pack bitmask ints of any length n into an (M, ceil(n/64)) uint64
+    array; lane k holds bits 64k to 64k + 63."""
+    size = 8 * ((n + 63) // 64)
+    buf = b"".join(w.to_bytes(size, "little") for w in words)
+    return np.frombuffer(buf, dtype="<u8").reshape(len(words), -1)
 
 
 def span_words(rows: Sequence[int], n: int) -> np.ndarray:
-    """All 2^k XOR combinations of the given rows, as a uint64 array."""
-    out = pack_words([0], n)
+    """All 2^k XOR combinations of the given rows, as a uint64 array; n <= 64."""
+    if n > 64:
+        raise ValueError(f"packed arrays support lengths up to 64, got {n}")
+    out = np.zeros(1, dtype=np.uint64)
     for r in rows:
         out = np.concatenate([out, out ^ np.uint64(r)])
     return out

@@ -69,19 +69,17 @@ def symmetric_discrepancy(x: Word, y: Word, params: ChannelParams) -> float:
 
 
 def _min_over_pairs(code: Code, params: ChannelParams, symmetric: bool) -> float:
+    """Minimum over the support of the code's (wt(x), d10, d01) table.
+
+    Distinct words are exactly the pairs with (d10, d01) != (0, 0).  Each
+    value is the float expression a per-pair loop evaluates, so the minimum
+    is the same to the bit.
+    """
     if len(code) < 2:
         raise ValueError("minimum discrepancy needs at least two codewords")
     g = params.gamma
-    best = math.inf
-    for x in code.words:
-        shift = x.bit_count() * (g - 1.0) if symmetric else 0.0
-        for y in code.words:
-            if x == y:
-                continue
-            val = g * (x & ~y).bit_count() + (y & ~x).bit_count() - shift
-            if val < best:
-                best = val
-    return best
+    slope = g - 1.0 if symmetric else 0.0
+    return min(g * a + b - wt * slope for wt, a, b in code.pair_table() if a or b)
 
 
 def min_discrepancy(code: Code, params: ChannelParams) -> float:

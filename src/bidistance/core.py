@@ -9,16 +9,21 @@ y holds 0, d01 the reverse.  The ordinary Hamming distance is their sum.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from ._bitops import popcount
+from ._bitops import pack_lanes, popcount
 
 #: pair frequencies are held in 64-bit-sized counters; |C|^2 must fit
 MAX_CODE_SIZE = 1 << 28
+
+#: ordered pairs counted per numpy pass; small tiles keep the peak memory low
+PAIR_TILE = 1 << 14
 
 _WORD_RE = re.compile(r"^[01]+$")
 
@@ -106,9 +111,10 @@ class Code:
 
     ``is_linear`` is metadata: asserting it triggers an actual subspace
     check (power-of-two size and XOR closure via a rank computation).
+    A code is immutable, so its pair table is counted once and kept.
     """
 
-    __slots__ = ("n", "words", "is_linear")
+    __slots__ = ("n", "words", "is_linear", "_pairs")
 
     def __init__(self, n: int, words: Iterable[int], is_linear: bool | None = None):
         masks = tuple(int(w) for w in words)
@@ -126,6 +132,7 @@ class Code:
             raise ValueError("duplicate codewords")
         self.n = n
         self.words = masks
+        self._pairs = None
         if is_linear:
             self._check_linear()
         self.is_linear = is_linear
@@ -165,6 +172,16 @@ class Code:
 
     def to_file(self, path: str | Path) -> None:
         Path(path).write_text(format_code_text(self))
+
+    def pair_table(self) -> Mapping[tuple[int, int, int], int]:
+        """Frequency of every (wt(x), d10, d01) over the |C|^2 ordered pairs.
+
+        The pair distribution and both minimum discrepancies are
+        projections of this table; it is counted on first use only.
+        """
+        if self._pairs is None:
+            self._pairs = _pair_table(self.n, self.words)
+        return MappingProxyType(self._pairs)
 
     def word(self, index: int) -> Word:
         return Word(self.n, self.words[index])
@@ -284,33 +301,34 @@ class BidistanceDistribution:
 
 def bidistance_distribution(code: Code) -> BidistanceDistribution:
     """Frequency of every (d10, d01) over the |C|^2 ordered codeword pairs."""
-    if code.n <= 64:
-        entries = _pair_counts_packed(code)
-    else:
-        entries = _pair_counts_ints(code)
+    entries: dict[tuple[int, int], int] = {}
+    for (_, d10, d01), count in code.pair_table().items():
+        entries[d10, d01] = entries.get((d10, d01), 0) + count
     return BidistanceDistribution(code.n, len(code), entries)
 
 
-def _pair_counts_packed(code: Code) -> dict[tuple[int, int], int]:
-    arr = np.array(code.words, dtype=np.uint64)
-    mask = np.uint64((1 << code.n) - 1)
-    inv = arr ^ mask
-    width = code.n + 1
-    acc = np.zeros(width * width, dtype=np.int64)
-    for x, nx in zip(arr, inv):
-        d10 = popcount(x & inv)
-        d01 = popcount(nx & arr)
-        acc += np.bincount(d10 * width + d01, minlength=width * width)
-    return {(int(i) // width, int(i) % width): int(acc[i]) for i in np.nonzero(acc)[0]}
+def _pair_table(n: int, words: tuple[int, ...]) -> dict[tuple[int, int, int], int]:
+    """Count (wt(x), d10, d01) over all ordered pairs, a tile of rows at a time.
 
-
-def _pair_counts_ints(code: Code) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    for x in code.words:
-        for y in code.words:
-            key = ((x & ~y).bit_count(), (y & ~x).bit_count())
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    Words are packed into 64-bit lanes, so one pass serves every length.
+    With c = wt(x & y), d10 = wt(x) - c and d01 = wt(y) - c: one popcount
+    per lane and pair gives the whole triple.
+    """
+    width = n + 1
+    if width ** 3 > 1 << 63:
+        raise ValueError(f"pair tables support lengths below 2^21, got {n}")
+    lanes = pack_lanes(words, n)
+    wts = popcount(lanes).sum(axis=1)
+    rows = max(1, PAIR_TILE // len(words))
+    flat: Counter[int] = Counter()
+    for start in range(0, len(words), rows):
+        common = popcount(lanes[start:start + rows, None, :] & lanes).sum(axis=2)
+        wx = wts[start:start + rows, None]
+        keys, counts = np.unique((wx * width + wx - common) * width + wts - common,
+                                 return_counts=True)
+        flat.update(dict(zip(keys.tolist(), counts.tolist())))
+    return {(key // width // width, key // width % width, key % width): count
+            for key, count in flat.items()}
 
 
 def multiset_repr(dist: BidistanceDistribution) -> list[tuple[tuple[int, int], int]]:

@@ -113,17 +113,25 @@ class TestDiscrepancies:
             min_discrepancy(Code.from_strings(["01"]), params_ex1)
 
     def test_matches_pair_loop(self, params_ex1):
+        # exact float equality with a per-pair loop, on one and several
+        # 64-bit lanes and over a grid of channels
         rng = random.Random(61)
-        for _ in range(30):
-            n = rng.randrange(2, 9)
-            code = random_code(rng, n, rng.randrange(2, min(7, 1 << n) + 1))
+        grid = [params_ex1] + [ChannelParams(Fraction(1, 20), Fraction(k, 40))
+                               for k in (2, 3, 7, 11, 19)]
+        codes = [random_code(rng, n, rng.randrange(2, min(7, 1 << n) + 1))
+                 for n in (rng.randrange(2, 9) for _ in range(30))]
+        for n in (64, 65, 100, 128, 130):
+            size = rng.randrange(2, 12)
+            codes.append(Code(n, list({rng.getrandbits(n) for _ in range(size)})))
+        for code in codes:
             words = list(code)
-            direct = min(discrepancy(x, y, params_ex1)
-                         for x in words for y in words if x != y)
-            direct_sym = min(symmetric_discrepancy(x, y, params_ex1)
+            for params in grid:
+                direct = min(discrepancy(x, y, params)
                              for x in words for y in words if x != y)
-            assert min_discrepancy(code, params_ex1) == direct
-            assert min_symmetric_discrepancy(code, params_ex1) == direct_sym
+                direct_sym = min(symmetric_discrepancy(x, y, params)
+                                 for x in words for y in words if x != y)
+                assert min_discrepancy(code, params) == direct
+                assert min_symmetric_discrepancy(code, params) == direct_sym
 
 
 class TestLatticeWordCount:

@@ -1,8 +1,14 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
+from bidistance.bounds import (ahb_union_bound, discrepancy_bound,
+                               symmetric_discrepancy_bound)
+from bidistance.channel import ChannelParams
 from bidistance.cli import main
+from bidistance.core import Code, Word, bidistance_distribution
 
 
 def run(capsys, *argv):
@@ -103,6 +109,17 @@ class TestBounds:
                          "-p", "0.1", "-q", "0.15", "--methods", "nope")
         assert rc == 2 and "unknown methods" in err
 
+    def test_arithmetic_failure_is_domain_error(self, capsys, tmp_path):
+        # the weight-class bounds overflow a float at this length
+        rng = random.Random(3)
+        path = tmp_path / "long.code"
+        path.write_text("".join(str(Word(3000, rng.getrandbits(3000))) + "\n"
+                                for _ in range(3)))
+        rc, out, err = run(capsys, "bounds", "--code", str(path),
+                           "-p", "0.1", "-q", "0.15")
+        assert rc == 3 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestSweep:
     def test_two_step_endpoints(self, capsys, ex5_file, tmp_path):
@@ -115,6 +132,35 @@ class TestSweep:
         assert lines[0] == "q,ahb,cr_discrepancy,cr_symmetric,exact"
         assert len(lines) == 3
         assert lines[1].startswith("0.1,") and lines[2].startswith("0.2,")
+
+    def test_matches_per_q_bound_calls(self, capsys, tmp_path):
+        # one code on a single 64-bit lane, one on two; every bound is
+        # recomputed per q on a freshly parsed code
+        rng = random.Random(83)
+        texts = ("0.05", "0.06", "0.3")
+        p, q_from, q_to = (Fraction(t) for t in texts)
+        steps = 5
+        for n, size in ((40, 24), (100, 16)):
+            path = tmp_path / f"n{n}.code"
+            words = {rng.getrandbits(n) for _ in range(size)}
+            path.write_text("".join(str(Word(n, w)) + "\n" for w in words))
+            out_path = tmp_path / f"n{n}.csv"
+            rc, _, _ = run(capsys, "sweep", "--code", str(path), "-p", texts[0],
+                           "--q-from", texts[1], "--q-to", texts[2], "--steps", str(steps),
+                           "--methods", "ahb,cr_discrepancy,cr_symmetric",
+                           "--out", str(out_path))
+            assert rc == 0
+            lines = ["q,ahb,cr_discrepancy,cr_symmetric"]
+            for i in range(steps):
+                q = q_from + (q_to - q_from) * Fraction(i, steps - 1)
+                params = ChannelParams(p, q)
+                row = [float(q),
+                       ahb_union_bound(bidistance_distribution(Code.from_file(path)),
+                                       params).value,
+                       discrepancy_bound(Code.from_file(path), params).value,
+                       symmetric_discrepancy_bound(Code.from_file(path), params).value]
+                lines.append(",".join(f"{x:.10g}" for x in row))
+            assert out_path.read_text() == "\n".join(lines) + "\n"
 
     def test_byte_identical_reruns(self, capsys, ex5_file, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

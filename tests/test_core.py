@@ -2,9 +2,9 @@ import random
 
 import pytest
 
+from bidistance import core
 from bidistance.core import (BidistanceDistribution, BidistancePair, Code,
-                             ParseError, Word, _pair_counts_ints,
-                             _pair_counts_packed, bidistance_distribution,
+                             ParseError, Word, bidistance_distribution,
                              dir_distances, format_code_text, multiset_repr,
                              parse_code_text, solve_directional_system,
                              weights_from_bidistance)
@@ -152,12 +152,44 @@ class TestBidistanceDistribution:
             for (a, b), c in dist.entries.items():
                 assert dist.frequency(b, a) == c
 
-    def test_packed_matches_int_fallback(self):
+    def test_matches_brute_count_across_lanes(self):
+        # lengths on both sides of each 64-bit lane boundary
         rng = random.Random(5)
-        for n in (3, 17, 40, 64):
-            size = min(13, 1 << n)
-            code = Code(n, rng.sample(range(1 << min(n, 62)), size))
-            assert _pair_counts_packed(code) == _pair_counts_ints(code)
+        for n in (3, 17, 40, 63, 64, 65, 127, 128, 129, 200):
+            edges = {0, (1 << n) - 1, 1 << (n - 1)}
+            words = list(edges | {rng.getrandbits(n) for _ in range(12)})
+            rng.shuffle(words)
+            code = Code(n, words[:13])
+            dist = bidistance_distribution(code)
+            assert dist.entries == brute_distribution_counts(code)
+            table = code.pair_table()
+            marginal: dict[tuple[int, int], int] = {}
+            for (_, a, b), c in table.items():
+                marginal[a, b] = marginal.get((a, b), 0) + c
+            assert marginal == dist.entries
+            # the weight in each key is that of the row word x
+            triples: dict[tuple[int, int, int], int] = {}
+            for x in code:
+                for y in code:
+                    key = (x.weight,) + directional_pair(x, y)
+                    triples[key] = triples.get(key, 0) + 1
+            assert table == triples
+
+    def test_pair_table_counted_once(self, c1, monkeypatch):
+        calls = []
+        count = core._pair_table
+        monkeypatch.setattr(core, "_pair_table",
+                            lambda n, words: calls.append(n) or count(n, words))
+        first = c1.pair_table()
+        assert bidistance_distribution(c1).entries == brute_distribution_counts(c1)
+        assert c1.pair_table() == first and calls == [6]
+
+    def test_length_beyond_table_keys_rejected(self):
+        code = Code(1 << 21, [0, 1])
+        with pytest.raises(ValueError, match="below 2"):
+            bidistance_distribution(code)
+        assert bidistance_distribution(Code((1 << 21) - 1, [0, 1])).entries == \
+            {(0, 0): 2, (0, 1): 1, (1, 0): 1}
 
     def test_matches_independent_count(self, c1):
         dist = bidistance_distribution(c1)
