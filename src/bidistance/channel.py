@@ -4,6 +4,7 @@ Crossover probabilities are exact rationals parsed from decimal strings,
 so likelihood comparisons (and therefore decoder ties) are decided
 exactly rather than by float rounding.  The supported regime is
 0 < p <= q < 1/2, where p is the 0->1 and q the 1->0 flip probability.
+Every decoder here is one exact block kernel, _RankKernel.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._bitops import popcount
+from ._bitops import pack_lanes, popcount
 from .core import CapExceeded, Code, ParseError, Word, dir_distances
 
 DEFAULT_EXHAUSTIVE_CAP = 24
@@ -25,8 +26,10 @@ DEFAULT_EXHAUSTIVE_CAP = 24
 #: part of the reproducibility contract (see monte_carlo_error_probability).
 MC_CHUNK = 1 << 15
 
-#: float log-likelihood gaps below this are re-decided exactly
-_NEAR_TIE = 1e-6
+#: (received word, codeword) cells per kernel block, and the largest rank
+#: table, one entry per (wt, a, b) triple over the code's weights
+_BLOCK_CELLS = 1 << 16
+MAX_RANK_KEYS = 1 << 25
 
 _DECIMAL_RE = re.compile(r"^\d+(\.\d+)?$")
 
@@ -103,17 +106,11 @@ class _ScoreTable:
         self._pd_pow = [pd ** i for i in rng]
         self._qd_pow = [qd ** i for i in rng]
         self.denominator = (pd * qd) ** n
-        self._memo: dict[tuple[int, int, int], int] = {}
 
     def score(self, w: int, a: int, b: int) -> int:
-        key = (w, a, b)
-        s = self._memo.get(key)
-        if s is None:
-            s = (self._q_flip[a] * self._q_keep[w - a]
-                 * self._p_flip[b] * self._p_keep[self.n - w - b]
-                 * self._pd_pow[w] * self._qd_pow[self.n - w])
-            self._memo[key] = s
-        return s
+        return (self._q_flip[a] * self._q_keep[w - a]
+                * self._p_flip[b] * self._p_keep[self.n - w - b]
+                * self._pd_pow[w] * self._qd_pow[self.n - w])
 
 
 @lru_cache(maxsize=64)
@@ -161,51 +158,85 @@ class DecodeResult:
 FAILURE = DecodeResult(None)
 
 
+class _RankKernel:
+    """Exact maximum-likelihood decoding of blocks of received words.
+
+    Pr(y | x) depends only on (wt(x), a, b), the weight and the 1->0 and
+    0->1 flips, read from one lane popcount c = wt(x & y) as a = wt(x) - c,
+    b = wt(y) - c, and keyed offset[wt(x)] + a*(n - wt(x) + 1) + b.  Keys
+    are scored on first sight in a call; rank_of holds each seen key's
+    exact score rank (equal scores share one, unseen keys are -1).
+    """
+
+    def __init__(self, code: Code, params: ChannelParams):
+        n = code.n
+        self.lanes = pack_lanes(code.words, n)
+        wts = popcount(self.lanes).sum(axis=1)
+        self.weights, cls = np.unique(wts, return_inverse=True)
+        self.span = n - self.weights + 1
+        self.offset = np.concatenate(([0], np.cumsum((self.weights + 1) * self.span)))
+        if self.offset[-1] > MAX_RANK_KEYS:
+            raise CapExceeded(f"decoding n={n} over {len(self.weights)} weights needs "
+                              f"{self.offset[-1]} rank keys; cap is {MAX_RANK_KEYS}")
+        self.table = _score_table(n, params)
+        self.base = self.offset[cls] + wts * self.span[cls]
+        self.stride = self.span[cls] + 1
+        self.rank_of = np.full(self.offset[-1], -1, dtype=np.int32)
+        self.scores: dict[int, int] = {}
+        self.rows = max(1, _BLOCK_CELLS // len(code))
+
+    def decide(self, received: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Winning key, winning codeword and exact-tie flag per received row."""
+        common = popcount(received[:, None, :] & self.lanes).sum(axis=2)
+        keys = self.base + popcount(received).sum(axis=1)[:, None] - common * self.stride
+        rank = self.rank_of[keys]
+        if rank.min() < 0:
+            self._rank(np.unique(keys[rank < 0]))
+            rank = self.rank_of[keys]
+        win = rank.argmax(axis=1)[:, None]
+        tie = np.count_nonzero(rank == np.take_along_axis(rank, win, axis=1), axis=1) > 1
+        return np.take_along_axis(keys, win, axis=1)[:, 0], win[:, 0], tie
+
+    def _rank(self, fresh: np.ndarray) -> None:
+        cls = np.searchsorted(self.offset, fresh, side="right") - 1
+        a, b = np.divmod(fresh - self.offset[cls], self.span[cls])
+        self.scores.update(zip(fresh.tolist(), map(
+            self.table.score, self.weights[cls].tolist(), a.tolist(), b.tolist())))
+        order = sorted(self.scores, key=self.scores.__getitem__)
+        ordered = [self.scores[key] for key in order]
+        self.rank_of[order] = np.cumsum([0] + [s != t for s, t in zip(ordered, ordered[1:])])
+
+
 def mld_decode(code: Code, y: Word, params: ChannelParams) -> DecodeResult:
     """Decode y to the unique likelihood maximizer; any exact tie fails."""
     if code.n != y.n:
         raise ValueError(f"length mismatch: code n={code.n}, word n={y.n}")
-    table = _score_table(code.n, params)
-    yb = y.bits
-    best = -1
-    arg = 0
-    tie = False
-    for idx, xb in enumerate(code.words):
-        s = table.score(xb.bit_count(), (xb & ~yb).bit_count(), (yb & ~xb).bit_count())
-        if s > best:
-            best, arg, tie = s, idx, False
-        elif s == best:
-            tie = True
-    return FAILURE if tie else DecodeResult(code.word(arg))
+    _, win, tie = _RankKernel(code, params).decide(pack_lanes([y.bits], code.n))
+    return FAILURE if tie[0] else DecodeResult(code.word(int(win[0])))
 
 
 def exact_error_probability(code: Code, params: ChannelParams,
                             cap: int = DEFAULT_EXHAUSTIVE_CAP) -> Fraction:
     """Average decoder error probability by exhaustive received-word sweep.
 
-    Sums, over all 2^n received words, the exact probability mass decoded
-    back to its transmitted word; failures (exact ties) count as errors
+    Counts, over all 2^n received words, how often each (wt, a, b) key
+    wins without a tie, then sums count * score exactly: the mass decoded
+    back to its transmitted word.  Failures (exact ties) count as errors
     for every transmitted word.  Guarded by the length cap.
     """
     if code.n > cap:
         raise CapExceeded(
             f"exhaustive sweep needs 2**{code.n} received words; cap is n <= {cap}")
-    table = _score_table(code.n, params)
-    pairs = [(xb, xb.bit_count()) for xb in code.words]
-    score = table.score
-    success = 0
-    for y in range(1 << code.n):
-        best = -1
-        tie = False
-        for xb, w in pairs:
-            s = score(w, (xb & ~y).bit_count(), (y & ~xb).bit_count())
-            if s > best:
-                best, tie = s, False
-            elif s == best:
-                tie = True
-        if not tie:
-            success += best
-    return 1 - Fraction(success, len(pairs) * table.denominator)
+    kernel = _RankKernel(code, params)
+    rows = min(1 << code.n, 1 << (kernel.rows.bit_length() - 1))
+    counts = np.zeros(len(kernel.rank_of), dtype=np.int64)
+    for start in range(0, 1 << code.n, rows):
+        received = pack_lanes([start], code.n).repeat(rows, axis=0)
+        received[:, 0] |= np.arange(rows, dtype=np.uint64)
+        keys, _, tie = kernel.decide(received)
+        counts += np.bincount(keys[~tie], minlength=len(counts))
+    success = sum(int(counts[k]) * kernel.scores[k] for k in np.flatnonzero(counts).tolist())
+    return 1 - Fraction(success, len(code) * kernel.table.denominator)
 
 
 def monte_carlo_error_probability(code: Code, params: ChannelParams,
@@ -220,58 +251,27 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
     all trials are drawn first with a single ``integers`` call; channel
     flips are then drawn in fixed batches of MC_CHUNK trials as uniform
     (batch, n) matrices compared per-bit against q (on 1s) or p (on 0s).
-    Decoding matches mld_decode exactly: float scoring is used for speed,
-    and any case within a small gap of the maximum is re-decided with
-    exact rational scores.
+    A trial errs when the exact decoder (as mld_decode) ties or picks
+    another codeword.  Any length n is accepted.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     n = code.n
-    if n > 64:
-        raise ValueError("the sampler supports lengths up to 64")
     rng = np.random.default_rng(seed)
-    arr = np.array(code.words, dtype=np.uint64)
-    wts = popcount(arr)
-    shifts = np.arange(n, dtype=np.uint64)
-    bit_rows = ((arr[:, None] >> shifts) & np.uint64(1)).astype(bool)
-    flip_prob = np.where(bit_rows, params.fq, params.fp)
-    lanes = np.uint64(1) << shifts
-    tx = rng.integers(0, len(arr), size=trials)
+    kernel = _RankKernel(code, params)
+    bits = np.unpackbits(kernel.lanes.view(np.uint8), axis=1, count=n, bitorder="little")
+    flip_prob = np.where(bits.astype(bool), params.fq, params.fp)
+    tx = rng.integers(0, len(code), size=trials)
     errors = 0
     for start in range(0, trials, MC_CHUNK):
         idx = tx[start:start + MC_CHUNK]
-        u = rng.random((len(idx), n))
-        flips = u < flip_prob[idx]
-        noise = np.bitwise_or.reduce(np.where(flips, lanes, np.uint64(0)), axis=1)
-        received = arr[idx] ^ noise
-        errors += _decode_errors(code, params, arr, wts, received, idx)
+        flips = rng.random((len(idx), n)) < flip_prob[idx]
+        noise = np.zeros((len(idx), kernel.lanes.shape[1]), dtype="<u8")
+        noise.view(np.uint8)[:, :(n + 7) // 8] = np.packbits(flips, axis=1, bitorder="little")
+        received = kernel.lanes[idx] ^ noise
+        for s in range(0, len(idx), kernel.rows):
+            _, win, tie = kernel.decide(received[s:s + kernel.rows])
+            errors += int(np.count_nonzero(tie | (win != idx[s:s + kernel.rows])))
     estimate = errors / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return estimate, stderr
-
-
-def _decode_errors(code: Code, params: ChannelParams, arr: np.ndarray,
-                   wts: np.ndarray, received: np.ndarray, tx_idx: np.ndarray) -> int:
-    """Count trials whose decode differs from the transmitted word."""
-    block = max(1, 8_000_000 // len(arr))
-    if len(received) > block:
-        return sum(_decode_errors(code, params, arr, wts,
-                                  received[s:s + block], tx_idx[s:s + block])
-                   for s in range(0, len(received), block))
-    lq, lcq = math.log(params.fq), math.log1p(-params.fq)
-    lp, lcp = math.log(params.fp), math.log1p(-params.fp)
-    n = code.n
-    scores = np.empty((len(received), len(arr)))
-    for col, (xb, w) in enumerate(zip(arr, wts)):
-        a = popcount(xb & ~received)
-        b = popcount(received & ~xb)
-        scores[:, col] = a * lq + (int(w) - a) * lcq + b * lp + (n - int(w) - b) * lcp
-    winner = scores.argmax(axis=1)
-    wrong = winner != tx_idx
-    if len(arr) > 1:
-        top2 = np.partition(scores, len(arr) - 2, axis=1)[:, -2:]
-        near = (top2[:, 1] - top2[:, 0]) < _NEAR_TIE
-        for t in np.nonzero(near)[0]:
-            res = mld_decode(code, Word(n, int(received[t])), params)
-            wrong[t] = res.is_failure or res.word.bits != int(arr[tx_idx[t]])
-    return int(wrong.sum())

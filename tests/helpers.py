@@ -6,7 +6,7 @@ import math
 import random
 from fractions import Fraction
 
-from bidistance.channel import ChannelParams, _score_table
+from bidistance.channel import ChannelParams, _score_table, likelihood
 from bidistance.core import Code, Word
 
 
@@ -30,6 +30,27 @@ def eq3_pairwise_oracle(d10: int, d01: int, params: ChannelParams) -> Fraction:
         if s_alt >= s_x:
             numerator += s_x
     return Fraction(numerator, table.denominator)
+
+
+def brute_mld(code: Code, y: Word, params: ChannelParams) -> Word | None:
+    """The unique maximizer of the Fraction likelihood over the code, or
+    None when the maximum is shared (a decoding failure)."""
+    scores = [(likelihood(y, x, params), x) for x in code]
+    best = max(s for s, _ in scores)
+    winners = [x for s, x in scores if s == best]
+    return winners[0] if len(winners) == 1 else None
+
+
+def brute_error_probability(code: Code, params: ChannelParams) -> Fraction:
+    """Decoder error probability as 1 - (1/M) * sum over all received y of
+    Pr(y | brute_mld(y)), skipping the received words that fail."""
+    success = Fraction(0)
+    for bits in range(1 << code.n):
+        y = Word(code.n, bits)
+        x = brute_mld(code, y, params)
+        if x is not None:
+            success += likelihood(y, x, params)
+    return 1 - success / len(code)
 
 
 def brute_distribution_counts(code: Code) -> dict[tuple[int, int], int]:
@@ -111,3 +132,16 @@ def directional_pair(x: Word, y: Word) -> tuple[int, int]:
     d10 = sum(1 for a, b in zip(xb, yb) if a == 1 and b == 0)
     d01 = sum(1 for a, b in zip(xb, yb) if a == 0 and b == 1)
     return d10, d01
+
+
+def padded_code(rng: random.Random, core: Code, n: int) -> Code:
+    """Embed a core code in length n: constant bits shared by every
+    codeword fill the new positions, then a seeded permutation moves
+    every coordinate.  All codewords agree off the core, which scales
+    every likelihood alike, so the padded code decodes as its core does.
+    """
+    perm = rng.sample(range(n), n)
+    const = rng.getrandbits(n - core.n) << core.n
+    words = [sum(1 << perm[i] for i in range(n) if (c | const) >> i & 1)
+             for c in core.words]
+    return Code(n, words)

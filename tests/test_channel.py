@@ -4,13 +4,32 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bidistance.channel import (ChannelParams, RegimeError, _score_table,
+from bidistance.channel import (MC_CHUNK, ChannelParams, RegimeError, _score_table,
                                 exact_error_probability, likelihood, llr,
                                 mld_decode, monte_carlo_error_probability,
                                 parse_probability)
 from bidistance.core import CapExceeded, Code, ParseError, Word, dir_distances
-from helpers import random_code
+from helpers import (brute_error_probability, brute_mld, padded_code,
+                     random_code)
+
+_channel = ChannelParams.from_decimals
+
+#: derandomized, with no example database, so every run draws the same cases
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def decoding_cases(draw):
+    """A code with n <= 8 and a channel in the regime; p = q half the time."""
+    n = draw(st.integers(1, 8))
+    words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                          max_size=min(8, 1 << n), unique=True))
+    p = draw(st.integers(1, 49))
+    q = p if draw(st.booleans()) else draw(st.integers(p, 49))
+    return Code(n, words), ChannelParams(Fraction(p, 100), Fraction(q, 100))
 
 
 class TestParseProbability:
@@ -149,6 +168,28 @@ class TestMldDecode:
         with pytest.raises(ValueError):
             mld_decode(c1, Word(5, 0), params_ex1)
 
+    def test_matches_oracle_across_lanes(self):
+        # lengths past one and two 64-bit lanes, near-codeword received words
+        rng = random.Random(31)
+        for params in (ChannelParams.from_decimals("0.2", "0.2"),
+                       ChannelParams.from_decimals("0.05", "0.3")):
+            for n in (63, 64, 65, 100, 128, 129, 150):
+                code = Code(n, {rng.getrandbits(n) for _ in range(rng.randrange(1, 7))})
+                for _ in range(6):
+                    base = rng.choice(code.words)
+                    noise = sum(1 << i for i in rng.sample(range(n), rng.randrange(0, n // 2)))
+                    y = Word(n, base ^ noise)
+                    res = mld_decode(code, y, params)
+                    assert res.word == brute_mld(code, y, params)
+
+    @PROPERTY
+    @given(decoding_cases())
+    def test_matches_oracle_on_every_word(self, case):
+        code, params = case
+        for bits in range(1 << code.n):
+            y = Word(code.n, bits)
+            assert mld_decode(code, y, params).word == brute_mld(code, y, params)
+
 
 class TestExactErrorProbability:
     def test_example_values(self, c1, c2, params_ex1):
@@ -171,6 +212,12 @@ class TestExactErrorProbability:
         permuted = Code.from_strings(["110000", "111000", "011100"])
         assert exact_error_probability(code, params_ex1) == \
             exact_error_probability(permuted, params_ex1)
+
+    @PROPERTY
+    @given(decoding_cases())
+    def test_matches_oracle_sum(self, case):
+        code, params = case
+        assert exact_error_probability(code, params) == brute_error_probability(code, params)
 
     def test_cap(self, params_ex1):
         code = Code(25, [0, 1])
@@ -213,3 +260,37 @@ class TestMonteCarlo:
     def test_invalid_trials(self, c1, params_ex1):
         with pytest.raises(ValueError):
             monte_carlo_error_probability(c1, params_ex1, trials=0, seed=0)
+
+    @pytest.mark.parametrize("code, params, trials, seed, expected", [
+        pytest.param(random_code(random.Random(61), 6, 12), _channel("0.2", "0.2"),
+                     20000, 3, (0.6317, 0.003410682556322121), id="p_eq_q_ties"),
+        pytest.param(random_code(random.Random(62), 9, 20), _channel("0.01", "0.45"),
+                     20000, 4, (0.5437, 0.003522004471888132), id="strongly_asymmetric"),
+        pytest.param(padded_code(random.Random(64), random_code(random.Random(63), 8, 10), 64),
+                     _channel("0.03", "0.06"), 10000, 5,
+                     (0.0788, 0.0026942635357366214), id="padded_64"),
+        pytest.param(Code(10, [0b1011001110]), _channel("0.1", "0.2"), 3000, 6,
+                     (0.0, 0.0), id="single_word"),
+        pytest.param(Code.from_strings(["111000", "011100", "110000"]),
+                     _channel("0.1", "0.15"), MC_CHUNK + 5000, 8,
+                     (0.22961237026053802, 0.002164164643019038), id="two_batches"),
+        pytest.param(padded_code(random.Random(66), random_code(random.Random(65), 7, 9), 40),
+                     _channel("0.05", "0.05"), 8000, 10,
+                     (0.100125, 0.0033559645479168876), id="p_eq_q_padded_40"),
+    ])
+    def test_reproducibility_pinned(self, code, params, trials, seed, expected):
+        # the draws and the decisions are a contract: these must never change
+        got = monte_carlo_error_probability(code, params, trials, seed)
+        assert got == expected and all(type(v) is float for v in got)
+
+    def test_beyond_64_tracks_core(self):
+        # a padded code decodes as its core, so its estimate tracks the
+        # core's exact error probability at any length
+        rng = random.Random(80)
+        core = random_code(rng, 8, 6)
+        code = padded_code(rng, core, 80)
+        params = _channel("0.05", "0.12")
+        exact = float(exact_error_probability(core, params))
+        trials = 20000
+        est, _ = monte_carlo_error_probability(code, params, trials, seed=12)
+        assert abs(est - exact) <= 5 * math.sqrt(exact * (1 - exact) / trials)

@@ -6,9 +6,10 @@ import pytest
 
 from bidistance.bounds import (ahb_union_bound, discrepancy_bound,
                                symmetric_discrepancy_bound)
-from bidistance.channel import ChannelParams
+from bidistance.channel import ChannelParams, monte_carlo_error_probability
 from bidistance.cli import main
 from bidistance.core import Code, Word, bidistance_distribution
+from helpers import padded_code, random_code
 
 
 def run(capsys, *argv):
@@ -85,6 +86,26 @@ class TestPe:
         assert rc == rc2 == 0 and out1 == out2
         doc = json.loads(out1)
         assert doc["method"] == "monte_carlo" and doc["trials"] == 3000
+
+    def test_monte_carlo_beyond_64(self, capsys, tmp_path):
+        rng = random.Random(80)
+        code = padded_code(rng, random_code(rng, 8, 6), 80)
+        path = tmp_path / "padded80.code"
+        code.to_file(path)
+        rc, out, err = run(capsys, "pe", "--code", str(path), "-p", "0.05", "-q", "0.12",
+                           "--mode", "mc", "--trials", "4000", "--seed", "3")
+        assert rc == 0, err
+        doc = json.loads(out)
+        params = ChannelParams.from_decimals("0.05", "0.12")
+        assert (doc["estimate"], doc["standard_error"]) == \
+            monte_carlo_error_probability(code, params, trials=4000, seed=3)
+
+    def test_monte_carlo_rank_table_cap(self, capsys, tmp_path):
+        path = tmp_path / "huge.code"
+        Code(5000, [(1 << w) - 1 for w in range(2495, 2501)]).to_file(path)
+        rc, _, err = run(capsys, "pe", "--code", str(path), "-p", "0.1", "-q", "0.15",
+                         "--mode", "mc", "--trials", "10")
+        assert rc == 3 and "rank keys" in err
 
 
 class TestBounds:
