@@ -111,10 +111,11 @@ class Code:
 
     ``is_linear`` is metadata: asserting it triggers an actual subspace
     check (power-of-two size and XOR closure via a rank computation).
-    A code is immutable, so its pair table is counted once and kept.
+    A code is immutable, so its pair table, the table's support and the
+    weight distribution are computed once and kept.
     """
 
-    __slots__ = ("n", "words", "is_linear", "_pairs")
+    __slots__ = ("n", "words", "is_linear", "_pairs", "_support", "_weights")
 
     def __init__(self, n: int, words: Iterable[int], is_linear: bool | None = None):
         masks = tuple(int(w) for w in words)
@@ -133,6 +134,8 @@ class Code:
         self.n = n
         self.words = masks
         self._pairs = None
+        self._support = None
+        self._weights = None
         if is_linear:
             self._check_linear()
         self.is_linear = is_linear
@@ -183,6 +186,15 @@ class Code:
             self._pairs = _pair_table(self.n, self.words)
         return MappingProxyType(self._pairs)
 
+    def pair_support(self) -> np.ndarray:
+        """The (wt(x), d10, d01) keys of ``pair_table()`` as a read-only
+        (K, 3) int64 array, built on first use only."""
+        if self._support is None:
+            support = np.array(list(self.pair_table()), dtype=np.int64).reshape(-1, 3)
+            support.flags.writeable = False
+            self._support = support
+        return self._support
+
     def word(self, index: int) -> Word:
         return Word(self.n, self.words[index])
 
@@ -205,10 +217,13 @@ class Code:
         return f"Code(n={self.n}, size={len(self.words)})"
 
     def weight_distribution(self) -> tuple[int, ...]:
-        counts = [0] * (self.n + 1)
-        for w in self.words:
-            counts[w.bit_count()] += 1
-        return tuple(counts)
+        """Number of codewords of each weight 0..n, counted on first use only."""
+        if self._weights is None:
+            counts = [0] * (self.n + 1)
+            for w in self.words:
+                counts[w.bit_count()] += 1
+            self._weights = tuple(counts)
+        return self._weights
 
 
 def parse_code_text(text: str, source: str = "<text>") -> Code:

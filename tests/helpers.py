@@ -6,8 +6,9 @@ import math
 import random
 from fractions import Fraction
 
+from bidistance.bounds import SNAP, BoundReport
 from bidistance.channel import ChannelParams, _score_table, likelihood
-from bidistance.core import Code, Word
+from bidistance.core import BidistanceDistribution, Code, Word
 
 
 def eq3_pairwise_oracle(d10: int, d01: int, params: ChannelParams) -> Fraction:
@@ -145,3 +146,106 @@ def padded_code(rng: random.Random, core: Code, n: int) -> Code:
     words = [sum(1 << perm[i] for i in range(n) if (c | const) >> i & 1)
              for c in core.words]
     return Code(n, words)
+
+
+# --- per-term bound loops, kept verbatim as references for the batched
+# kernels in bidistance.bounds: the same float operations in the same order
+
+
+def reference_region_threshold(d10: int, d01: int, gamma: float) -> int:
+    """Least total flip count at which the rival word is preferred."""
+    tau = (d10 * gamma + d01) / (gamma + 1.0)
+    nearest = round(tau)
+    if abs(tau - nearest) < SNAP:
+        return nearest
+    return math.ceil(tau)
+
+
+def reference_pep(d10: int, d01: int, params: ChannelParams) -> float:
+    """Float pairwise error probability, one term at a time."""
+    if d10 < 0 or d01 < 0:
+        raise ValueError("directional distances must be non-negative")
+    t = reference_region_threshold(d10, d01, params.gamma)
+    p, q = params.fp, params.fq
+    q_terms = [math.comb(d10, i) * q ** i * (1 - q) ** (d10 - i) for i in range(d10 + 1)]
+    p_terms = [math.comb(d01, j) * p ** j * (1 - p) ** (d01 - j) for j in range(d01 + 1)]
+    total = 0.0
+    for i in range(d10 + 1):
+        for j in range(max(0, t - i), d01 + 1):
+            total += q_terms[i] * p_terms[j]
+    return total
+
+
+def reference_min_over_pairs(code: Code, params: ChannelParams, symmetric: bool) -> float:
+    """Minimum (symmetric) discrepancy over the support of the pair table."""
+    if len(code) < 2:
+        raise ValueError("minimum discrepancy needs at least two codewords")
+    g = params.gamma
+    slope = g - 1.0 if symmetric else 0.0
+    return min(g * a + b - wt * slope for wt, a, b in code.pair_table() if a or b)
+
+
+def reference_retained_mass(code: Code, params: ChannelParams,
+                            h_threshold) -> tuple[float, dict[str, float]]:
+    """Retained likelihood mass, one lattice term at a time."""
+    n = code.n
+    g = params.gamma
+    fp, fq = params.fp, params.fq
+    ratio_a = fq / (1.0 - fp)
+    ratio_b = fp / (1.0 - fq)
+    total = 0.0
+    per_class: dict[str, float] = {}
+    for j, count_j in enumerate(code.weight_distribution()):
+        if not count_j:
+            continue
+        class_mass = 0.0
+        for i in range(n + 1):
+            h = h_threshold(i, j)
+            if h <= 0:
+                continue
+            inner = 0.0
+            for a in range(j + 1):
+                b = a + i - j
+                if b < 0 or b > n - j:
+                    continue
+                level = a + g * b
+                if abs(level - h) < SNAP or level >= h:
+                    continue
+                inner += (ratio_a ** a * ratio_b ** b
+                          * math.comb(j, a) * math.comb(n - j, b))
+            class_mass += (1.0 - fq) ** i * (1.0 - fp) ** (n - i) * inner
+        total += count_j * class_mass
+        per_class[f"retained[w={j}]"] = count_j * class_mass
+    return total, per_class
+
+
+def _reference_report(method: str, raw: float, components: dict[str, float]) -> dict:
+    return BoundReport(method, min(1.0, raw), raw, components).to_json_dict()
+
+
+def reference_ahb(dist: BidistanceDistribution, params: ChannelParams) -> dict:
+    """JSON form of the AHB union bound from the per-term loops."""
+    total = 0.0
+    components: dict[str, float] = {}
+    for (a, b), count in sorted(dist.entries.items()):
+        if (a, b) == (0, 0):
+            continue
+        term = count * reference_pep(a, b, params) / dist.size
+        components[f"{a},{b}"] = term
+        total += term
+    return _reference_report("ahb", total, components)
+
+
+def reference_cr(code: Code, params: ChannelParams, symmetric: bool) -> dict:
+    """JSON form of either weight-class bound from the per-term loops."""
+    dmin = reference_min_over_pairs(code, params, symmetric)
+    g = params.gamma
+    if symmetric:
+        method = "cr_symmetric"
+        total, components = reference_retained_mass(
+            code, params, lambda i, j: (dmin + i * (g - 1.0)) / 2.0)
+    else:
+        method = "cr_discrepancy"
+        total, components = reference_retained_mass(
+            code, params, lambda i, j: (dmin + (g - 1.0) * (i - j)) / 2.0)
+    return _reference_report(method, 1.0 - total / len(code), components)

@@ -2,7 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bidistance.bounds import (LatticePoint, ahb_union_bound, discrepancy,
                                discrepancy_bound, lattice_word_count,
@@ -12,7 +15,37 @@ from bidistance.bounds import (LatticePoint, ahb_union_bound, discrepancy,
                                symmetric_discrepancy_bound)
 from bidistance.channel import ChannelParams, exact_error_probability
 from bidistance.core import Code, Word, bidistance_distribution
-from helpers import eq3_pairwise_oracle, random_code
+from helpers import (eq3_pairwise_oracle, random_code, reference_ahb,
+                     reference_cr, reference_pep, reference_region_threshold)
+
+#: derandomized, with no example database, so every run draws the same cases
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def channels(draw):
+    """A channel in the regime; p = q (gamma = 1, SNAP ties) half the time."""
+    p = draw(st.integers(1, 49))
+    q = p if draw(st.booleans()) else draw(st.integers(p, 49))
+    return ChannelParams(Fraction(p, 100), Fraction(q, 100))
+
+
+@st.composite
+def bound_cases(draw):
+    """A random code with 1 <= n <= 130 and 1 <= M <= 40, and a channel."""
+    n = draw(st.integers(1, 130))
+    size = draw(st.integers(1, min(40, 1 << n)))
+    words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=size,
+                          max_size=size, unique=True))
+    return Code(n, words), draw(channels())
+
+
+def _outcome(fn):
+    """What ``fn()`` returns, or the type of the exception it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # the comparison needs every failure's type
+        return type(exc)
 
 
 class TestPairwiseErrorProbability:
@@ -44,6 +77,22 @@ class TestPairwiseErrorProbability:
     def test_negative_rejected(self, params_ex1):
         with pytest.raises(ValueError):
             pairwise_error_probability(-1, 0, params_ex1)
+        with pytest.raises(ValueError):
+            pairwise_error_probability(0, -1, params_ex1)
+
+    @PROPERTY
+    @given(st.integers(0, 150), st.integers(0, 150), channels())
+    @example(0, 0, ChannelParams(Fraction(1, 10), Fraction(3, 20)))
+    @example(2, 2, ChannelParams(Fraction(1, 5), Fraction(1, 5)))
+    def test_float_path_matches_per_term_loop(self, d10, d01, params):
+        assert pairwise_error_probability(d10, d01, params) == \
+            reference_pep(d10, d01, params)
+
+    def test_overflow_as_per_term_loop(self, params_ex1):
+        with pytest.raises(OverflowError):
+            reference_pep(1100, 1100, params_ex1)
+        with pytest.raises(OverflowError):
+            pairwise_error_probability(1100, 1100, params_ex1)
 
 
 class TestRegionThreshold:
@@ -60,6 +109,13 @@ class TestRegionThreshold:
 
     def test_snap_tolerance(self):
         assert region_threshold(2, 2, 1.0 + 1e-12) == 2
+
+    def test_arrays_match_scalar_rule(self):
+        d10, d01 = np.divmod(np.arange(40 * 40), 40)
+        for gamma in (1.0, 1.0 + 1e-12, 1.5, 2.0, 37 / 13, 4.25):
+            got = region_threshold(d10, d01, gamma)
+            assert got.tolist() == [reference_region_threshold(a, b, gamma)
+                                    for a, b in zip(d10.tolist(), d01.tolist())]
 
 
 class TestAhbUnionBound:
@@ -88,6 +144,53 @@ class TestAhbUnionBound:
     def test_json_round_trip_fields(self, c1, params_ex1):
         doc = ahb_union_bound(bidistance_distribution(c1), params_ex1).to_json_dict()
         assert set(doc) == {"method", "value", "raw_value", "components"}
+
+
+def _assert_reports_equal(code: Code, params: ChannelParams) -> None:
+    """All three reports equal the per-term loops' with ==, or both raise
+    the same exception type."""
+    dist = bidistance_distribution(code)
+    assert _outcome(lambda: ahb_union_bound(dist, params).to_json_dict()) == \
+        _outcome(lambda: reference_ahb(dist, params))
+    for symmetric, bound in ((False, discrepancy_bound),
+                             (True, symmetric_discrepancy_bound)):
+        assert _outcome(lambda: bound(code, params).to_json_dict()) == \
+            _outcome(lambda: reference_cr(code, params, symmetric))
+
+
+class TestAgainstPerTermLoops:
+    """The batched kernels give the per-term loops' floats, to the bit."""
+
+    @PROPERTY
+    @given(bound_cases())
+    @example((Code.from_strings(["101"]), ChannelParams(Fraction(1, 10), Fraction(3, 20))))
+    # the weight-0 class of this code keeps an empty region in cr_symmetric
+    @example((Code.from_strings(["1111", "1110", "0000"]),
+              ChannelParams(Fraction(1, 100), Fraction(45, 100))))
+    @example((Code.from_strings(["110", "011", "101"]),
+              ChannelParams(Fraction(1, 4), Fraction(1, 4))))
+    def test_reports_equal(self, case):
+        _assert_reports_equal(*case)
+
+    def test_seeded_codes(self):
+        rng = random.Random(83)
+        for k in range(40):
+            n = rng.randrange(1, 131)
+            size = rng.randrange(1, min(40, 1 << n) + 1)
+            words: set[int] = set()
+            while len(words) < size:
+                words.add(rng.getrandbits(n))
+            p = rng.randrange(1, 50)
+            q = p if k % 2 else rng.randrange(p, 50)
+            _assert_reports_equal(Code(n, words),
+                                  ChannelParams(Fraction(p, 100), Fraction(q, 100)))
+
+    @pytest.mark.parametrize("n", [1100, 3000])
+    def test_large_lengths(self, n, params_ex1):
+        # the same value at n = 1100 (a negative CR "bound"), the same
+        # OverflowError at n = 3000, as the per-term loops give
+        rng = random.Random(n)
+        _assert_reports_equal(Code(n, [rng.getrandbits(n) for _ in range(3)]), params_ex1)
 
 
 class TestDiscrepancies:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from bidistance import core
@@ -83,6 +84,11 @@ class TestCode:
     def test_weight_distribution(self):
         code = Code.from_strings(["110", "000", "111"])
         assert code.weight_distribution() == (1, 0, 1, 1)
+
+    def test_weight_distribution_counted_once(self):
+        code = Code.from_strings(["110", "000", "111"])
+        first = code.weight_distribution()
+        assert code.weight_distribution() is first
 
     def test_membership_and_eq(self):
         code = Code.from_strings(["10", "01"])
@@ -183,6 +189,14 @@ class TestBidistanceDistribution:
         first = c1.pair_table()
         assert bidistance_distribution(c1).entries == brute_distribution_counts(c1)
         assert c1.pair_table() == first and calls == [6]
+
+    def test_pair_support_is_table_keys(self, c1):
+        support = c1.pair_support()
+        assert support.dtype == np.int64 and support.shape == (len(c1.pair_table()), 3)
+        assert [tuple(key) for key in support.tolist()] == list(c1.pair_table())
+        assert c1.pair_support() is support
+        with pytest.raises(ValueError):
+            support[0, 0] = 1
 
     def test_length_beyond_table_keys_rejected(self):
         code = Code(1 << 21, [0, 1])
