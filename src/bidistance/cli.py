@@ -239,6 +239,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_scheme(args: argparse.Namespace) -> int:
+    if args.sample < 0:
+        raise ParseError("--sample must be non-negative")
     code = Code.from_file(args.code)
     scheme = scheme_from_three_weight(code, sample=args.sample)
     dist = code.weight_distribution()

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
-from bidistance.bounds import SNAP, BoundReport
+from bidistance.bounds import SNAP, pairwise_error_probability
 from bidistance.channel import ChannelParams, _score_table, likelihood
 from bidistance.core import BidistanceDistribution, Code, Word
 
@@ -148,32 +149,33 @@ def padded_code(rng: random.Random, core: Code, n: int) -> Code:
     return Code(n, words)
 
 
-# --- per-term bound loops, kept verbatim as references for the batched
-# kernels in bidistance.bounds: the same float operations in the same order
+# --- exact oracles for the float bounds in bidistance.bounds
 
 
-def reference_region_threshold(d10: int, d01: int, gamma: float) -> int:
-    """Least total flip count at which the rival word is preferred."""
-    tau = (d10 * gamma + d01) / (gamma + 1.0)
+def reference_ceil_snap(tau: float) -> int:
+    """Least integer at or above tau, a tau within SNAP of an integer taken
+    as that integer."""
     nearest = round(tau)
     if abs(tau - nearest) < SNAP:
         return nearest
     return math.ceil(tau)
 
 
-def reference_pep(d10: int, d01: int, params: ChannelParams) -> float:
-    """Float pairwise error probability, one term at a time."""
-    if d10 < 0 or d01 < 0:
-        raise ValueError("directional distances must be non-negative")
-    t = reference_region_threshold(d10, d01, params.gamma)
-    p, q = params.fp, params.fq
-    q_terms = [math.comb(d10, i) * q ** i * (1 - q) ** (d10 - i) for i in range(d10 + 1)]
-    p_terms = [math.comb(d01, j) * p ** j * (1 - p) ** (d01 - j) for j in range(d01 + 1)]
-    total = 0.0
-    for i in range(d10 + 1):
-        for j in range(max(0, t - i), d01 + 1):
-            total += q_terms[i] * p_terms[j]
-    return total
+def reference_region_threshold(d10: int, d01: int, gamma: float) -> int:
+    """Least total flip count at which the rival word is preferred."""
+    return reference_ceil_snap((d10 * gamma + d01) / (gamma + 1.0))
+
+
+def exact_flip_tail(d1: int, d2: int, t: int, params: ChannelParams) -> Fraction:
+    """P(Bin(d1, q) + Bin(d2, p) >= t) in integers over the common
+    denominator qd**d1 * pd**d2: fast enough for lengths in the thousands."""
+    pn, pd = params.p.numerator, params.p.denominator
+    qn, qd = params.q.numerator, params.q.denominator
+    q_num = [math.comb(d1, i) * qn ** i * (qd - qn) ** (d1 - i) for i in range(d1 + 1)]
+    p_num = [math.comb(d2, j) * pn ** j * (pd - pn) ** (d2 - j) for j in range(d2 + 1)]
+    tail = list(itertools.accumulate(reversed(p_num)))[::-1] + [0]
+    total = sum(q_num[i] * tail[min(max(t - i, 0), d2 + 1)] for i in range(d1 + 1))
+    return Fraction(total, qd ** d1 * pd ** d2)
 
 
 def reference_min_over_pairs(code: Code, params: ChannelParams, symmetric: bool) -> float:
@@ -185,67 +187,42 @@ def reference_min_over_pairs(code: Code, params: ChannelParams, symmetric: bool)
     return min(g * a + b - wt * slope for wt, a, b in code.pair_table() if a or b)
 
 
-def reference_retained_mass(code: Code, params: ChannelParams,
-                            h_threshold) -> tuple[float, dict[str, float]]:
-    """Retained likelihood mass, one lattice term at a time."""
-    n = code.n
+def reference_ahb(dist: BidistanceDistribution, params: ChannelParams) -> dict[str, Fraction]:
+    """Exact AHB components: each frequency times the exact pairwise error
+    probability, over the code size."""
+    return {f"{a},{b}": count * pairwise_error_probability(a, b, params, exact=True)
+            / dist.size
+            for (a, b), count in sorted(dist.entries.items()) if (a, b) != (0, 0)}
+
+
+def reference_cr(code: Code, params: ChannelParams, symmetric: bool) -> dict[str, Fraction]:
+    """Exact error mass of each weight class of either weight-class bound.
+
+    Enumerates the (received weight i, a) lattice of class j, b = a + i - j,
+    and counts a cell as an error unless its level a + gamma*b is below
+    h(i, j) by more than SNAP.  Each class sum is an integer over the
+    common denominator qd**j * pd**(n - j).
+    """
+    dmin = reference_min_over_pairs(code, params, symmetric)
     g = params.gamma
-    fp, fq = params.fp, params.fq
-    ratio_a = fq / (1.0 - fp)
-    ratio_b = fp / (1.0 - fq)
-    total = 0.0
-    per_class: dict[str, float] = {}
-    for j, count_j in enumerate(code.weight_distribution()):
-        if not count_j:
+    n = code.n
+    pn, pd = params.p.numerator, params.p.denominator
+    qn, qd = params.q.numerator, params.q.denominator
+    components: dict[str, Fraction] = {}
+    for j, count in enumerate(code.weight_distribution()):
+        if not count:
             continue
-        class_mass = 0.0
+        numerator = 0
         for i in range(n + 1):
-            h = h_threshold(i, j)
-            if h <= 0:
-                continue
-            inner = 0.0
+            h = (dmin + i * (g - 1.0)) / 2.0 if symmetric else (dmin + (g - 1.0) * (i - j)) / 2.0
             for a in range(j + 1):
                 b = a + i - j
-                if b < 0 or b > n - j:
+                if not 0 <= b <= n - j:
                     continue
                 level = a + g * b
                 if abs(level - h) < SNAP or level >= h:
-                    continue
-                inner += (ratio_a ** a * ratio_b ** b
-                          * math.comb(j, a) * math.comb(n - j, b))
-            class_mass += (1.0 - fq) ** i * (1.0 - fp) ** (n - i) * inner
-        total += count_j * class_mass
-        per_class[f"retained[w={j}]"] = count_j * class_mass
-    return total, per_class
-
-
-def _reference_report(method: str, raw: float, components: dict[str, float]) -> dict:
-    return BoundReport(method, min(1.0, raw), raw, components).to_json_dict()
-
-
-def reference_ahb(dist: BidistanceDistribution, params: ChannelParams) -> dict:
-    """JSON form of the AHB union bound from the per-term loops."""
-    total = 0.0
-    components: dict[str, float] = {}
-    for (a, b), count in sorted(dist.entries.items()):
-        if (a, b) == (0, 0):
-            continue
-        term = count * reference_pep(a, b, params) / dist.size
-        components[f"{a},{b}"] = term
-        total += term
-    return _reference_report("ahb", total, components)
-
-
-def reference_cr(code: Code, params: ChannelParams, symmetric: bool) -> dict:
-    """JSON form of either weight-class bound from the per-term loops."""
-    dmin = reference_min_over_pairs(code, params, symmetric)
-    g = params.gamma
-    if symmetric:
-        method = "cr_symmetric"
-        total, components = reference_retained_mass(
-            code, params, lambda i, j: (dmin + i * (g - 1.0)) / 2.0)
-    else:
-        method = "cr_discrepancy"
-        total, components = reference_retained_mass(
-            code, params, lambda i, j: (dmin + (g - 1.0) * (i - j)) / 2.0)
-    return _reference_report(method, 1.0 - total / len(code), components)
+                    numerator += (math.comb(j, a) * qn ** a * (qd - qn) ** (j - a)
+                                  * math.comb(n - j, b) * pn ** b * (pd - pn) ** (n - j - b))
+        components[f"error[w={j}]"] = (count * Fraction(numerator, qd ** j * pd ** (n - j))
+                                       / len(code))
+    return components

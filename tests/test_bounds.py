@@ -15,8 +15,9 @@ from bidistance.bounds import (LatticePoint, ahb_union_bound, discrepancy,
                                symmetric_discrepancy_bound)
 from bidistance.channel import ChannelParams, exact_error_probability
 from bidistance.core import Code, Word, bidistance_distribution
-from helpers import (eq3_pairwise_oracle, random_code, reference_ahb,
-                     reference_cr, reference_pep, reference_region_threshold)
+from helpers import (eq3_pairwise_oracle, exact_flip_tail, random_code,
+                     reference_ahb, reference_ceil_snap, reference_cr,
+                     reference_min_over_pairs, reference_region_threshold)
 
 #: derandomized, with no example database, so every run draws the same cases
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -30,22 +31,18 @@ def channels(draw):
     return ChannelParams(Fraction(p, 100), Fraction(q, 100))
 
 
+#: relative tolerance of a float bound against its exact value
+REL = 1e-12
+
+
 @st.composite
 def bound_cases(draw):
-    """A random code with 1 <= n <= 130 and 1 <= M <= 40, and a channel."""
-    n = draw(st.integers(1, 130))
+    """A random code with 1 <= n <= 40 and 1 <= M <= 40, and a channel."""
+    n = draw(st.integers(1, 40))
     size = draw(st.integers(1, min(40, 1 << n)))
     words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=size,
                           max_size=size, unique=True))
     return Code(n, words), draw(channels())
-
-
-def _outcome(fn):
-    """What ``fn()`` returns, or the type of the exception it raised."""
-    try:
-        return fn()
-    except Exception as exc:  # the comparison needs every failure's type
-        return type(exc)
 
 
 class TestPairwiseErrorProbability:
@@ -81,18 +78,31 @@ class TestPairwiseErrorProbability:
             pairwise_error_probability(0, -1, params_ex1)
 
     @PROPERTY
-    @given(st.integers(0, 150), st.integers(0, 150), channels())
+    @given(st.integers(0, 40), st.integers(0, 40), channels())
     @example(0, 0, ChannelParams(Fraction(1, 10), Fraction(3, 20)))
     @example(2, 2, ChannelParams(Fraction(1, 5), Fraction(1, 5)))
     def test_float_path_matches_per_term_loop(self, d10, d01, params):
-        assert pairwise_error_probability(d10, d01, params) == \
-            reference_pep(d10, d01, params)
+        exact = pairwise_error_probability(d10, d01, params, exact=True)
+        assert math.isclose(pairwise_error_probability(d10, d01, params), float(exact),
+                            rel_tol=REL)
 
-    def test_overflow_as_per_term_loop(self, params_ex1):
-        with pytest.raises(OverflowError):
-            reference_pep(1100, 1100, params_ex1)
-        with pytest.raises(OverflowError):
-            pairwise_error_probability(1100, 1100, params_ex1)
+    def test_integer_tail_helper_matches_exact(self):
+        for params in (ChannelParams(Fraction(1, 10), Fraction(3, 20)),
+                       ChannelParams(Fraction(1, 4), Fraction(1, 4))):
+            for d10 in range(9):
+                for d01 in range(9):
+                    t = region_threshold(d10, d01, params.gamma)
+                    assert exact_flip_tail(d10, d01, t, params) == \
+                        pairwise_error_probability(d10, d01, params, exact=True)
+
+    def test_large_offsets_stay_finite(self, params_ex1):
+        # (1100, 1100) underflows to 0.0; the others are near 1e-100
+        for d10, d01 in ((1100, 1100), (1100, 300), (300, 1100)):
+            pep = pairwise_error_probability(d10, d01, params_ex1)
+            assert 0.0 <= pep <= 1.0
+            t = region_threshold(d10, d01, params_ex1.gamma)
+            assert math.isclose(pep, float(exact_flip_tail(d10, d01, t, params_ex1)),
+                                rel_tol=1e-10)
 
 
 class TestRegionThreshold:
@@ -146,20 +156,35 @@ class TestAhbUnionBound:
         assert set(doc) == {"method", "value", "raw_value", "components"}
 
 
-def _assert_reports_equal(code: Code, params: ChannelParams) -> None:
-    """All three reports equal the per-term loops' with ==, or both raise
-    the same exception type."""
+def _assert_close(report, exact: dict[str, Fraction], rel_tol: float = REL) -> None:
+    """Components and raw value within ``rel_tol`` of the exact ones."""
+    assert list(report.components) == list(exact)
+    for key, value in exact.items():
+        assert math.isclose(report.components[key], float(value), rel_tol=rel_tol)
+    assert math.isclose(report.raw_value, float(sum(exact.values(), Fraction(0))),
+                        rel_tol=rel_tol)
+    assert report.value == min(1.0, report.raw_value)
+
+
+def _assert_reports_match(code: Code, params: ChannelParams) -> None:
+    """All three reports against exact per-term Fraction loops; the
+    weight-class bounds of a one-word code raise as the loops do."""
     dist = bidistance_distribution(code)
-    assert _outcome(lambda: ahb_union_bound(dist, params).to_json_dict()) == \
-        _outcome(lambda: reference_ahb(dist, params))
+    _assert_close(ahb_union_bound(dist, params), reference_ahb(dist, params))
     for symmetric, bound in ((False, discrepancy_bound),
                              (True, symmetric_discrepancy_bound)):
-        assert _outcome(lambda: bound(code, params).to_json_dict()) == \
-            _outcome(lambda: reference_cr(code, params, symmetric))
+        if len(code) < 2:
+            with pytest.raises(ValueError):
+                bound(code, params)
+        else:
+            _assert_close(bound(code, params), reference_cr(code, params, symmetric))
 
 
 class TestAgainstPerTermLoops:
-    """The batched kernels give the per-term loops' floats, to the bit."""
+    """The tail kernel against exact per-term loops: the AHB bound against
+    the exact pairwise error probabilities, the weight-class bounds against
+    a Fraction sum over the (received weight, a) lattice with its level
+    test."""
 
     @PROPERTY
     @given(bound_cases())
@@ -170,27 +195,45 @@ class TestAgainstPerTermLoops:
     @example((Code.from_strings(["110", "011", "101"]),
               ChannelParams(Fraction(1, 4), Fraction(1, 4))))
     def test_reports_equal(self, case):
-        _assert_reports_equal(*case)
+        _assert_reports_match(*case)
 
     def test_seeded_codes(self):
         rng = random.Random(83)
         for k in range(40):
-            n = rng.randrange(1, 131)
+            n = rng.randrange(1, 41)
             size = rng.randrange(1, min(40, 1 << n) + 1)
             words: set[int] = set()
             while len(words) < size:
                 words.add(rng.getrandbits(n))
             p = rng.randrange(1, 50)
             q = p if k % 2 else rng.randrange(p, 50)
-            _assert_reports_equal(Code(n, words),
+            _assert_reports_match(Code(n, words),
                                   ChannelParams(Fraction(p, 100), Fraction(q, 100)))
 
     @pytest.mark.parametrize("n", [1100, 3000])
     def test_large_lengths(self, n, params_ex1):
-        # the same value at n = 1100 (a negative CR "bound"), the same
-        # OverflowError at n = 3000, as the per-term loops give
+        # every value a valid probability, and equal to integer-arithmetic
+        # tails: no term overflows, underflows early or cancels
         rng = random.Random(n)
-        _assert_reports_equal(Code(n, [rng.getrandbits(n) for _ in range(3)]), params_ex1)
+        code = Code(n, [rng.getrandbits(n) for _ in range(3)])
+        dist = bidistance_distribution(code)
+        g = params_ex1.gamma
+        ahb = {f"{a},{b}": count * exact_flip_tail(
+                   a, b, reference_region_threshold(a, b, g), params_ex1) / dist.size
+               for (a, b), count in dist.multiset()}
+        checks = [(ahb_union_bound(dist, params_ex1), ahb)]
+        for symmetric, bound in ((False, discrepancy_bound),
+                                 (True, symmetric_discrepancy_bound)):
+            dmin = reference_min_over_pairs(code, params_ex1, symmetric)
+            slope = g - 1.0 if symmetric else 0.0
+            cr = {f"error[w={j}]": count * exact_flip_tail(
+                      j, n - j, reference_ceil_snap((dmin + slope * j) / (1.0 + g)),
+                      params_ex1) / len(code)
+                  for j, count in enumerate(code.weight_distribution()) if count}
+            checks.append((bound(code, params_ex1), cr))
+        for report, exact in checks:
+            assert 0.0 < report.raw_value <= 1.0
+            _assert_close(report, exact, rel_tol=1e-10)
 
 
 class TestDiscrepancies:
@@ -285,6 +328,12 @@ class TestWeightClassBounds:
         for code in (c1, c2):
             assert abs(discrepancy_bound(code, params_ex1).value - 0.5435) <= 5e-5
             assert abs(symmetric_discrepancy_bound(code, params_ex1).value - 0.5435) <= 5e-5
+
+    def test_components_sum_to_raw(self, c1, params_ex1):
+        for bound in (discrepancy_bound, symmetric_discrepancy_bound):
+            report = bound(c1, params_ex1)
+            assert set(report.components) == {"error[w=2]", "error[w=3]"}
+            assert math.isclose(sum(report.components.values()), report.raw_value)
 
     def test_method_tags(self, c1, params_ex1):
         assert discrepancy_bound(c1, params_ex1).method == "cr_discrepancy"

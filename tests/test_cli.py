@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bidistance import cli
 from bidistance.bounds import (ahb_union_bound, discrepancy_bound,
                                symmetric_discrepancy_bound)
 from bidistance.channel import ChannelParams, monte_carlo_error_probability
@@ -130,16 +131,26 @@ class TestBounds:
                          "-p", "0.1", "-q", "0.15", "--methods", "nope")
         assert rc == 2 and "unknown methods" in err
 
-    def test_arithmetic_failure_is_domain_error(self, capsys, tmp_path):
-        # the weight-class bounds overflow a float at this length
+    def test_arithmetic_failure_is_domain_error(self, capsys, c1_file, monkeypatch):
+        def overflow(*args):
+            raise OverflowError("int too large to convert to float")
+
+        monkeypatch.setattr(cli, "discrepancy_bound", overflow)
+        rc, out, err = run(capsys, "bounds", "--code", str(c1_file),
+                           "-p", "0.1", "-q", "0.15")
+        assert rc == 3 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_long_code(self, capsys, tmp_path):
         rng = random.Random(3)
         path = tmp_path / "long.code"
         path.write_text("".join(str(Word(3000, rng.getrandbits(3000))) + "\n"
                                 for _ in range(3)))
-        rc, out, err = run(capsys, "bounds", "--code", str(path),
-                           "-p", "0.1", "-q", "0.15")
-        assert rc == 3 and out == ""
-        assert err.startswith("error: ") and "Traceback" not in err
+        rc, out, _ = run(capsys, "bounds", "--code", str(path),
+                         "-p", "0.1", "-q", "0.15")
+        assert rc == 0
+        for bound in json.loads(out)["bounds"]:
+            assert 0.0 < bound["raw_value"] <= 1.0
 
 
 class TestSweep:
@@ -337,6 +348,15 @@ class TestScheme:
         assert doc["weights"] == [2, 3, 4]
         assert doc["valences"] == [2, 4, 1]
         assert len(doc["p"]) == 4
+
+    @pytest.mark.parametrize("sample", ["-3", "-5000"])
+    def test_negative_sample_is_usage_error(self, capsys, tmp_path, sample):
+        lines = ["00000", "10101", "01100", "11001",
+                 "00011", "10110", "01111", "11010"]
+        path = tmp_path / "scheme.code"
+        path.write_text("".join(line + "\n" for line in lines))
+        rc, out, err = run(capsys, "scheme", "--code", str(path), "--sample", sample)
+        assert rc == 2 and out == "" and "--sample" in err
 
     def test_rejects_two_weight_code(self, capsys, tmp_path):
         lines = ["000", "110", "101", "011"]
