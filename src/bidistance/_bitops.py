@@ -1,4 +1,4 @@
-"""Vectorized helpers for words packed into unsigned 64-bit lanes."""
+"""Vectorized helpers for words as uint64 arrays or 0/1 bit matrices."""
 
 from __future__ import annotations
 
@@ -33,12 +33,13 @@ def popcount(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def pack_lanes(words: Sequence[int], n: int) -> np.ndarray:
-    """Pack bitmask ints of any length n into an (M, ceil(n/64)) uint64
-    array; lane k holds bits 64k to 64k + 63."""
-    size = 8 * ((n + 63) // 64)
+def bit_matrix(words: Sequence[int], n: int) -> np.ndarray:
+    """(M, n) uint8 0/1 matrix of bitmask ints of any length n; column k
+    holds bit k of each word."""
+    size = (n + 7) // 8
     buf = b"".join(w.to_bytes(size, "little") for w in words)
-    return np.frombuffer(buf, dtype="<u8").reshape(len(words), -1)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(words), size)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
 def span_words(rows: Sequence[int], n: int) -> np.ndarray:

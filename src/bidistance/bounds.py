@@ -23,6 +23,7 @@ the top of positive terms, so nothing cancels.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -107,22 +108,21 @@ def pairwise_error_probability(d10: int, d01: int, params: ChannelParams,
     """Probability that the decoder prefers a word at offsets (d10, d01).
 
     The two flip counts are independent binomials; their joint mass is
-    summed over the preference region.  ``exact=True`` evaluates the same
-    region sum in rational arithmetic and returns a Fraction.
+    summed over the preference region.  ``exact=True`` sums the same region
+    in integers over qd**d10 * pd**d01 and returns a Fraction.
     """
     if d10 < 0 or d01 < 0:
         raise ValueError("directional distances must be non-negative")
     t = region_threshold(d10, d01, params.gamma)
     if not exact:
         return float(_flip_tail(np.array([d10]), np.array([d01]), np.array([t]), params)[0])
-    p, q = params.p, params.q
-    q_terms = [math.comb(d10, i) * q ** i * (1 - q) ** (d10 - i) for i in range(d10 + 1)]
-    p_terms = [math.comb(d01, j) * p ** j * (1 - p) ** (d01 - j) for j in range(d01 + 1)]
-    total = Fraction(0)
-    for i in range(d10 + 1):
-        for j in range(max(0, t - i), d01 + 1):
-            total += q_terms[i] * p_terms[j]
-    return total
+    pn, pd = params.p.numerator, params.p.denominator
+    qn, qd = params.q.numerator, params.q.denominator
+    q_num = [math.comb(d10, i) * qn ** i * (qd - qn) ** (d10 - i) for i in range(d10 + 1)]
+    p_num = [math.comb(d01, j) * pn ** j * (pd - pn) ** (d01 - j) for j in range(d01 + 1)]
+    tail = list(itertools.accumulate(reversed(p_num)))[::-1] + [0]
+    total = sum(q_num[i] * tail[min(max(t - i, 0), d01 + 1)] for i in range(d10 + 1))
+    return Fraction(total, qd ** d10 * pd ** d01)
 
 
 def discrepancy(x: Word, y: Word, params: ChannelParams) -> float:

@@ -9,6 +9,7 @@ Every decoder here is one exact block kernel, _RankKernel.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._bitops import pack_lanes, popcount
+from ._bitops import bit_matrix
 from .core import CapExceeded, Code, ParseError, Word, dir_distances
 
 DEFAULT_EXHAUSTIVE_CAP = 24
@@ -26,10 +27,12 @@ DEFAULT_EXHAUSTIVE_CAP = 24
 #: part of the reproducibility contract (see monte_carlo_error_probability).
 MC_CHUNK = 1 << 15
 
-#: (received word, codeword) cells per kernel block, and the largest rank
-#: table, one entry per (wt, a, b) triple over the code's weights
+#: (received word, codeword) cells per kernel block, the largest rank table,
+#: one entry per (wt, a, b) triple over the code's weights, and the length
+#: below which the float32 bit-matrix product counts exactly
 _BLOCK_CELLS = 1 << 16
 MAX_RANK_KEYS = 1 << 25
+MAX_LENGTH = 1 << 24
 
 _DECIMAL_RE = re.compile(r"^\d+(\.\d+)?$")
 
@@ -162,16 +165,21 @@ class _RankKernel:
     """Exact maximum-likelihood decoding of blocks of received words.
 
     Pr(y | x) depends only on (wt(x), a, b), the weight and the 1->0 and
-    0->1 flips, read from one lane popcount c = wt(x & y) as a = wt(x) - c,
-    b = wt(y) - c, and keyed offset[wt(x)] + a*(n - wt(x) + 1) + b.  Keys
-    are scored on first sight in a call; rank_of holds each seen key's
-    exact score rank (equal scores share one, unseen keys are -1).
+    0->1 flips, read from c = wt(x & y) as a = wt(x) - c, b = wt(y) - c,
+    and keyed offset[wt(x)] + a*(n - wt(x) + 1) + b.  c comes from one
+    float32 product of 0/1 bit matrices: every partial sum is an integer
+    at most n < 2^24, so it is exact in any summation order.  Keys are
+    scored on first sight; rank_of holds each seen key's dense rank among
+    the distinct scores seen (equal scores share one, unseen keys are -1).
     """
 
     def __init__(self, code: Code, params: ChannelParams):
         n = code.n
-        self.lanes = pack_lanes(code.words, n)
-        wts = popcount(self.lanes).sum(axis=1)
+        if n >= MAX_LENGTH:
+            raise CapExceeded(f"decoding needs n < {MAX_LENGTH}, got {n}")
+        self.bits = bit_matrix(code.words, n)
+        self.columns = self.bits.T.astype(np.float32)
+        wts = self.bits.sum(axis=1, dtype=np.int64)
         self.weights, cls = np.unique(wts, return_inverse=True)
         self.span = n - self.weights + 1
         self.offset = np.concatenate(([0], np.cumsum((self.weights + 1) * self.span)))
@@ -183,12 +191,13 @@ class _RankKernel:
         self.stride = self.span[cls] + 1
         self.rank_of = np.full(self.offset[-1], -1, dtype=np.int32)
         self.scores: dict[int, int] = {}
+        self.distinct: list[int] = []
         self.rows = max(1, _BLOCK_CELLS // len(code))
 
     def decide(self, received: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Winning key, winning codeword and exact-tie flag per received row."""
-        common = popcount(received[:, None, :] & self.lanes).sum(axis=2)
-        keys = self.base + popcount(received).sum(axis=1)[:, None] - common * self.stride
+        """Winning key, winning codeword and exact-tie flag per 0/1 received row."""
+        common = (received.astype(np.float32) @ self.columns).astype(np.int64)
+        keys = self.base + received.sum(axis=1, dtype=np.int64)[:, None] - common * self.stride
         rank = self.rank_of[keys]
         if rank.min() < 0:
             self._rank(np.unique(keys[rank < 0]))
@@ -198,20 +207,27 @@ class _RankKernel:
         return np.take_along_axis(keys, win, axis=1)[:, 0], win[:, 0], tie
 
     def _rank(self, fresh: np.ndarray) -> None:
+        """Score fresh keys and merge their scores into the sorted distinct
+        list: each seen rank moves up by the number of new scores below it."""
         cls = np.searchsorted(self.offset, fresh, side="right") - 1
         a, b = np.divmod(fresh - self.offset[cls], self.span[cls])
-        self.scores.update(zip(fresh.tolist(), map(
-            self.table.score, self.weights[cls].tolist(), a.tolist(), b.tolist())))
-        order = sorted(self.scores, key=self.scores.__getitem__)
-        ordered = [self.scores[key] for key in order]
-        self.rank_of[order] = np.cumsum([0] + [s != t for s, t in zip(ordered, ordered[1:])])
+        scores = list(map(self.table.score, self.weights[cls].tolist(), a.tolist(), b.tolist()))
+        placed = [(bisect.bisect_left(self.distinct, s), s) for s in sorted(set(scores))]
+        placed = [(i, s) for i, s in placed if self.distinct[i:i + 1] != [s]]
+        seen = np.fromiter(self.scores, dtype=np.int64, count=len(self.scores))
+        self.rank_of[seen] += np.searchsorted([i for i, _ in placed], self.rank_of[seen],
+                                              side="right")
+        for i, s in reversed(placed):
+            self.distinct.insert(i, s)
+        self.scores.update(zip(fresh.tolist(), scores))
+        self.rank_of[fresh] = [bisect.bisect_left(self.distinct, s) for s in scores]
 
 
 def mld_decode(code: Code, y: Word, params: ChannelParams) -> DecodeResult:
     """Decode y to the unique likelihood maximizer; any exact tie fails."""
     if code.n != y.n:
         raise ValueError(f"length mismatch: code n={code.n}, word n={y.n}")
-    _, win, tie = _RankKernel(code, params).decide(pack_lanes([y.bits], code.n))
+    _, win, tie = _RankKernel(code, params).decide(bit_matrix([y.bits], code.n))
     return FAILURE if tie[0] else DecodeResult(code.word(int(win[0])))
 
 
@@ -231,9 +247,8 @@ def exact_error_probability(code: Code, params: ChannelParams,
     rows = min(1 << code.n, 1 << (kernel.rows.bit_length() - 1))
     counts = np.zeros(len(kernel.rank_of), dtype=np.int64)
     for start in range(0, 1 << code.n, rows):
-        received = pack_lanes([start], code.n).repeat(rows, axis=0)
-        received[:, 0] |= np.arange(rows, dtype=np.uint64)
-        keys, _, tie = kernel.decide(received)
+        counters = np.arange(start, start + rows, dtype="<u8").view(np.uint8).reshape(rows, 8)
+        keys, _, tie = kernel.decide(np.unpackbits(counters, 1, code.n, "little"))
         counts += np.bincount(keys[~tie], minlength=len(counts))
     success = sum(int(counts[k]) * kernel.scores[k] for k in np.flatnonzero(counts).tolist())
     return 1 - Fraction(success, len(code) * kernel.table.denominator)
@@ -259,16 +274,13 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
     n = code.n
     rng = np.random.default_rng(seed)
     kernel = _RankKernel(code, params)
-    bits = np.unpackbits(kernel.lanes.view(np.uint8), axis=1, count=n, bitorder="little")
-    flip_prob = np.where(bits.astype(bool), params.fq, params.fp)
+    flip_prob = np.where(kernel.bits.astype(bool), params.fq, params.fp)
     tx = rng.integers(0, len(code), size=trials)
     errors = 0
     for start in range(0, trials, MC_CHUNK):
         idx = tx[start:start + MC_CHUNK]
         flips = rng.random((len(idx), n)) < flip_prob[idx]
-        noise = np.zeros((len(idx), kernel.lanes.shape[1]), dtype="<u8")
-        noise.view(np.uint8)[:, :(n + 7) // 8] = np.packbits(flips, axis=1, bitorder="little")
-        received = kernel.lanes[idx] ^ noise
+        received = kernel.bits[idx] ^ flips
         for s in range(0, len(idx), kernel.rows):
             _, win, tie = kernel.decide(received[s:s + kernel.rows])
             errors += int(np.count_nonzero(tie | (win != idx[s:s + kernel.rows])))

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from ._bitops import pack_lanes, popcount
+from ._bitops import bit_matrix
 
 #: pair frequencies are held in 64-bit-sized counters; |C|^2 must fit
 MAX_CODE_SIZE = 1 << 28
@@ -325,19 +325,19 @@ def bidistance_distribution(code: Code) -> BidistanceDistribution:
 def _pair_table(n: int, words: tuple[int, ...]) -> dict[tuple[int, int, int], int]:
     """Count (wt(x), d10, d01) over all ordered pairs, a tile of rows at a time.
 
-    Words are packed into 64-bit lanes, so one pass serves every length.
-    With c = wt(x & y), d10 = wt(x) - c and d01 = wt(y) - c: one popcount
-    per lane and pair gives the whole triple.
+    With c = wt(x & y), d10 = wt(x) - c and d01 = wt(y) - c.  A tile's c
+    is one float32 product of 0/1 bit matrices, exact for every length
+    here: each partial sum is an integer at most n < 2^21.
     """
     width = n + 1
     if width ** 3 > 1 << 63:
         raise ValueError(f"pair tables support lengths below 2^21, got {n}")
-    lanes = pack_lanes(words, n)
-    wts = popcount(lanes).sum(axis=1)
+    bits = bit_matrix(words, n).astype(np.float32)
+    wts = bits.sum(axis=1).astype(np.int64)
     rows = max(1, PAIR_TILE // len(words))
     flat: Counter[int] = Counter()
     for start in range(0, len(words), rows):
-        common = popcount(lanes[start:start + rows, None, :] & lanes).sum(axis=2)
+        common = (bits[start:start + rows] @ bits.T).astype(np.int64)
         wx = wts[start:start + rows, None]
         keys, counts = np.unique((wx * width + wx - common) * width + wts - common,
                                  return_counts=True)

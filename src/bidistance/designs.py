@@ -213,6 +213,8 @@ def scheme_from_three_weight(code: Code, sample: int = 50) -> SchemeParams:
     Linearity makes pair classes translation-invariant, so representatives
     of the form (0, z) with wt(z) = w_k cover every pair in class k.
     """
+    if sample < 0:
+        raise ValueError(f"sample must be non-negative, got {sample}")
     if len(code) > SCHEME_SIZE_CAP:
         raise ValueError(f"scheme measurement capped at {SCHEME_SIZE_CAP} codewords")
     generator = generator_from_code(code)

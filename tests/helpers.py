@@ -136,6 +136,17 @@ def directional_pair(x: Word, y: Word) -> tuple[int, int]:
     return d10, d01
 
 
+#: lengths on both sides of each byte and 64-bit lane boundary
+EDGE_LENGTHS = (1, 7, 8, 9, 63, 64, 65, 129)
+
+
+def edge_code(rng: random.Random, n: int, size: int = 8) -> Code:
+    """The all-zeros and all-ones words plus random words, shuffled."""
+    words = list({0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(size - 2)})
+    rng.shuffle(words)
+    return Code(n, words)
+
+
 def padded_code(rng: random.Random, core: Code, n: int) -> Code:
     """Embed a core code in length n: constant bits shared by every
     codeword fill the new positions, then a seeded permutation moves
@@ -164,6 +175,20 @@ def reference_ceil_snap(tau: float) -> int:
 def reference_region_threshold(d10: int, d01: int, gamma: float) -> int:
     """Least total flip count at which the rival word is preferred."""
     return reference_ceil_snap((d10 * gamma + d01) / (gamma + 1.0))
+
+
+def reference_exact_pep(d10: int, d01: int, params: ChannelParams) -> Fraction:
+    """Exact pairwise error probability as a double loop of Fraction terms
+    over the preference region."""
+    t = reference_region_threshold(d10, d01, params.gamma)
+    p, q = params.p, params.q
+    q_terms = [math.comb(d10, i) * q ** i * (1 - q) ** (d10 - i) for i in range(d10 + 1)]
+    p_terms = [math.comb(d01, j) * p ** j * (1 - p) ** (d01 - j) for j in range(d01 + 1)]
+    total = Fraction(0)
+    for i in range(d10 + 1):
+        for j in range(max(0, t - i), d01 + 1):
+            total += q_terms[i] * p_terms[j]
+    return total
 
 
 def exact_flip_tail(d1: int, d2: int, t: int, params: ChannelParams) -> Fraction:

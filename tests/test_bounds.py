@@ -17,7 +17,8 @@ from bidistance.channel import ChannelParams, exact_error_probability
 from bidistance.core import Code, Word, bidistance_distribution
 from helpers import (eq3_pairwise_oracle, exact_flip_tail, random_code,
                      reference_ahb, reference_ceil_snap, reference_cr,
-                     reference_min_over_pairs, reference_region_threshold)
+                     reference_exact_pep, reference_min_over_pairs,
+                     reference_region_threshold)
 
 #: derandomized, with no example database, so every run draws the same cases
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -94,6 +95,14 @@ class TestPairwiseErrorProbability:
                     t = region_threshold(d10, d01, params.gamma)
                     assert exact_flip_tail(d10, d01, t, params) == \
                         pairwise_error_probability(d10, d01, params, exact=True)
+
+    def test_integer_tail_equals_fraction_loop(self):
+        for params in (ChannelParams(Fraction(1, 10), Fraction(3, 20)),
+                       ChannelParams(Fraction(1, 4), Fraction(1, 4))):
+            for d10 in range(31):
+                for d01 in range(31):
+                    assert pairwise_error_probability(d10, d01, params, exact=True) == \
+                        reference_exact_pep(d10, d01, params)
 
     def test_large_offsets_stay_finite(self, params_ex1):
         # (1100, 1100) underflows to 0.0; the others are near 1e-100

@@ -1,19 +1,23 @@
 import math
 import random
+import tracemalloc
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidistance.channel import (MC_CHUNK, ChannelParams, RegimeError, _score_table,
+from bidistance._bitops import bit_matrix
+from bidistance.channel import (MAX_LENGTH, MC_CHUNK, ChannelParams, RegimeError,
+                                _RankKernel, _score_table,
                                 exact_error_probability, likelihood, llr,
                                 mld_decode, monte_carlo_error_probability,
                                 parse_probability)
 from bidistance.core import CapExceeded, Code, ParseError, Word, dir_distances
-from helpers import (brute_error_probability, brute_mld, padded_code,
-                     random_code)
+from helpers import (EDGE_LENGTHS, brute_error_probability, brute_mld,
+                     edge_code, padded_code, random_code)
 
 _channel = ChannelParams.from_decimals
 
@@ -189,6 +193,60 @@ class TestMldDecode:
         for bits in range(1 << code.n):
             y = Word(code.n, bits)
             assert mld_decode(code, y, params).word == brute_mld(code, y, params)
+
+
+class TestRankKernel:
+    @pytest.mark.parametrize("n", EDGE_LENGTHS)
+    def test_decode_at_byte_and_lane_edges(self, n):
+        rng = random.Random(100 + n)
+        code = edge_code(rng, n)
+        received = ({0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(6)}
+                    | {x ^ (1 << rng.randrange(n)) for x in code.words})
+        for params in (_channel("0.2", "0.2"), _channel("0.05", "0.3")):
+            for bits in sorted(received):
+                y = Word(n, bits)
+                assert mld_decode(code, y, params).word == brute_mld(code, y, params)
+
+    def test_length_beyond_exact_float32_refused_before_allocating(self, params_ex1):
+        n = MAX_LENGTH
+        code, y = Code(n, [0]), Word(n, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="n < "):
+                mld_decode(code, y, params_ex1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (1, n) bit matrix alone would take 16 MiB
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("params", [_channel("0.2", "0.2"), _channel("0.05", "0.3")],
+                             ids=["p_eq_q", "asymmetric"])
+    def test_merged_ranks_equal_full_sort(self, params):
+        # one received word per call, in a seeded order: the fresh scores
+        # land below, between and above the scores seen, and at p = q also
+        # on equal ones
+        rng = random.Random(90)
+        n = 7
+        code = random_code(rng, n, 5)
+        kernel = _RankKernel(code, params)
+        received = bit_matrix(range(1 << n), n)
+        landed = set()
+        for y in rng.sample(range(1 << n), 1 << n):
+            before = dict(kernel.scores)
+            old = sorted(set(before.values()))
+            kernel.decide(received[y:y + 1])
+            for key, score in kernel.scores.items():
+                if key in before or not old:
+                    continue
+                landed.add("equal" if score in old else "below" if score < old[0]
+                           else "above" if score > old[-1] else "between")
+            distinct = sorted(set(kernel.scores.values()))
+            assert {key: int(kernel.rank_of[key]) for key in kernel.scores} == \
+                {key: distinct.index(score) for key, score in kernel.scores.items()}
+            assert np.count_nonzero(kernel.rank_of >= 0) == len(kernel.scores)
+        ties = {"equal"} if params.p == params.q else set()
+        assert landed == {"below", "between", "above"} | ties
 
 
 class TestExactErrorProbability:

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from bidistance import core
+from bidistance._bitops import bit_matrix
 from bidistance.core import (BidistanceDistribution, BidistancePair, Code,
                              ParseError, Word, bidistance_distribution,
                              dir_distances, format_code_text, multiset_repr,
                              parse_code_text, solve_directional_system,
                              weights_from_bidistance)
-from helpers import (brute_distribution_counts, directional_pair,
-                     random_generator_rows, span_code)
+from helpers import (EDGE_LENGTHS, brute_distribution_counts, directional_pair,
+                     edge_code, random_generator_rows, span_code)
 
 
 class TestWord:
@@ -180,6 +181,19 @@ class TestBidistanceDistribution:
                     key = (x.weight,) + directional_pair(x, y)
                     triples[key] = triples.get(key, 0) + 1
             assert table == triples
+
+    @pytest.mark.parametrize("n", EDGE_LENGTHS)
+    def test_bit_matrix_and_pair_table_at_byte_and_lane_edges(self, n):
+        code = edge_code(random.Random(n), n)
+        bits = bit_matrix(code.words, n)
+        assert bits.dtype == np.uint8 and bits.shape == (len(code), n)
+        assert [tuple(row) for row in bits.tolist()] == [x.to_bits() for x in code]
+        triples: dict[tuple[int, int, int], int] = {}
+        for x in code:
+            for y in code:
+                key = (x.weight,) + directional_pair(x, y)
+                triples[key] = triples.get(key, 0) + 1
+        assert code.pair_table() == triples
 
     def test_pair_table_counted_once(self, c1, monkeypatch):
         calls = []

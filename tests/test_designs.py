@@ -108,6 +108,12 @@ class TestScheme:
             for i in range(4):
                 assert sum(scheme.p[k][i]) == v[i]
 
+    @pytest.mark.parametrize("sample", [-1, -3, -5000])
+    def test_negative_sample_rejected(self, sample):
+        code = _column_code(SCHEME_COLUMNS, 3)
+        with pytest.raises(ValueError, match="sample must be non-negative"):
+            scheme_from_three_weight(code, sample=sample)
+
     def test_closed_form_equals_brute_force(self):
         code = _column_code(SCHEME_COLUMNS, 3)
         scheme = scheme_from_three_weight(code, sample=0)
