@@ -1,15 +1,15 @@
 """Asymmetric-channel model, exact-likelihood decoding, and error probability.
 
-Crossover probabilities are exact rationals parsed from decimal strings,
-so likelihood comparisons (and therefore decoder ties) are decided
-exactly rather than by float rounding.  The supported regime is
-0 < p <= q < 1/2, where p is the 0->1 and q the 1->0 flip probability.
-Every decoder here is one exact block kernel, _RankKernel.
+Crossover probabilities are exact rationals parsed from decimal strings;
+the supported regime is 0 < p <= q < 1/2, where p is the 0->1 and q the
+1->0 flip probability.  Every decoder here is one block kernel, _RankKernel.
+A codeword x's likelihood order for a received y depends only on the key
+(wt(x), c = wt(x & y)); each call ranks every key once by a float order that
+exact integers settle wherever rounding could decide it, so ties are exact.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -27,8 +27,8 @@ DEFAULT_EXHAUSTIVE_CAP = 24
 #: part of the reproducibility contract (see monte_carlo_error_probability).
 MC_CHUNK = 1 << 15
 
-#: (received word, codeword) cells per kernel block, the largest rank table,
-#: one entry per (wt, a, b) triple over the code's weights, and the length
+#: (received word, codeword) cells per kernel block, the cap on a code's rank
+#: keys, counted as one per (wt, a, b) triple over its weights, and the length
 #: below which the float32 bit-matrix product counts exactly
 _BLOCK_CELLS = 1 << 16
 MAX_RANK_KEYS = 1 << 25
@@ -161,16 +161,43 @@ class DecodeResult:
 FAILURE = DecodeResult(None)
 
 
+def _rank_keys(weights: np.ndarray, params: ChannelParams) -> np.ndarray:
+    """Dense rank of X**w * Y**c over the keys (w, c), c = 0..w, class by class.
+
+    Keys sort by the float w*log X + c*log Y; neighbours within 1e-12 *
+    (1 + top * sum(logs)), about 1000 times its rounding error, are settled
+    by the exact integers X**w * Y**c * (xd*yd)**top, so no float alone
+    decides an order.  X = xn/xd = q/(1-p) and Y = yn/yd = (1-q)(1-p)/(pq).
+    """
+    (pn, pd), (qn, qd) = params.p.as_integer_ratio(), params.q.as_integer_ratio()
+    xn, xd, yn, yd = qn * pd, qd * (pd - pn), (qd - qn) * (pd - pn), pn * qn
+    logs = [math.log(k) for k in (xn, xd, yn, yd)]
+    top = int(weights[-1])
+    w = np.repeat(weights, weights + 1)
+    c = np.concatenate([np.arange(k + 1) for k in weights.tolist()])
+    level = w * (logs[0] - logs[1]) + c * (logs[2] - logs[3])
+    order = np.argsort(level)
+    step = np.concatenate(([True], np.diff(level[order]) > 1e-12 * (1 + top * sum(logs))))
+    bounds = np.flatnonzero(np.append(step, True))
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    for s, k in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
+        run = order[s:s + k]
+        exact = [xn ** i * xd ** (top - i) * yn ** j * yd ** (top - j)
+                 for i, j in zip(w[run].tolist(), c[run].tolist())]
+        by = sorted(range(k), key=exact.__getitem__)
+        run[:] = run[by]
+        step[s + 1:s + k] = [exact[i] != exact[j] for i, j in zip(by, by[1:])]
+    return (np.cumsum(step, dtype=np.int32) - 1)[np.argsort(order)]
+
+
 class _RankKernel:
     """Exact maximum-likelihood decoding of blocks of received words.
 
-    Pr(y | x) depends only on (wt(x), a, b), the weight and the 1->0 and
-    0->1 flips, read from c = wt(x & y) as a = wt(x) - c, b = wt(y) - c,
-    and keyed offset[wt(x)] + a*(n - wt(x) + 1) + b.  c comes from one
-    float32 product of 0/1 bit matrices: every partial sum is an integer
-    at most n < 2^24, so it is exact in any summation order.  Keys are
-    scored on first sight; rank_of holds each seen key's dense rank among
-    the distinct scores seen (equal scores share one, unseen keys are -1).
+    With c = wt(x & y) and v = wt(y), Pr(y | x) = p**v (1-p)**(n-v) *
+    X**wt(x) * Y**c for X = q/(1-p), Y = (1-q)(1-p)/(pq): for a fixed y the
+    argmax and its exact ties depend only on the key (wt(x), c), at
+    offset[class] + c, ranked once by _rank_keys.  c is one float32 product
+    of 0/1 bit matrices, exact in any summation order for n < 2^24.
     """
 
     def __init__(self, code: Code, params: ChannelParams):
@@ -179,48 +206,24 @@ class _RankKernel:
             raise CapExceeded(f"decoding needs n < {MAX_LENGTH}, got {n}")
         self.bits = bit_matrix(code.words, n)
         self.columns = self.bits.T.astype(np.float32)
-        wts = self.bits.sum(axis=1, dtype=np.int64)
-        self.weights, cls = np.unique(wts, return_inverse=True)
-        self.span = n - self.weights + 1
-        self.offset = np.concatenate(([0], np.cumsum((self.weights + 1) * self.span)))
-        if self.offset[-1] > MAX_RANK_KEYS:
+        self.weights, self.cls = np.unique(self.bits.sum(axis=1, dtype=np.int64),
+                                           return_inverse=True)
+        keys = int(((self.weights + 1) * (n - self.weights + 1)).sum())
+        if keys > MAX_RANK_KEYS:
             raise CapExceeded(f"decoding n={n} over {len(self.weights)} weights needs "
-                              f"{self.offset[-1]} rank keys; cap is {MAX_RANK_KEYS}")
-        self.table = _score_table(n, params)
-        self.base = self.offset[cls] + wts * self.span[cls]
-        self.stride = self.span[cls] + 1
-        self.rank_of = np.full(self.offset[-1], -1, dtype=np.int32)
-        self.scores: dict[int, int] = {}
-        self.distinct: list[int] = []
+                              f"{keys} rank keys; cap is {MAX_RANK_KEYS}")
+        self.base = np.concatenate(([0], np.cumsum(self.weights + 1)))[self.cls]
+        self.rank_of = _rank_keys(self.weights, params)
         self.rows = max(1, _BLOCK_CELLS // len(code))
 
     def decide(self, received: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Winning key, winning codeword and exact-tie flag per 0/1 received row."""
+        """Winner's c, winning codeword and exact-tie flag per 0/1 received row."""
         common = (received.astype(np.float32) @ self.columns).astype(np.int64)
-        keys = self.base + received.sum(axis=1, dtype=np.int64)[:, None] - common * self.stride
-        rank = self.rank_of[keys]
-        if rank.min() < 0:
-            self._rank(np.unique(keys[rank < 0]))
-            rank = self.rank_of[keys]
-        win = rank.argmax(axis=1)[:, None]
-        tie = np.count_nonzero(rank == np.take_along_axis(rank, win, axis=1), axis=1) > 1
-        return np.take_along_axis(keys, win, axis=1)[:, 0], win[:, 0], tie
-
-    def _rank(self, fresh: np.ndarray) -> None:
-        """Score fresh keys and merge their scores into the sorted distinct
-        list: each seen rank moves up by the number of new scores below it."""
-        cls = np.searchsorted(self.offset, fresh, side="right") - 1
-        a, b = np.divmod(fresh - self.offset[cls], self.span[cls])
-        scores = list(map(self.table.score, self.weights[cls].tolist(), a.tolist(), b.tolist()))
-        placed = [(bisect.bisect_left(self.distinct, s), s) for s in sorted(set(scores))]
-        placed = [(i, s) for i, s in placed if self.distinct[i:i + 1] != [s]]
-        seen = np.fromiter(self.scores, dtype=np.int64, count=len(self.scores))
-        self.rank_of[seen] += np.searchsorted([i for i, _ in placed], self.rank_of[seen],
-                                              side="right")
-        for i, s in reversed(placed):
-            self.distinct.insert(i, s)
-        self.scores.update(zip(fresh.tolist(), scores))
-        self.rank_of[fresh] = [bisect.bisect_left(self.distinct, s) for s in scores]
+        rank = self.rank_of[self.base + common]
+        win = rank.argmax(axis=1)
+        at = np.arange(len(win)), win
+        tie = np.count_nonzero(rank == rank[at][:, None], axis=1) > 1
+        return common[at], win, tie
 
 
 def mld_decode(code: Code, y: Word, params: ChannelParams) -> DecodeResult:
@@ -235,23 +238,30 @@ def exact_error_probability(code: Code, params: ChannelParams,
                             cap: int = DEFAULT_EXHAUSTIVE_CAP) -> Fraction:
     """Average decoder error probability by exhaustive received-word sweep.
 
-    Counts, over all 2^n received words, how often each (wt, a, b) key
-    wins without a tie, then sums count * score exactly: the mass decoded
-    back to its transmitted word.  Failures (exact ties) count as errors
-    for every transmitted word.  Guarded by the length cap.
+    Counts, over all 2^n received words, how often each (class, c, wt(y))
+    cell wins without a tie, then sums count * score(w, w - c, wt(y) - c)
+    exactly: the mass decoded back to its transmitted word.  Failures (exact
+    ties) count as errors for every transmitted word.  Guarded by the cap.
     """
     if code.n > cap:
         raise CapExceeded(
             f"exhaustive sweep needs 2**{code.n} received words; cap is n <= {cap}")
+    n = code.n
     kernel = _RankKernel(code, params)
-    rows = min(1 << code.n, 1 << (kernel.rows.bit_length() - 1))
-    counts = np.zeros(len(kernel.rank_of), dtype=np.int64)
-    for start in range(0, 1 << code.n, rows):
+    rows = min(1 << n, 1 << (kernel.rows.bit_length() - 1))
+    counts = np.zeros((len(kernel.weights), n + 1, n + 1), dtype=np.int64)
+    for start in range(0, 1 << n, rows):
         counters = np.arange(start, start + rows, dtype="<u8").view(np.uint8).reshape(rows, 8)
-        keys, _, tie = kernel.decide(np.unpackbits(counters, 1, code.n, "little"))
-        counts += np.bincount(keys[~tie], minlength=len(counts))
-    success = sum(int(counts[k]) * kernel.scores[k] for k in np.flatnonzero(counts).tolist())
-    return 1 - Fraction(success, len(code) * kernel.table.denominator)
+        received = np.unpackbits(counters, 1, n, "little")
+        common, win, tie = kernel.decide(received)
+        cell = np.ravel_multi_index((kernel.cls[win], common, received.sum(1)), counts.shape)
+        counts += np.bincount(cell[~tie], minlength=counts.size).reshape(counts.shape)
+    table = _score_table(n, params)
+    cls, common, weight = np.nonzero(counts)
+    success = sum(k * table.score(w, w - c, v - c) for k, w, c, v in zip(
+        counts[cls, common, weight].tolist(), kernel.weights[cls].tolist(),
+        common.tolist(), weight.tolist()))
+    return 1 - Fraction(success, len(code) * table.denominator)
 
 
 def monte_carlo_error_probability(code: Code, params: ChannelParams,
@@ -271,7 +281,8 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    n = code.n
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     kernel = _RankKernel(code, params)
     flip_prob = np.where(kernel.bits.astype(bool), params.fq, params.fp)
@@ -279,7 +290,7 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
     errors = 0
     for start in range(0, trials, MC_CHUNK):
         idx = tx[start:start + MC_CHUNK]
-        flips = rng.random((len(idx), n)) < flip_prob[idx]
+        flips = rng.random((len(idx), code.n)) < flip_prob[idx]
         received = kernel.bits[idx] ^ flips
         for s in range(0, len(idx), kernel.rows):
             _, win, tie = kernel.decide(received[s:s + kernel.rows])

@@ -90,7 +90,15 @@ def _cmd_bidist(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_sampling(args: argparse.Namespace) -> None:
+    if args.trials < 1:
+        raise ParseError("--trials must be at least 1")
+    if args.seed < 0:
+        raise ParseError("--seed must be non-negative")
+
+
 def _cmd_pe(args: argparse.Namespace) -> int:
+    _check_sampling(args)
     code = Code.from_file(args.code)
     params = ChannelParams.from_decimals(args.p, args.q)
     payload = {
@@ -145,6 +153,7 @@ def _parse_method_list(text: str, allowed: tuple[str, ...]) -> list[str]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _check_sampling(args)
     code = Code.from_file(args.code)
     sweep = SweepSpec(
         p=parse_probability(args.p),
@@ -323,13 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RegimeError, CapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (CapExceeded, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

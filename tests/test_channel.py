@@ -4,12 +4,11 @@ import tracemalloc
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidistance._bitops import bit_matrix
+from bidistance import channel
 from bidistance.channel import (MAX_LENGTH, MC_CHUNK, ChannelParams, RegimeError,
                                 _RankKernel, _score_table,
                                 exact_error_probability, likelihood, llr,
@@ -220,33 +219,58 @@ class TestRankKernel:
         # the (1, n) bit matrix alone would take 16 MiB
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("params", [_channel("0.2", "0.2"), _channel("0.05", "0.3")],
-                             ids=["p_eq_q", "asymmetric"])
-    def test_merged_ranks_equal_full_sort(self, params):
-        # one received word per call, in a seeded order: the fresh scores
-        # land below, between and above the scores seen, and at p = q also
-        # on equal ones
-        rng = random.Random(90)
-        n = 7
-        code = random_code(rng, n, 5)
+    @pytest.mark.parametrize("params", [_channel("0.2", "0.2"), _channel("0.05", "0.3"),
+                                        _channel("0.05", "0.050000000001")],
+                             ids=["p_eq_q", "asymmetric", "near_p_eq_q"])
+    def test_rank_order_is_likelihood_order(self, params):
+        # every pair of keys (w, c), (w', c') and every received weight v at
+        # which both cells occur compare as their exact likelihood scores do;
+        # near p = q, distinct likelihoods have levels closer than the slack
+        n = 9
+        code = Code(n, [(1 << w) - 1 for w in range(n + 1)])
         kernel = _RankKernel(code, params)
-        received = bit_matrix(range(1 << n), n)
-        landed = set()
-        for y in rng.sample(range(1 << n), 1 << n):
-            before = dict(kernel.scores)
-            old = sorted(set(before.values()))
-            kernel.decide(received[y:y + 1])
-            for key, score in kernel.scores.items():
-                if key in before or not old:
-                    continue
-                landed.add("equal" if score in old else "below" if score < old[0]
-                           else "above" if score > old[-1] else "between")
-            distinct = sorted(set(kernel.scores.values()))
-            assert {key: int(kernel.rank_of[key]) for key in kernel.scores} == \
-                {key: distinct.index(score) for key, score in kernel.scores.items()}
-            assert np.count_nonzero(kernel.rank_of >= 0) == len(kernel.scores)
-        ties = {"equal"} if params.p == params.q else set()
-        assert landed == {"below", "between", "above"} | ties
+        table = _score_table(n, params)
+        keys = [(w, c) for w in kernel.weights.tolist() for c in range(w + 1)]
+        rank = kernel.rank_of.tolist()
+        assert len(rank) == len(keys)
+        for (w, c), r in zip(keys, rank):
+            for (w2, c2), r2 in zip(keys, rank):
+                for v in range(max(c, c2), min(c + n - w, c2 + n - w2) + 1):
+                    s, s2 = table.score(w, w - c, v - c), table.score(w2, w2 - c2, v - c2)
+                    assert (r > r2) - (r < r2) == (s > s2) - (s < s2)
+
+    @pytest.mark.parametrize("params", [_channel("0.05", "0.05"), _channel("0.05", "0.3")],
+                             ids=["p_eq_q", "asymmetric"])
+    def test_long_code_ranks_match_exact_integers(self, params):
+        # three weight classes at n = 3000: rank_of is the dense rank of
+        # X**w * Y**c, compared as integers over the common denominator
+        n = 3000
+        code = Code(n, [(1 << w) - 1 for w in (700, 1501, 2999)])
+        kernel = _RankKernel(code, params)
+        x = params.q / (1 - params.p)
+        y = (1 - params.q) * (1 - params.p) / (params.p * params.q)
+        top = 2999
+        exact = [x.numerator ** w * x.denominator ** (top - w)
+                 * y.numerator ** c * y.denominator ** (top - c)
+                 for w in (700, 1501, 2999) for c in range(w + 1)]
+        distinct = sorted(set(exact))
+        dense = {value: i for i, value in enumerate(distinct)}
+        assert kernel.rank_of.tolist() == [dense[value] for value in exact]
+        if params.p == params.q:
+            # X**w * Y**c = X**(w - 2c) at p = q, so only w - 2c decides
+            assert len(distinct) == len({w - 2 * c for w in (700, 1501, 2999)
+                                         for c in range(w + 1)})
+
+    def test_no_score_table_outside_exhaustive_sweep(self, monkeypatch, c1, params_ex1):
+        def refuse(*args):
+            raise AssertionError("score table built")
+        monkeypatch.setattr(channel, "_score_table", refuse)
+        assert monte_carlo_error_probability(c1, params_ex1, 2000, seed=1)[0] > 0
+        for bits in range(1 << 6):
+            y = Word(6, bits)
+            assert mld_decode(c1, y, params_ex1).word == brute_mld(c1, y, params_ex1)
+        with pytest.raises(AssertionError, match="score table"):
+            exact_error_probability(c1, params_ex1)
 
 
 class TestExactErrorProbability:
@@ -318,6 +342,10 @@ class TestMonteCarlo:
     def test_invalid_trials(self, c1, params_ex1):
         with pytest.raises(ValueError):
             monte_carlo_error_probability(c1, params_ex1, trials=0, seed=0)
+
+    def test_negative_seed_named(self, c1, params_ex1):
+        with pytest.raises(ValueError, match="seed"):
+            monte_carlo_error_probability(c1, params_ex1, trials=10, seed=-1)
 
     @pytest.mark.parametrize("code, params, trials, seed, expected", [
         pytest.param(random_code(random.Random(61), 6, 12), _channel("0.2", "0.2"),

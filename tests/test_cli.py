@@ -108,6 +108,31 @@ class TestPe:
                          "--mode", "mc", "--trials", "10")
         assert rc == 3 and "rank keys" in err
 
+    def test_monte_carlo_just_under_rank_table_cap(self, capsys, tmp_path):
+        # (5500 + 1) * (11000 - 5500 + 1) keys, just under the 2^25 cap
+        path = tmp_path / "long.code"
+        half = (1 << 5500) - 1
+        Code(11000, [half, half << 5500]).to_file(path)
+        rc, out, err = run(capsys, "pe", "--code", str(path), "-p", "0.1", "-q", "0.15",
+                           "--mode", "mc", "--trials", "200")
+        assert rc == 0, err
+        assert json.loads(out)["estimate"] == 0.0
+
+
+class TestSamplingFlags:
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-4"),
+                                             ("--seed", "-1")])
+    @pytest.mark.parametrize("command", ["pe", "sweep"])
+    def test_rejected_before_any_work(self, capsys, tmp_path, command, flag, value):
+        # the code file is missing, so a check made after reading it would exit 3
+        args = {"pe": ["pe", "--mode", "mc", "-p", "0.1", "-q", "0.15"],
+                "sweep": ["sweep", "--methods", "monte_carlo", "-p", "0.1", "--q-from", "0.1",
+                          "--q-to", "0.2", "--steps", "3", "--out", str(tmp_path / "x.csv")]}
+        rc, out, err = run(capsys, *args[command], "--code", str(tmp_path / "missing.code"),
+                           flag, value)
+        assert rc == 2 and out == "" and flag in err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestBounds:
     def test_all_methods(self, capsys, c1_file):
