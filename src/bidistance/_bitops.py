@@ -6,31 +6,9 @@ from typing import Sequence
 
 import numpy as np
 
-_POP16 = None
-
-
-def _pop16() -> np.ndarray:
-    """16-bit popcount table, built on first use (64 KiB)."""
-    global _POP16
-    if _POP16 is None:
-        vals = np.arange(1 << 16, dtype=np.uint32)
-        table = np.zeros(1 << 16, dtype=np.uint8)
-        for i in range(16):
-            table += ((vals >> i) & 1).astype(np.uint8)
-        _POP16 = table
-    return _POP16
-
-
 def popcount(a: np.ndarray) -> np.ndarray:
     """Per-element bit count of a uint64 array, as int64."""
-    a = np.asarray(a, dtype=np.uint64)
-    t = _pop16()
-    m = np.uint64(0xFFFF)
-    out = t[a & m].astype(np.int64)
-    out += t[(a >> np.uint64(16)) & m]
-    out += t[(a >> np.uint64(32)) & m]
-    out += t[a >> np.uint64(48)]
-    return out
+    return np.bitwise_count(np.asarray(a, dtype=np.uint64)).astype(np.int64)
 
 
 def bit_matrix(words: Sequence[int], n: int) -> np.ndarray:

@@ -22,7 +22,6 @@ GOLAY_LENGTH = 23
 
 MAX_ENUM_DIMENSION = 28
 COSET_SWEEP_CAP = 24
-_SWEEP_CHUNK = 1 << 20
 
 
 def _poly_mod(a: int, m: int) -> int:
@@ -303,25 +302,26 @@ def is_projective(g: GeneratorMatrix) -> bool:
 def coset_distribution_matrix(g: GeneratorMatrix, cap: int = COSET_SWEEP_CAP) -> np.ndarray:
     """Weight histogram of every coset of the code generated by ``g``.
 
-    Sweeps all 2^n words in chunks, bucketing each by its syndrome under
-    a dual basis of ``g``; one row per coset, columns are weights 0..n.
+    Row s counts, by weight 0..n, the words whose syndrome under a dual
+    basis of ``g`` is s (bit b is the parity against the b-th check).
+    Built one coordinate at a time: after step i the table counts the
+    words on coordinates 0..i, and those with a one at i come from the
+    previous table with one less weight and the syndrome moved by h_i,
+    coordinate i's syndrome column.  Each step is one gathered shift of
+    the 2^(n-k) x (n+1) table in exact int64, n*2^(n-k)*(n+1) additions in
+    all, so no word of the 2^n ambient space is enumerated.
     """
     n = g.n
     if n > cap:
         raise CapExceeded(f"coset sweep enumerates 2**{n} words; cap is n <= {cap}")
     checks = _null_space_rows(g.rows, n)
-    width = n + 1
-    n_cosets = 1 << len(checks)
-    hist = np.zeros(n_cosets * width, dtype=np.int64)
-    for start in range(0, 1 << n, _SWEEP_CHUNK):
-        stop = min(start + _SWEEP_CHUNK, 1 << n)
-        words = np.arange(start, stop, dtype=np.uint64)
-        weights = popcount(words)
-        syndrome = np.zeros(stop - start, dtype=np.int64)
-        for bit, h in enumerate(checks):
-            syndrome |= (popcount(words & np.uint64(h)) & 1) << bit
-        hist += np.bincount(syndrome * width + weights, minlength=n_cosets * width)
-    return hist.reshape(n_cosets, width)
+    cosets = np.arange(1 << len(checks))
+    hist = np.zeros((len(cosets), n + 1), dtype=np.int64)
+    hist[0, 0] = 1
+    for i in range(n):
+        h_i = sum(((row >> i) & 1) << b for b, row in enumerate(checks))
+        hist[:, 1:] += hist[cosets ^ h_i, :-1]  # the gather copies the old table
+    return hist
 
 
 def distinct_row_count(matrix: np.ndarray) -> int:

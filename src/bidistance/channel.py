@@ -285,12 +285,16 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
         raise ValueError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     kernel = _RankKernel(code, params)
-    flip_prob = np.where(kernel.bits.astype(bool), params.fq, params.fp)
+    ones = kernel.bits.astype(bool)
     tx = rng.integers(0, len(code), size=trials)
     errors = 0
     for start in range(0, trials, MC_CHUNK):
         idx = tx[start:start + MC_CHUNK]
-        flips = rng.random((len(idx), code.n)) < flip_prob[idx]
+        u = rng.random((len(idx), code.n))
+        # u < q on ones, u < p on zeros: with p <= q, (u < q & one) | (u < p)
+        flips = u < params.fq
+        flips &= ones[idx]
+        flips |= u < params.fp
         received = kernel.bits[idx] ^ flips
         for s in range(0, len(idx), kernel.rows):
             _, win, tie = kernel.decide(received[s:s + kernel.rows])

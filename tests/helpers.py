@@ -7,6 +7,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
+from bidistance._bitops import popcount
+from bidistance.algebra import GeneratorMatrix, _null_space_rows
 from bidistance.bounds import SNAP, pairwise_error_probability
 from bidistance.channel import ChannelParams, _score_table, likelihood
 from bidistance.core import BidistanceDistribution, Code, Word
@@ -158,6 +162,33 @@ def padded_code(rng: random.Random, core: Code, n: int) -> Code:
     words = [sum(1 << perm[i] for i in range(n) if (c | const) >> i & 1)
              for c in core.words]
     return Code(n, words)
+
+
+# --- the 2^n word sweep that the coset recurrence in bidistance.algebra replaced
+
+_SWEEP_CHUNK = 1 << 20
+
+
+def reference_coset_matrix(g: GeneratorMatrix) -> np.ndarray:
+    """Weight histogram of every coset of the code generated by ``g``.
+
+    Sweeps all 2^n words in chunks, bucketing each by its syndrome under
+    a dual basis of ``g``; one row per coset, columns are weights 0..n.
+    """
+    n = g.n
+    checks = _null_space_rows(g.rows, n)
+    width = n + 1
+    n_cosets = 1 << len(checks)
+    hist = np.zeros(n_cosets * width, dtype=np.int64)
+    for start in range(0, 1 << n, _SWEEP_CHUNK):
+        stop = min(start + _SWEEP_CHUNK, 1 << n)
+        words = np.arange(start, stop, dtype=np.uint64)
+        weights = popcount(words)
+        syndrome = np.zeros(stop - start, dtype=np.int64)
+        for bit, h in enumerate(checks):
+            syndrome |= (popcount(words & np.uint64(h)) & 1) << bit
+        hist += np.bincount(syndrome * width + weights, minlength=n_cosets * width)
+    return hist.reshape(n_cosets, width)
 
 
 # --- exact oracles for the float bounds in bidistance.bounds

@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bidistance._bitops import popcount
 from bidistance.algebra import (GOLAY_GENERATOR_POLY, BinaryField,
                                 GeneratorMatrix, _poly_mod,
                                 coset_distribution_matrix, defining_set_code,
@@ -11,7 +13,7 @@ from bidistance.algebra import (GOLAY_GENERATOR_POLY, BinaryField,
                                 relative_trace, smallest_irreducible,
                                 trace_code_27_6, weight_distribution)
 from bidistance.core import CapExceeded, Code
-from helpers import macwilliams, random_generator_rows
+from helpers import macwilliams, random_generator_rows, reference_coset_matrix
 
 
 class TestFieldConstruction:
@@ -255,3 +257,53 @@ class TestCosetDistributionMatrix:
     def test_distinct_row_count_exact(self):
         mat = np.array([[1, 2], [1, 2], [2, 1]])
         assert distinct_row_count(mat) == 2
+
+
+class TestCosetRecurrence:
+    """The per-coordinate recurrence against the 2^n word sweep it replaced."""
+
+    def test_matches_word_sweep(self):
+        rng = random.Random(61)
+        cases = [(n, k) for n in range(1, 15) for k in {1, n, rng.randint(1, n)}]
+        for n, k in cases:
+            g = GeneratorMatrix(n, tuple(random_generator_rows(rng, n, k)))
+            mat = coset_distribution_matrix(g)
+            assert mat.dtype == np.int64
+            assert np.array_equal(mat, reference_coset_matrix(g)), (n, g.rows)
+
+    def test_basis_does_not_matter(self):
+        # a non-reduced basis of the same code gives the same matrix
+        rng = random.Random(62)
+        for n in range(2, 15):
+            g = GeneratorMatrix(n, tuple(random_generator_rows(rng, n, rng.randint(2, n))))
+            mixed = [r ^ g.rows[(i + 1) % g.k] for i, r in enumerate(g.rows[:-1])]
+            mixed.append(g.rows[-1])
+            h = GeneratorMatrix(n, tuple(mixed))
+            assert np.array_equal(coset_distribution_matrix(h), reference_coset_matrix(g))
+
+    def test_golay_is_perfect(self):
+        # the [23,12] code is perfect with radius 3: every coset has one
+        # leader of weight <= 3, and 1 + 23 + 253 + 1771 = 2^11
+        mat = coset_distribution_matrix(golay_code())
+        assert mat.shape == (2048, 24)
+        assert np.all(mat.sum(axis=1) == 4096)
+        leader = (mat > 0).argmax(axis=1)
+        assert np.bincount(leader).tolist() == [1, 23, 253, 1771]
+
+    def test_cap_refuses_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match=r"2\*\*25 words; cap is n <= 24"):
+                coset_distribution_matrix(GeneratorMatrix(25, (1,)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_popcount_matches_int_bit_count():
+    rng = random.Random(63)
+    words = [0, 1, (1 << 64) - 1] + [rng.getrandbits(64) for _ in range(200)]
+    counts = popcount(np.array(words, dtype=np.uint64))
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [w.bit_count() for w in words]
