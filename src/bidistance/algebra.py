@@ -12,7 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._bitops import popcount, span_words
+from ._bitops import (bit_matrix, pack_bits, packed_rows, popcount, row_ints, row_reduce,
+                      span_words)
 from .core import CapExceeded, Code, Word
 
 #: one of the two degree-11 factors of x^23 + 1 over F_2
@@ -147,8 +148,9 @@ def defining_set_code(field: BinaryField, defining_set: Sequence[int]) -> Code:
     """Linear code of trace evaluations over a set of field elements.
 
     Each field element beta yields the codeword whose coordinate i is the
-    absolute trace of beta * d_i.  Duplicate rows collapse, so the size
-    reported is the actual one (a power of two).
+    absolute trace of beta * d_i.  The map is F_2-linear, so the code is the
+    span of the words of the m basis elements beta = 2^j.  Duplicate rows
+    collapse, so the size reported is the actual one (a power of two).
     """
     elems = list(defining_set)
     if not elems:
@@ -159,13 +161,9 @@ def defining_set_code(field: BinaryField, defining_set: Sequence[int]) -> Code:
         raise ValueError("defining-set elements must be nonzero")
     for x in elems:
         field._check(x)
-    masks = set()
-    for beta in range(field.order):
-        w = 0
-        for i, d in enumerate(elems):
-            if field.trace(field.mul(beta, d)):
-                w |= 1 << i
-        masks.add(w)
+    basis = [sum(field.trace(field.mul(1 << j, d)) << i for i, d in enumerate(elems))
+             for j in range(field.m)]
+    masks = set(row_ints(span_words(basis, len(elems))))
     return Code(len(elems), sorted(masks), is_linear=True)
 
 
@@ -184,33 +182,17 @@ def trace_code_27_6() -> Code:
 
 def _rref(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon form over F_2: (reduced rows, pivot columns)."""
-    work = [int(r) for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, len(work)) if (work[i] >> col) & 1), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for i in range(len(work)):
-            if i != rank and (work[i] >> col) & 1:
-                work[i] ^= work[rank]
-        pivots.append(col)
-        rank += 1
-    return work[:rank], pivots
+    reduced, pivots = row_reduce(packed_rows([int(r) for r in rows], n), n)
+    return row_ints(reduced), pivots
 
 
 def _null_space_rows(rows: Sequence[int], n: int) -> list[int]:
     reduced, pivots = _rref(rows, n)
-    pivot_of = dict(zip(pivots, reduced))
-    out = []
-    for free in (c for c in range(n) if c not in pivot_of):
-        w = 1 << free
-        for col, row in pivot_of.items():
-            if (row >> free) & 1:
-                w |= 1 << col
-        out.append(w)
-    return out
+    free = [c for c in range(n) if c not in pivots]
+    null = np.zeros((len(free), n), dtype=np.uint8)
+    null[:, free] = np.eye(len(free), dtype=np.uint8)
+    null[:, pivots] = bit_matrix(reduced, n)[:, free].T
+    return row_ints(pack_bits(null))
 
 
 @dataclass(frozen=True)
@@ -249,8 +231,7 @@ class GeneratorMatrix:
         if self.k > MAX_ENUM_DIMENSION:
             raise CapExceeded(
                 f"enumerating 2**{self.k} codewords; cap is k <= {MAX_ENUM_DIMENSION}")
-        arr = span_words(self.rows, self.n)
-        return Code(self.n, sorted(int(w) for w in arr), is_linear=True)
+        return Code(self.n, sorted(row_ints(span_words(self.rows, self.n))), is_linear=True)
 
 
 def generator_from_code(code: Code) -> GeneratorMatrix:
@@ -282,21 +263,15 @@ def weight_distribution(obj: GeneratorMatrix | Code) -> tuple[int, ...]:
     if obj.k > MAX_ENUM_DIMENSION:
         raise CapExceeded(
             f"enumerating 2**{obj.k} codewords; cap is k <= {MAX_ENUM_DIMENSION}")
-    counts = np.bincount(popcount(span_words(obj.rows, obj.n)), minlength=obj.n + 1)
-    return tuple(int(c) for c in counts)
+    weights = popcount(span_words(obj.rows, obj.n)).sum(axis=1)
+    return tuple(np.bincount(weights, minlength=obj.n + 1).tolist())
 
 
 def is_projective(g: GeneratorMatrix) -> bool:
     """True iff the generator has no zero and no repeated column
     (equivalently, the dual minimum distance is at least 3)."""
-    cols = []
-    for c in range(g.n):
-        v = 0
-        for ri, row in enumerate(g.rows):
-            if (row >> c) & 1:
-                v |= 1 << ri
-        cols.append(v)
-    return 0 not in cols and len(set(cols)) == g.n
+    cols = {col.tobytes() for col in bit_matrix(g.rows, g.n).T}
+    return bytes(g.k) not in cols and len(cols) == g.n
 
 
 def coset_distribution_matrix(g: GeneratorMatrix, cap: int = COSET_SWEEP_CAP) -> np.ndarray:
@@ -325,5 +300,5 @@ def coset_distribution_matrix(g: GeneratorMatrix, cap: int = COSET_SWEEP_CAP) ->
 
 
 def distinct_row_count(matrix: np.ndarray) -> int:
-    """Number of distinct rows, by exact integer comparison."""
-    return int(np.unique(np.asarray(matrix), axis=0).shape[0])
+    """Number of distinct rows, by exact comparison of their bytes."""
+    return len({row.tobytes() for row in np.ascontiguousarray(matrix)})

@@ -23,8 +23,7 @@ from .core import CapExceeded, Code, ParseError, Word, dir_distances
 
 DEFAULT_EXHAUSTIVE_CAP = 24
 
-#: Monte Carlo draws happen in fixed batches of this many trials, which is
-#: part of the reproducibility contract (see monte_carlo_error_probability).
+#: the most trials per Monte Carlo draw; the batching changes no estimate
 MC_CHUNK = 1 << 15
 
 #: (received word, codeword) cells per kernel block, the cap on a code's rank
@@ -274,8 +273,8 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
     Reproducibility contract: the generator is numpy's PCG64 via
     ``numpy.random.default_rng(seed)``.  Transmitted codeword indices for
     all trials are drawn first with a single ``integers`` call; channel
-    flips are then drawn in fixed batches of MC_CHUNK trials as uniform
-    (batch, n) matrices compared per-bit against q (on 1s) or p (on 0s).
+    flips then take n uniform doubles per trial from the same stream, drawn in
+    batches of at most MC_CHUNK trials, compared with q (on 1s) or p (on 0s).
     A trial errs when the exact decoder (as mld_decode) ties or picks
     another codeword.  Any length n is accepted.
     """
@@ -288,17 +287,16 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
     ones = kernel.bits.astype(bool)
     tx = rng.integers(0, len(code), size=trials)
     errors = 0
-    for start in range(0, trials, MC_CHUNK):
-        idx = tx[start:start + MC_CHUNK]
+    rows = min(kernel.rows, MC_CHUNK)
+    for start in range(0, trials, rows):
+        idx = tx[start:start + rows]
         u = rng.random((len(idx), code.n))
         # u < q on ones, u < p on zeros: with p <= q, (u < q & one) | (u < p)
         flips = u < params.fq
         flips &= ones[idx]
         flips |= u < params.fp
-        received = kernel.bits[idx] ^ flips
-        for s in range(0, len(idx), kernel.rows):
-            _, win, tie = kernel.decide(received[s:s + kernel.rows])
-            errors += int(np.count_nonzero(tie | (win != idx[s:s + kernel.rows])))
+        _, win, tie = kernel.decide(kernel.bits[idx] ^ flips)
+        errors += int(np.count_nonzero(tie | (win != idx)))
     estimate = errors / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return estimate, stderr

@@ -12,6 +12,7 @@ regime violations, enumeration caps and arithmetic failures).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -261,7 +262,9 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bidistance",
         description="Directional Hamming statistics of binary codes and "
@@ -325,8 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from ._bitops import bit_matrix
+from ._bitops import bit_matrix, packed_rows, popcount, row_reduce
 
 #: pair frequencies are held in 64-bit-sized counters; |C|^2 must fit
 MAX_CODE_SIZE = 1 << 28
@@ -82,7 +82,7 @@ class Word:
         return Word(self.n, self.bits ^ other.bits)
 
     def __str__(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
+        return format(self.bits, f"0{self.n}b")[::-1]
 
 
 class BidistancePair(NamedTuple):
@@ -141,16 +141,8 @@ class Code:
         self.is_linear = is_linear
 
     def _check_linear(self) -> None:
-        pivots: dict[int, int] = {}
-        for w in self.words:
-            v = w
-            while v:
-                h = v.bit_length() - 1
-                if h in pivots:
-                    v ^= pivots[h]
-                else:
-                    pivots[h] = v
-                    break
+        """Distinct words form a subspace iff there are 2^rank of them."""
+        _, pivots = row_reduce(packed_rows(self.words, self.n), self.n)
         if len(self.words) != 1 << len(pivots):
             raise ValueError("code is not linear: size differs from its span")
 
@@ -219,10 +211,8 @@ class Code:
     def weight_distribution(self) -> tuple[int, ...]:
         """Number of codewords of each weight 0..n, counted on first use only."""
         if self._weights is None:
-            counts = [0] * (self.n + 1)
-            for w in self.words:
-                counts[w.bit_count()] += 1
-            self._weights = tuple(counts)
+            weights = popcount(packed_rows(self.words, self.n)).sum(axis=1)
+            self._weights = tuple(np.bincount(weights, minlength=self.n + 1).tolist())
         return self._weights
 
 
@@ -250,7 +240,9 @@ def parse_code_text(text: str, source: str = "<text>") -> Code:
 
 
 def format_code_text(code: Code) -> str:
-    return "".join(str(w) + "\n" for w in code)
+    text = np.full((len(code), code.n + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = bit_matrix(code.words, code.n) + ord("0")
+    return text.tobytes().decode("ascii")
 
 
 @dataclass(eq=True)

@@ -11,17 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._bitops import popcount
+from ._bitops import bit_matrix, pack_bits, row_ints
 from .algebra import (coset_distribution_matrix, distinct_row_count, dual_code,
                       generator_from_code)
 from .core import BidistanceDistribution, Code, solve_directional_system
 
 SCHEME_SIZE_CAP = 1 << 12
+#: representatives per float32 product in the scheme measurement
+SCHEME_BLOCK = 8
 GRAPH_SIZE_CAP = 1 << 16
 
 
@@ -211,7 +212,10 @@ def scheme_from_three_weight(code: Code, sample: int = 50) -> SchemeParams:
     and checked across a stride sample per class (``sample=0`` checks all).
 
     Linearity makes pair classes translation-invariant, so representatives
-    of the form (0, z) with wt(z) = w_k cover every pair in class k.
+    of the form (0, z) with wt(z) = w_k cover every pair in class k, and
+    p[k][i][j] counts the codewords y of class i with y ^ z of class j.  For
+    up to eight z at once, c = wt(y & z) is one float32 bit-matrix product
+    and wt(y ^ z) = wt(y) + wt(z) - 2c; one bincount counts the classes.
     """
     if sample < 0:
         raise ValueError(f"sample must be non-negative, got {sample}")
@@ -227,35 +231,33 @@ def scheme_from_three_weight(code: Code, sample: int = 50) -> SchemeParams:
         raise ValueError(
             f"not an association scheme: the dual coset matrix has {rows} distinct "
             "rows instead of 4")
-    arr = np.array(code.words, dtype=np.uint64)
-    wts = popcount(arr)
-    class_of = {w: i for i, w in enumerate(weights, start=1)}
-    measured: dict[int, tuple[int, ...]] = {}
-    for wk, k in class_of.items():
-        reps = arr[wts == wk]
+    # the coset matrix caps n at COSET_SWEEP_CAP, so int16 weights are exact
+    bits = bit_matrix(code.words, code.n).astype(np.float32)
+    columns = np.ascontiguousarray(bits.T)
+    wts = bits.sum(axis=1, dtype=np.int16)
+    class_of = np.zeros(code.n + 1, dtype=np.intp)
+    class_of[weights] = (1, 2, 3)
+    cls_y = 4 * class_of[wts]
+    valences = tuple(dist[w] for w in weights)
+    measured = [tuple(map(tuple, np.diag((1,) + valences).tolist()))]
+    for k, wk in enumerate(weights, start=1):
+        reps = np.flatnonzero(wts == wk)
         if sample and len(reps) > sample:
             stride = -(-len(reps) // sample)
             reps = reps[::stride][:sample]
         tables = set()
-        for z in reps:
-            wyz = popcount(arr ^ z)
-            tables.add(tuple(int(np.sum((wts == wi) & (wyz == wj)))
-                             for wi in weights for wj in weights))
+        for start in range(0, len(reps), SCHEME_BLOCK):
+            block = reps[start:start + SCHEME_BLOCK]
+            common = (bits[block] @ columns).astype(np.int16)
+            wyz = wts[block, None] + wts - 2 * common
+            cells = cls_y + class_of[wyz] + 16 * np.arange(len(block))[:, None]
+            counts = np.bincount(cells.ravel(), minlength=16 * len(block))
+            tables.update(tuple(map(tuple, t)) for t in counts.reshape(-1, 4, 4).tolist())
         if len(tables) != 1:
             raise ValueError(
                 f"not an association scheme: counts vary across class-{k} pairs")
-        measured[k] = tables.pop()
-    valences = tuple(int(dist[w]) for w in weights)
-    p = [[[0] * 4 for _ in range(4)] for _ in range(4)]
-    for i, v_i in enumerate((1,) + valences):
-        p[0][i][i] = v_i
-    for k in (1, 2, 3):
-        p[k][0][k] = p[k][k][0] = 1
-        flat = measured[k]
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                p[k][i][j] = flat[(i - 1) * 3 + (j - 1)]
-    return SchemeParams(valences, tuple(tuple(tuple(r) for r in plane) for plane in p))
+        measured.append(tables.pop())
+    return SchemeParams(valences, tuple(measured))
 
 
 def three_weight_ahb(n: int, weights: Sequence[int],
@@ -324,22 +326,23 @@ class IncidenceDesign:
             raise ValueError("a symmetric design has exactly v blocks")
         if len(set(blocks)) != len(blocks):
             raise ValueError("duplicate blocks")
-        replication = dict.fromkeys(range(1, self.v + 1), 0)
-        coverage: dict[tuple[int, int], int] = {}
         for block in blocks:
-            if len(set(block)) != self.k:
+            if len(block) != self.k or len(set(block)) != self.k:
                 raise ValueError("every block must hold k distinct points")
             if block[0] < 1 or block[-1] > self.v:
                 raise ValueError("points must lie in 1..v")
-            for point in block:
-                replication[point] += 1
-            for pair in combinations(block, 2):
-                coverage[pair] = coverage.get(pair, 0) + 1
-        if set(replication.values()) != {self.k}:
+        incidence = self.incidence().astype(np.int64)
+        if np.any(incidence.sum(axis=0) != self.k):
             raise ValueError("replication number differs from k")
-        n_pairs = self.v * (self.v - 1) // 2
-        if len(coverage) != n_pairs or set(coverage.values()) != {self.lam}:
+        meets = incidence.T @ incidence  # blocks through both points of each pair
+        if np.any(meets[~np.eye(self.v, dtype=bool)] != self.lam):
             raise ValueError(f"pair coverage is not constant at lam={self.lam}")
+
+    def incidence(self) -> np.ndarray:
+        """(v, v) uint8 0/1 matrix whose row i marks the points of block i."""
+        rows = np.zeros((self.v, self.v), dtype=np.uint8)
+        rows[np.arange(self.v)[:, None], np.array(self.blocks) - 1] = 1
+        return rows
 
     def complement(self) -> "IncidenceDesign":
         full = frozenset(range(1, self.v + 1))
@@ -402,41 +405,25 @@ def sbibd_codes(design: IncidenceDesign, family: int,
     v, k = design.v, design.k
     if v < 2 * k:
         raise ValueError(f"construction needs v >= 2k, got v={v}, k={k}")
-
-    def mask(points: Iterable[int], skip: int | None = None) -> int:
-        m = 0
-        for point in points:
-            if point == skip:
-                continue
-            coord = point - 1 if skip is None or point < skip else point - 2
-            m |= 1 << coord
-        return m
-
-    full = frozenset(range(1, v + 1))
+    blocks = design.incidence()
     if family == 1:
-        n = v
-        words = [mask(b) for b in design.blocks]
-    elif family == 2:
-        n = v
-        words = [mask(b) for b in design.blocks]
-        words += [mask(full - set(b)) for b in design.blocks]
-    elif family == 3:
-        n = v + 1
-        words = [mask(b) | (1 << v) for b in design.blocks]
-        words += [mask(full - set(b)) for b in design.blocks]
+        bits = blocks
+    elif family in (2, 3):
+        bits = np.vstack([blocks, 1 - blocks])
+        if family == 3:
+            bits = np.hstack([bits, np.repeat([[1], [0]], v, axis=0)])
     elif family == 4:
         anchor = 1 if puncture_point is None else puncture_point
         if not 1 <= anchor <= v:
             raise ValueError(f"puncture point must lie in 1..{v}")
-        n = v - 1
-        words = [mask(b, skip=anchor) for b in design.blocks if anchor in b]
-        words += [mask(full - set(b), skip=anchor)
-                  for b in design.blocks if anchor not in b]
+        through = blocks[:, anchor - 1] == 1
+        bits = np.delete(np.vstack([blocks[through], 1 - blocks[~through]]), anchor - 1, 1)
     else:
         raise ValueError("family must be 1, 2, 3, or 4")
+    words = row_ints(pack_bits(bits))
     if len(set(words)) != len(words):
         raise ValueError("support sets collide; the construction needs distinct words")
-    return Code(n, words)
+    return Code(bits.shape[1], words)
 
 
 def sbibd_ahb(v: int, k: int, lam: int, family: int) -> BidistanceDistribution:

@@ -6,11 +6,12 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from bidistance._bitops import popcount
-from bidistance.algebra import GeneratorMatrix, _null_space_rows
+from bidistance.algebra import BinaryField, GeneratorMatrix, _null_space_rows
 from bidistance.bounds import SNAP, pairwise_error_probability
 from bidistance.channel import ChannelParams, _score_table, likelihood
 from bidistance.core import BidistanceDistribution, Code, Word
@@ -78,22 +79,8 @@ def random_generator_rows(rng: random.Random, n: int, k: int) -> list[int]:
     """k independent random rows over F_2^n (resampled until full rank)."""
     while True:
         rows = [rng.randrange(1, 1 << n) for _ in range(k)]
-        if _rank(rows) == k:
+        if reference_rank(rows) == k:
             return rows
-
-
-def _rank(rows: list[int]) -> int:
-    pivots: dict[int, int] = {}
-    for row in rows:
-        v = row
-        while v:
-            top = v.bit_length() - 1
-            if top in pivots:
-                v ^= pivots[top]
-            else:
-                pivots[top] = v
-                break
-    return len(pivots)
 
 
 def span_code(n: int, rows: list[int]) -> Code:
@@ -189,6 +176,78 @@ def reference_coset_matrix(g: GeneratorMatrix) -> np.ndarray:
             syndrome |= (popcount(words & np.uint64(h)) & 1) << bit
         hist += np.bincount(syndrome * width + weights, minlength=n_cosets * width)
     return hist.reshape(n_cosets, width)
+
+
+# --- the Python loops that the packed F_2 elimination and the basis span replaced
+
+
+def reference_rank(words: Sequence[int]) -> int:
+    """Rank over F_2 by the pivot loop Code._check_linear used; a set of
+    distinct words is linear iff it has 2^rank members."""
+    pivots: dict[int, int] = {}
+    for w in words:
+        v = w
+        while v:
+            h = v.bit_length() - 1
+            if h in pivots:
+                v ^= pivots[h]
+            else:
+                pivots[h] = v
+                break
+    return len(pivots)
+
+
+def reference_rref(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form over F_2: (reduced rows, pivot columns)."""
+    work = [int(r) for r in rows]
+    pivots: list[int] = []
+    rank = 0
+    for col in range(n):
+        pivot = next((i for i in range(rank, len(work)) if (work[i] >> col) & 1), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for i in range(len(work)):
+            if i != rank and (work[i] >> col) & 1:
+                work[i] ^= work[rank]
+        pivots.append(col)
+        rank += 1
+    return work[:rank], pivots
+
+
+def reference_defining_set_words(field: BinaryField, elems: Sequence[int]) -> list[int]:
+    """The trace word of every field element beta, coordinate i the
+    absolute trace of beta * d_i, sorted and deduplicated."""
+    masks = set()
+    for beta in range(field.order):
+        w = 0
+        for i, d in enumerate(elems):
+            if field.trace(field.mul(beta, d)):
+                w |= 1 << i
+        masks.add(w)
+    return sorted(masks)
+
+
+def reference_word_text(w: Word) -> str:
+    """A word's 0/1 string, one generator step per coordinate."""
+    return "".join("1" if (w.bits >> i) & 1 else "0" for i in range(w.n))
+
+
+def reference_sbibd_words(design, family: int, anchor: int = 1) -> list[int]:
+    """Support masks of a design code family, point by point."""
+    def mask(points, skip=None):
+        return sum(1 << (p - 1 if skip is None or p < skip else p - 2)
+                   for p in points if p != skip)
+    full = set(range(1, design.v + 1))
+    blocks, comps = design.blocks, [full - set(b) for b in design.blocks]
+    if family == 1:
+        return [mask(b) for b in blocks]
+    if family == 2:
+        return [mask(b) for b in blocks] + [mask(c) for c in comps]
+    if family == 3:
+        return [mask(b) | 1 << design.v for b in blocks] + [mask(c) for c in comps]
+    return ([mask(b, anchor) for b in blocks if anchor in b]
+            + [mask(c, anchor) for b, c in zip(blocks, comps) if anchor not in b])
 
 
 # --- exact oracles for the float bounds in bidistance.bounds

@@ -4,16 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bidistance._bitops import popcount
+from bidistance._bitops import packed_rows, popcount, row_reduce
 from bidistance.algebra import (GOLAY_GENERATOR_POLY, BinaryField,
-                                GeneratorMatrix, _poly_mod,
+                                GeneratorMatrix, _null_space_rows, _poly_mod, _rref,
                                 coset_distribution_matrix, defining_set_code,
                                 distinct_row_count, dual_code,
                                 generator_from_code, golay_code, is_projective,
                                 relative_trace, smallest_irreducible,
                                 trace_code_27_6, weight_distribution)
 from bidistance.core import CapExceeded, Code
-from helpers import macwilliams, random_generator_rows, reference_coset_matrix
+from helpers import (macwilliams, random_generator_rows, reference_coset_matrix,
+                     reference_defining_set_words, reference_rank, reference_rref,
+                     span_code)
 
 
 class TestFieldConstruction:
@@ -307,3 +309,68 @@ def test_popcount_matches_int_bit_count():
     counts = popcount(np.array(words, dtype=np.uint64))
     assert counts.dtype == np.int64
     assert counts.tolist() == [w.bit_count() for w in words]
+
+
+def _row_sets(rng: random.Random, n: int) -> list[list[int]]:
+    """A linear, a rank-deficient and a non-linear set of distinct words."""
+    k = rng.randint(1, min(n, 6))
+    basis = [rng.getrandbits(n) for _ in range(k)]
+    linear = sorted(span_code(n, basis).words) if reference_rank(basis) == k else [0]
+    deficient = basis + [basis[0] ^ basis[-1], 0]
+    others = list({rng.getrandbits(n) for _ in range(rng.randint(1, 40))})
+    return [linear, deficient, others]
+
+
+class TestPackedElimination:
+    """The packed F_2 elimination against the Python pivot loops it replaced."""
+
+    def test_rref_and_rank_match_pivot_loops(self):
+        rng = random.Random(71)
+        for n in range(1, 131):
+            for rows in _row_sets(rng, n):
+                reduced, pivots = _rref(rows, n)
+                assert (reduced, pivots) == reference_rref(rows, n), (n, rows)
+                assert len(row_reduce(packed_rows(rows, n), n)[1]) == reference_rank(rows)
+
+    def test_linearity_check_matches_pivot_loop(self):
+        rng = random.Random(72)
+        for n in range(1, 131):
+            linear, _, others = _row_sets(rng, n)
+            shifted = sorted({w ^ (1 << (n - 1)) for w in linear})  # a coset, or the space
+            for words in (linear, others, shifted, linear[:-1] or [0]):
+                linear_by_loop = len(words) == 1 << reference_rank(words)
+                if linear_by_loop:
+                    Code(n, words, is_linear=True)
+                else:
+                    with pytest.raises(ValueError, match="not linear"):
+                        Code(n, words, is_linear=True)
+
+    def test_null_space_past_one_lane(self):
+        rng = random.Random(73)
+        for n in (63, 64, 65, 70, 129, 130):
+            rows = random_generator_rows(rng, n, rng.randint(1, 12))
+            checks = _null_space_rows(rows, n)
+            assert len(checks) == n - len(rows)
+            assert reference_rank(checks) == len(checks)
+            assert all((r & h).bit_count() % 2 == 0 for r in rows for h in checks)
+
+    def test_lengths_above_64(self):
+        rng = random.Random(74)
+        rows = random_generator_rows(rng, 70, 9)
+        g = GeneratorMatrix(70, tuple(rows))
+        oracle = span_code(70, rows)
+        assert g.codewords() == oracle
+        tally = [0] * 71
+        for w in oracle.words:
+            tally[w.bit_count()] += 1
+        assert weight_distribution(g) == oracle.weight_distribution() == tuple(tally)
+
+
+def test_defining_set_code_spans_basis_traces():
+    rng = random.Random(75)
+    for m in range(1, 8):
+        field = BinaryField(m)
+        for _ in range(4):
+            elems = rng.sample(range(1, field.order), rng.randint(1, field.order - 1))
+            code = defining_set_code(field, elems)
+            assert list(code.words) == reference_defining_set_words(field, elems)

@@ -395,3 +395,21 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["bidist"])  # missing --code
     assert info.value.code == 2
+
+
+def test_usage_error_leaves_the_parser_intact(capsys, c1_file, tmp_path):
+    # the parser is built once per process, so a refused call must not leak
+    # into the next one: compare with the output of a freshly built parser
+    cli._build_parser.cache_clear()
+    argv = ["construct", "sbibd:7,3,1:2", "--out", str(tmp_path / "f.code")]
+    fresh = run(capsys, *argv)
+    assert fresh[0] == 0
+    for bad in (["bidist", "--code", str(c1_file), "--format", "xml"],
+                ["construct", "--out", str(tmp_path / "x.code")],
+                ["sweep", "--code", str(c1_file), "-p", "0.1"]):
+        with pytest.raises(SystemExit) as info:
+            main(bad)
+        assert info.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *argv) == fresh
+    assert cli._build_parser() is cli._build_parser()

@@ -11,7 +11,7 @@ from bidistance.core import (BidistanceDistribution, BidistancePair, Code,
                              parse_code_text, solve_directional_system,
                              weights_from_bidistance)
 from helpers import (EDGE_LENGTHS, brute_distribution_counts, directional_pair,
-                     edge_code, random_generator_rows, span_code)
+                     edge_code, random_generator_rows, reference_word_text, span_code)
 
 
 class TestWord:
@@ -127,6 +127,16 @@ class TestCodeFiles:
     def test_format(self):
         code = Code.from_strings(["01", "10"])
         assert format_code_text(code) == "01\n10\n"
+
+    @pytest.mark.parametrize("n", [1, 8, 70, 11000])
+    def test_format_round_trip(self, n):
+        rng = random.Random(n)
+        words = list({0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(6)})
+        code = Code(n, words)
+        text = format_code_text(code)
+        assert text == "".join(reference_word_text(w) + "\n" for w in code)
+        assert [str(w) for w in code] == text.splitlines()
+        assert parse_code_text(text).words == code.words
 
 
 class TestBidistanceDistribution:

@@ -8,7 +8,7 @@ from bidistance.designs import (DIFFERENCE_SETS, IncidenceDesign, SrgParams,
                                 sbibd_from_difference_set,
                                 scheme_from_three_weight, srg_from_two_weight,
                                 three_weight_ahb, two_weight_ahb, verify_srg)
-from helpers import rows_from_columns, span_code
+from helpers import reference_sbibd_words, rows_from_columns, span_code
 
 # [4,3] projective two-weight code: columns are the vectors with first bit set
 AFFINE_COLUMNS = (0b001, 0b101, 0b011, 0b111)
@@ -20,6 +20,15 @@ NON_SCHEME_COLUMNS = (1, 2, 3, 4, 5, 8, 9)
 
 def _column_code(columns, k):
     return span_code(len(columns), rows_from_columns(columns, k))
+
+
+def _pair_counts(words, weights, x, z):
+    """Third points y by (class of x ^ y, class of y ^ z), counted one by one."""
+    classes = (0,) + tuple(weights)
+    counts = [[0] * 4 for _ in range(4)]
+    for y in words:
+        counts[classes.index((x ^ y).bit_count())][classes.index((y ^ z).bit_count())] += 1
+    return counts
 
 
 class TestSrgFromTwoWeight:
@@ -107,6 +116,29 @@ class TestScheme:
         for k in range(4):
             for i in range(4):
                 assert sum(scheme.p[k][i]) == v[i]
+
+    def test_all_pairs_match_brute_force_count(self):
+        code = _column_code(SCHEME_COLUMNS, 3)
+        scheme = scheme_from_three_weight(code, sample=0)
+        weights = (2, 3, 4)
+        for x in code.words:
+            for z in code.words:
+                k = (0,) + weights
+                got = _pair_counts(code.words, weights, x, z)
+                assert got == [list(r) for r in scheme.p[k.index((x ^ z).bit_count())]]
+
+    def test_golay_dual_blocks_match_brute_force_count(self):
+        # sample=0 takes every representative, in many blocks of the product
+        from bidistance.algebra import dual_code, golay_code
+        code = dual_code(golay_code()).codewords()
+        weights = (8, 12, 16)
+        scheme = scheme_from_three_weight(code, sample=0)
+        assert scheme == scheme_from_three_weight(code)
+        rng = np.random.default_rng(81)
+        for x, z in rng.choice(code.words, size=(6, 2)).tolist():
+            k = (0,) + weights
+            got = _pair_counts(code.words, weights, x, z)
+            assert got == [list(r) for r in scheme.p[k.index((x ^ z).bit_count())]]
 
     @pytest.mark.parametrize("sample", [-1, -3, -5000])
     def test_negative_sample_rejected(self, sample):
@@ -202,6 +234,29 @@ class TestIncidenceDesign:
         with pytest.raises(ValueError, match="coverage"):
             IncidenceDesign(4, 2, 1, ((1, 2), (2, 3), (3, 4), (1, 4)))
 
+    @pytest.mark.parametrize("blocks, message", [
+        (((1, 2), (2, 3), (1, 1, 3)), "k distinct points"),
+        (((1, 2), (2, 3), (3, 4)), "1..v"),
+        (((1, 2), (1, 3), (1, 2, 3)), "k distinct points"),
+        (((1, 2), (1, 3), (3, 1, 1)), "k distinct points"),
+    ])
+    def test_block_checks_come_first(self, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            IncidenceDesign(3, 2, 1, blocks)
+
+    def test_replication_and_coverage(self):
+        # the Fano plane with its last block (1, 2, 4) replaced by (1, 2, 5):
+        # distinct 3-sets, but point 4 lies on 2 blocks and point 5 on 4
+        fano = catalog_design(7, 3, 1).blocks
+        with pytest.raises(ValueError, match="replication"):
+            IncidenceDesign(7, 3, 1, fano[:-1] + ((1, 2, 5),))
+        with pytest.raises(ValueError, match="coverage"):
+            IncidenceDesign(4, 3, 1, ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)))
+        consecutive = tuple(tuple(sorted((d + s) % 7 + 1 for d in (0, 1, 2)))
+                            for s in range(7))  # replication 3, but (1, 4) uncovered
+        with pytest.raises(ValueError, match="coverage"):
+            IncidenceDesign(7, 3, 1, consecutive)
+
 
 class TestSbibdCodes:
     def test_fano_family_shapes(self):
@@ -223,6 +278,16 @@ class TestSbibdCodes:
             code = sbibd_codes(design, 4, puncture_point=anchor)
             dist = bidistance_distribution(code)
             assert dist.off_diagonal() == {(2, 2): 18, (1, 2): 12, (2, 1): 12}
+
+    def test_words_match_support_masks(self):
+        for (v, k, lam) in sorted(DIFFERENCE_SETS):
+            design = catalog_design(v, k, lam)
+            for family in (1, 2, 3):
+                assert list(sbibd_codes(design, family).words) == \
+                    reference_sbibd_words(design, family)
+            for anchor in range(1, v + 1):
+                assert list(sbibd_codes(design, 4, anchor).words) == \
+                    reference_sbibd_words(design, 4, anchor)
 
     def test_rejects_small_v(self):
         squeezed = catalog_design(7, 3, 1).complement()  # (7, 4, 2): v < 2k
