@@ -274,7 +274,7 @@ def is_projective(g: GeneratorMatrix) -> bool:
     return bytes(g.k) not in cols and len(cols) == g.n
 
 
-def coset_distribution_matrix(g: GeneratorMatrix, cap: int = COSET_SWEEP_CAP) -> np.ndarray:
+def coset_distribution_matrix(g: GeneratorMatrix) -> np.ndarray:
     """Weight histogram of every coset of the code generated by ``g``.
 
     Row s counts, by weight 0..n, the words whose syndrome under a dual
@@ -287,8 +287,8 @@ def coset_distribution_matrix(g: GeneratorMatrix, cap: int = COSET_SWEEP_CAP) ->
     all, so no word of the 2^n ambient space is enumerated.
     """
     n = g.n
-    if n > cap:
-        raise CapExceeded(f"coset sweep enumerates 2**{n} words; cap is n <= {cap}")
+    if n > COSET_SWEEP_CAP:
+        raise CapExceeded(f"coset table 2**{n - g.k} x {n + 1}; cap is n <= {COSET_SWEEP_CAP}")
     checks = _null_space_rows(g.rows, n)
     cosets = np.arange(1 << len(checks))
     hist = np.zeros((len(cosets), n + 1), dtype=np.int64)

@@ -14,7 +14,8 @@ is kept when a + gamma*b < h(i, j); with i = j - a + b that test reads
 (1 + gamma)(a + b) < dmin for 'cr_discrepancy' and
 (1 + gamma)(a + b) < dmin_s + (gamma - 1) j for 'cr_symmetric', so the
 error mass of class j is the tail at (j, n - j, t_j).  Each class error
-is summed directly, never as 1 minus a retained mass.
+is summed directly, never as 1 minus a retained mass.  Every threshold is
+an exact integer ceiling, with gamma taken as ChannelParams.bracket's u/v.
 
 ``_flip_tail`` builds binomial pmf rows from log-binomials, one ``exp``
 per (length, k), so no term overflows at any n; the p-tail is a sum from
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -34,30 +35,17 @@ import numpy as np
 from .channel import ChannelParams
 from .core import BidistanceDistribution, Code, Word, dir_distances
 
-#: near-integer thresholds are snapped before ceilings, so float noise in
-#: gamma cannot move a region boundary
-SNAP = 1e-9
-
 #: cells in one numpy block of the tail kernel; keeps the peak memory small
 KERNEL_CELLS = 1 << 16
 
 
-def _ceil_snap(tau: float | np.ndarray) -> int | np.ndarray:
-    """Least integer at or above tau, a tau within SNAP of an integer taken
-    as that integer.  The one place a real threshold becomes a flip count."""
-    tau = np.asarray(tau, dtype=float)
-    nearest = np.rint(tau)
-    t = np.where(np.abs(tau - nearest) < SNAP, nearest, np.ceil(tau)).astype(np.int64)
-    return int(t) if t.ndim == 0 else t
-
-
 def region_threshold(d10: int | np.ndarray, d01: int | np.ndarray,
-                     gamma: float) -> int | np.ndarray:
-    """Least total flip count at which the rival word is preferred.
-
-    Takes ints, or integer arrays for a threshold per entry.
-    """
-    return _ceil_snap((np.asarray(d10) * gamma + d01) / (gamma + 1.0))
+                     params: ChannelParams) -> int | np.ndarray:
+    """Least total flip count at which the rival word is preferred,
+    ceil((gamma d10 + d01) / (1 + gamma)) with gamma taken as u/v; takes
+    ints, or integer arrays for a threshold per entry."""
+    u, v = params.bracket(int(np.max(np.add(d10, d01))))
+    return -(-(u * d10 + v * d01) // (u + v))
 
 
 def _pmf_rows(lengths: np.ndarray, xs: tuple[Fraction, ...]) -> list[np.ndarray]:
@@ -113,11 +101,10 @@ def pairwise_error_probability(d10: int, d01: int, params: ChannelParams,
     """
     if d10 < 0 or d01 < 0:
         raise ValueError("directional distances must be non-negative")
-    t = region_threshold(d10, d01, params.gamma)
+    t = region_threshold(d10, d01, params)
     if not exact:
         return float(_flip_tail(np.array([d10]), np.array([d01]), np.array([t]), params)[0])
-    pn, pd = params.p.numerator, params.p.denominator
-    qn, qd = params.q.numerator, params.q.denominator
+    (pn, pd), (qn, qd) = params.p.as_integer_ratio(), params.q.as_integer_ratio()
     q_num = [math.comb(d10, i) * qn ** i * (qd - qn) ** (d10 - i) for i in range(d10 + 1)]
     p_num = [math.comb(d01, j) * pn ** j * (pd - pn) ** (d01 - j) for j in range(d01 + 1)]
     tail = list(itertools.accumulate(reversed(p_num)))[::-1] + [0]
@@ -136,29 +123,24 @@ def symmetric_discrepancy(x: Word, y: Word, params: ChannelParams) -> float:
     return discrepancy(x, y, params) - x.weight * (params.gamma - 1.0)
 
 
-def _min_over_pairs(code: Code, params: ChannelParams, symmetric: bool) -> float:
-    """Minimum over the support of the code's (wt(x), d10, d01) table.
-
-    Distinct words are exactly the pairs with (d10, d01) != (0, 0).  Each
-    value is the float expression a per-pair loop evaluates, so the minimum
-    is the same to the bit.
-    """
+def _min_over_pairs(code: Code, x, y, slope):
+    """Minimum of x a + y b - slope wt over the (wt, a = d10, b = d01) pair
+    support at (a, b) != (0, 0), the pairs of distinct words; in floats, the
+    same to the bit as a per-pair loop."""
     if len(code) < 2:
         raise ValueError("minimum discrepancy needs at least two codewords")
-    g = params.gamma
-    slope = g - 1.0 if symmetric else 0.0
     wt, a, b = code.pair_support().T
     off = (a != 0) | (b != 0)
-    return float((g * a[off] + b[off] - wt[off] * slope).min())
+    return (x * a[off] + y * b[off] - wt[off] * slope).min()
 
 
 def min_discrepancy(code: Code, params: ChannelParams) -> float:
     """Smallest discrepancy over ordered distinct codeword pairs."""
-    return _min_over_pairs(code, params, symmetric=False)
+    return float(_min_over_pairs(code, params.gamma, 1, 0.0))
 
 
 def min_symmetric_discrepancy(code: Code, params: ChannelParams) -> float:
-    return _min_over_pairs(code, params, symmetric=True)
+    return float(_min_over_pairs(code, params.gamma, 1, params.gamma - 1.0))
 
 
 class LatticePoint(NamedTuple):
@@ -196,12 +178,7 @@ class BoundReport:
     components: dict[str, float] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "value": self.value,
-            "raw_value": self.raw_value,
-            "components": dict(self.components),
-        }
+        return asdict(self)
 
 
 def _report(method: str, raw: float, components: dict[str, float]) -> BoundReport:
@@ -214,32 +191,40 @@ def ahb_union_bound(dist: BidistanceDistribution, params: ChannelParams) -> Boun
     components: dict[str, float] = {}
     if entries:
         d10, d01 = np.array([pair for pair, _ in entries], dtype=np.int64).T
-        peps = _flip_tail(d10, d01, region_threshold(d10, d01, params.gamma), params)
+        peps = _flip_tail(d10, d01, region_threshold(d10, d01, params), params)
         for ((a, b), count), pep in zip(entries, peps.tolist()):
             components[f"{a},{b}"] = count * pep / dist.size
     return _report("ahb", sum(components.values(), 0.0), components)
 
 
+def _class_thresholds(code: Code, params: ChannelParams,
+                      symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The code's weights j and t_j = ceil((dmin + slope j) / (1 + gamma)),
+    dmin = min(gamma a + b - slope wt) over distinct pairs, slope gamma - 1
+    or 0: with gamma = u/v and every term times v, exact integers."""
+    u, v = params.bracket(code.n)
+    slope = u - v if symmetric else 0
+    dmin = int(_min_over_pairs(code, u, v, slope))
+    j = np.flatnonzero(code.weight_distribution())
+    return j, -(-(dmin + slope * j) // (u + v))
+
+
 def _weight_class_bound(method: str, code: Code, params: ChannelParams,
-                        dmin: float, slope: float) -> BoundReport:
-    """Sum over weight classes j of A_j / M times the class error tail at
-    (j, n - j, t_j), t_j = ceil((dmin + slope * j) / (1 + gamma))."""
-    counts = np.array(code.weight_distribution())
-    j = np.flatnonzero(counts)
-    t = _ceil_snap((dmin + slope * j) / (1.0 + params.gamma))
+                        symmetric: bool) -> BoundReport:
+    """Sum over weight classes j of A_j / M times the tail at (j, n - j, t_j)."""
+    counts = code.weight_distribution()
+    j, t = _class_thresholds(code, params, symmetric)
     tails = _flip_tail(j, code.n - j, t, params)
-    components = {f"error[w={w}]": count * tail / len(code)
-                  for w, count, tail in zip(j.tolist(), counts[j].tolist(), tails.tolist())}
+    components = {f"error[w={w}]": counts[w] * tail / len(code)
+                  for w, tail in zip(j.tolist(), tails.tolist())}
     return _report(method, sum(components.values(), 0.0), components)
 
 
 def discrepancy_bound(code: Code, params: ChannelParams) -> BoundReport:
     """Weight-distribution bound keyed on the minimum discrepancy."""
-    return _weight_class_bound("cr_discrepancy", code, params,
-                               min_discrepancy(code, params), 0.0)
+    return _weight_class_bound("cr_discrepancy", code, params, symmetric=False)
 
 
 def symmetric_discrepancy_bound(code: Code, params: ChannelParams) -> BoundReport:
     """Weight-distribution bound keyed on the minimum symmetric discrepancy."""
-    return _weight_class_bound("cr_symmetric", code, params,
-                               min_symmetric_discrepancy(code, params), params.gamma - 1.0)
+    return _weight_class_bound("cr_symmetric", code, params, symmetric=True)

@@ -4,12 +4,13 @@ Crossover probabilities are exact rationals parsed from decimal strings;
 the supported regime is 0 < p <= q < 1/2, where p is the 0->1 and q the
 1->0 flip probability.  Every decoder here is one block kernel, _RankKernel.
 A codeword x's likelihood order for a received y depends only on the key
-(wt(x), c = wt(x & y)); each call ranks every key once by a float order that
-exact integers settle wherever rounding could decide it, so ties are exact.
+(wt(x), c = wt(x & y)); each call ranks every key once by an integer, with
+gamma replaced by the exact rational of ChannelParams.bracket, so ties are exact.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
 from dataclasses import dataclass
@@ -70,22 +71,68 @@ class ChannelParams:
         return cls(parse_probability(p), parse_probability(q))
 
     @cached_property
+    def _logs(self) -> tuple[tuple[Fraction, float, float], ...]:
+        """(X, log X, its error) for X = A = p/(1-q) <= B = q/(1-p) < 1: log X from
+        X's integers, the error 2**-42 times their logs, far above its rounding."""
+        out = []
+        for x in (self.p / (1 - self.q), self.q / (1 - self.p)):
+            top, bottom = math.log(x.numerator), math.log(x.denominator)
+            out.append((x, top - bottom, 2.0 ** -42 * (abs(top) + abs(bottom))))
+        return tuple(out)
+
+    @cached_property
     def gamma(self) -> float:
         """The exponent g solving (q/(1-p))**g = p/(1-q); 1 exactly iff p = q."""
-        num = self.p / (1 - self.q)
-        den = self.q / (1 - self.p)
-        if num == den:
-            return 1.0
-        return ((math.log(num.numerator) - math.log(num.denominator))
-                / (math.log(den.numerator) - math.log(den.denominator)))
+        return 1.0 if self.p == self.q else self._logs[0][1] / self._logs[1][1]
 
-    @cached_property
-    def fp(self) -> float:
-        return float(self.p)
+    def _order(self, a: int, b: int) -> int:
+        """Sign of gamma - a/b, that is of B**a - A**b: floats, then 50-digit
+        decimals, outside margins far above their rounding, else integers."""
+        (big_a, log_a, err_a), (big_b, log_b, err_b) = self._logs
+        x, margin = a * log_b - b * log_a, a * err_b + b * err_a
+        if abs(x) > margin:
+            return 1 if x > 0 else -1
+        with decimal.localcontext(decimal.Context(prec=50)) as ctx:
+            x = (a * (ctx.ln(big_b.numerator) - ctx.ln(big_b.denominator))
+                 - b * (ctx.ln(big_a.numerator) - ctx.ln(big_a.denominator)))
+            if abs(x) > decimal.Decimal(margin).scaleb(-30):
+                return 1 if x > 0 else -1
+        left = big_b.numerator ** a * big_a.denominator ** b
+        right = big_a.numerator ** b * big_b.denominator ** a
+        return (left > right) - (left < right)
 
-    @cached_property
-    def fq(self) -> float:
-        return float(self.q)
+    def bracket(self, n: int) -> tuple[int, int]:
+        """Integers (u, v) with u/v on the same side of gamma as every fraction
+        of denominator at most 2n + 2, and equal to gamma if gamma is one: each
+        length-n threshold and rank is a sign of s*gamma - r with |s| <= 2n.
+        A Stern-Brocot descent in runs keeps neighbours a/b <= gamma < c/d and
+        moves each end toward the other as far as _order allows; u/v is a/b or
+        their mediant.  Callers' keys stay below 4n(u + v), past int64 at
+        n < 2**24 only for gamma > 2000 (p < 1e-300)."""
+        limit = 2 * n + 2
+        (a, b), (c, d) = (1, 1), (1, 0)
+        while b + d <= limit:
+            k = _last(lambda k: self._order(a + k * c, b + k * d) >= 0,
+                      (limit - b) // d if d else math.inf)
+            a, b = a + k * c, b + k * d
+            k = _last(lambda k: self._order(c + k * a, d + k * b) < 0, (limit - d) // b)
+            c, d = c + k * a, d + k * b
+        u, v = (a, b) if self._order(a, b) == 0 else (a + c, b + d)
+        if 4 * n * (u + v) >= 1 << 63:
+            raise CapExceeded(f"gamma ~ {u}/{v} at n={n} overflows int64 keys")
+        return u, v
+
+
+def _last(keep, most: float) -> int:
+    """Largest k in [0, most] with keep(k), keep true up to some k: gallop, bisect."""
+    lo, hi = 0, 1
+    while hi <= most and keep(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, most + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if keep(mid) else (lo, mid)
+    return lo
 
 
 class _ScoreTable:
@@ -98,21 +145,15 @@ class _ScoreTable:
 
     def __init__(self, n: int, params: ChannelParams):
         self.n = n
-        pn, pd = params.p.numerator, params.p.denominator
-        qn, qd = params.q.numerator, params.q.denominator
-        rng = range(n + 1)
-        self._q_flip = [qn ** i for i in rng]
-        self._q_keep = [(qd - qn) ** i for i in rng]
-        self._p_flip = [pn ** i for i in rng]
-        self._p_keep = [(pd - pn) ** i for i in rng]
-        self._pd_pow = [pd ** i for i in rng]
-        self._qd_pow = [qd ** i for i in rng]
+        (pn, pd), (qn, qd) = params.p.as_integer_ratio(), params.q.as_integer_ratio()
+        self._powers = [[base ** i for i in range(n + 1)]
+                        for base in (qn, qd - qn, pn, pd - pn, pd, qd)]
         self.denominator = (pd * qd) ** n
 
     def score(self, w: int, a: int, b: int) -> int:
-        return (self._q_flip[a] * self._q_keep[w - a]
-                * self._p_flip[b] * self._p_keep[self.n - w - b]
-                * self._pd_pow[w] * self._qd_pow[self.n - w])
+        q_flip, q_keep, p_flip, p_keep, pd_pow, qd_pow = self._powers
+        return (q_flip[a] * q_keep[w - a] * p_flip[b] * p_keep[self.n - w - b]
+                * pd_pow[w] * qd_pow[self.n - w])
 
 
 @lru_cache(maxsize=64)
@@ -160,44 +201,15 @@ class DecodeResult:
 FAILURE = DecodeResult(None)
 
 
-def _rank_keys(weights: np.ndarray, params: ChannelParams) -> np.ndarray:
-    """Dense rank of X**w * Y**c over the keys (w, c), c = 0..w, class by class.
-
-    Keys sort by the float w*log X + c*log Y; neighbours within 1e-12 *
-    (1 + top * sum(logs)), about 1000 times its rounding error, are settled
-    by the exact integers X**w * Y**c * (xd*yd)**top, so no float alone
-    decides an order.  X = xn/xd = q/(1-p) and Y = yn/yd = (1-q)(1-p)/(pq).
-    """
-    (pn, pd), (qn, qd) = params.p.as_integer_ratio(), params.q.as_integer_ratio()
-    xn, xd, yn, yd = qn * pd, qd * (pd - pn), (qd - qn) * (pd - pn), pn * qn
-    logs = [math.log(k) for k in (xn, xd, yn, yd)]
-    top = int(weights[-1])
-    w = np.repeat(weights, weights + 1)
-    c = np.concatenate([np.arange(k + 1) for k in weights.tolist()])
-    level = w * (logs[0] - logs[1]) + c * (logs[2] - logs[3])
-    order = np.argsort(level)
-    step = np.concatenate(([True], np.diff(level[order]) > 1e-12 * (1 + top * sum(logs))))
-    bounds = np.flatnonzero(np.append(step, True))
-    starts, sizes = bounds[:-1], np.diff(bounds)
-    for s, k in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
-        run = order[s:s + k]
-        exact = [xn ** i * xd ** (top - i) * yn ** j * yd ** (top - j)
-                 for i, j in zip(w[run].tolist(), c[run].tolist())]
-        by = sorted(range(k), key=exact.__getitem__)
-        run[:] = run[by]
-        step[s + 1:s + k] = [exact[i] != exact[j] for i, j in zip(by, by[1:])]
-    return (np.cumsum(step, dtype=np.int32) - 1)[np.argsort(order)]
-
-
 class _RankKernel:
     """Exact maximum-likelihood decoding of blocks of received words.
 
     With c = wt(x & y) and v = wt(y), Pr(y | x) = p**v (1-p)**(n-v) *
-    X**wt(x) * Y**c for X = q/(1-p), Y = (1-q)(1-p)/(pq): for a fixed y the
-    argmax and its exact ties depend only on the key (wt(x), c), at
-    offset[class] + c, ranked once by _rank_keys.  c is one float32 product
-    of 0/1 bit matrices, exact in any summation order for n < 2^24.
-    """
+    X**wt(x) * Y**c for X = q/(1-p) = B, Y = (1-q)(1-p)/(pq) = 1/(AB): for a
+    fixed y the argmax and its exact ties depend only on the key (wt(x), c),
+    at offset[class] + c.  X**w * Y**c = B**(w - c(1 + gamma)), so the keys
+    rank as the integers c(u + v) - w*v for (u, v) = params.bracket(n).  c is
+    one float32 product of 0/1 bit matrices, exact for n < 2^24."""
 
     def __init__(self, code: Code, params: ChannelParams):
         n = code.n
@@ -212,7 +224,9 @@ class _RankKernel:
             raise CapExceeded(f"decoding n={n} over {len(self.weights)} weights needs "
                               f"{keys} rank keys; cap is {MAX_RANK_KEYS}")
         self.base = np.concatenate(([0], np.cumsum(self.weights + 1)))[self.cls]
-        self.rank_of = _rank_keys(self.weights, params)
+        u, v = params.bracket(n)
+        keys = [np.arange(w + 1) * (u + v) - w * v for w in self.weights.tolist()]
+        self.rank_of = np.unique(np.concatenate(keys), return_inverse=True)[1].astype(np.int32)
         self.rows = max(1, _BLOCK_CELLS // len(code))
 
     def decide(self, received: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -287,14 +301,15 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
     ones = kernel.bits.astype(bool)
     tx = rng.integers(0, len(code), size=trials)
     errors = 0
+    fp, fq = float(params.p), float(params.q)
     rows = min(kernel.rows, MC_CHUNK)
     for start in range(0, trials, rows):
         idx = tx[start:start + rows]
         u = rng.random((len(idx), code.n))
         # u < q on ones, u < p on zeros: with p <= q, (u < q & one) | (u < p)
-        flips = u < params.fq
+        flips = u < fq
         flips &= ones[idx]
-        flips |= u < params.fp
+        flips |= u < fp
         _, win, tie = kernel.decide(kernel.bits[idx] ^ flips)
         errors += int(np.count_nonzero(tie | (win != idx)))
     estimate = errors / trials

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -12,7 +13,7 @@ import numpy as np
 
 from bidistance._bitops import popcount
 from bidistance.algebra import BinaryField, GeneratorMatrix, _null_space_rows
-from bidistance.bounds import SNAP, pairwise_error_probability
+from bidistance.bounds import pairwise_error_probability
 from bidistance.channel import ChannelParams, _score_table, likelihood
 from bidistance.core import BidistanceDistribution, Code, Word
 
@@ -253,24 +254,51 @@ def reference_sbibd_words(design, family: int, anchor: int = 1) -> list[int]:
 # --- exact oracles for the float bounds in bidistance.bounds
 
 
-def reference_ceil_snap(tau: float) -> int:
-    """Least integer at or above tau, a tau within SNAP of an integer taken
-    as that integer."""
-    nearest = round(tau)
-    if abs(tau - nearest) < SNAP:
-        return nearest
-    return math.ceil(tau)
+@functools.lru_cache(maxsize=1 << 16)
+def gamma_at_least(s: int, r: int, params: ChannelParams) -> bool:
+    """s * gamma >= r, decided in Fractions as A**s <= B**r: gamma is
+    log A / log B for A = p/(1-q) and B = q/(1-p), and log B < 0."""
+    a, b = params.p / (1 - params.q), params.q / (1 - params.p)
+    return a ** s <= b ** r
 
 
-def reference_region_threshold(d10: int, d01: int, gamma: float) -> int:
-    """Least total flip count at which the rival word is preferred."""
-    return reference_ceil_snap((d10 * gamma + d01) / (gamma + 1.0))
+def reference_ceiling(e1: int, e2: int, params: ChannelParams) -> int:
+    """Least integer k with gamma (k - e1) >= e2 - k, that is the ceiling of
+    (gamma e1 + e2) / (1 + gamma).  The float gamma only picks where to
+    start; exact comparisons walk to the answer."""
+    g = params.gamma
+    k = math.floor((g * e1 + e2) / (1.0 + g))
+    while gamma_at_least(k - 1 - e1, e2 - k + 1, params):
+        k -= 1
+    while not gamma_at_least(k - e1, e2 - k, params):
+        k += 1
+    return k
+
+
+def reference_region_threshold(d10: int, d01: int, params: ChannelParams) -> int:
+    """Least total flip count k at which the rival word is preferred:
+    (1 + gamma) k >= gamma d10 + d01."""
+    return reference_ceiling(d10, d01, params)
+
+
+def reference_cr_thresholds(code: Code, params: ChannelParams,
+                            symmetric: bool) -> dict[int, int]:
+    """t_j of each weight class j of either weight-class bound: the least k
+    with (1 + gamma) k >= gamma a + b + s (gamma - 1)(j - wt) for some
+    distinct pair (wt, a, b), s = 1 for the symmetric bound and 0 else."""
+    s = int(symmetric)
+    pairs = [(wt, a, b) for wt, a, b in code.pair_table() if a or b]
+    if not pairs:
+        raise ValueError("minimum discrepancy needs at least two codewords")
+    return {j: min(reference_ceiling(a + s * (j - wt), b - s * (j - wt), params)
+                   for wt, a, b in pairs)
+            for j, count in enumerate(code.weight_distribution()) if count}
 
 
 def reference_exact_pep(d10: int, d01: int, params: ChannelParams) -> Fraction:
     """Exact pairwise error probability as a double loop of Fraction terms
     over the preference region."""
-    t = reference_region_threshold(d10, d01, params.gamma)
+    t = reference_region_threshold(d10, d01, params)
     p, q = params.p, params.q
     q_terms = [math.comb(d10, i) * q ** i * (1 - q) ** (d10 - i) for i in range(d10 + 1)]
     p_terms = [math.comb(d01, j) * p ** j * (1 - p) ** (d01 - j) for j in range(d01 + 1)]
@@ -293,15 +321,6 @@ def exact_flip_tail(d1: int, d2: int, t: int, params: ChannelParams) -> Fraction
     return Fraction(total, qd ** d1 * pd ** d2)
 
 
-def reference_min_over_pairs(code: Code, params: ChannelParams, symmetric: bool) -> float:
-    """Minimum (symmetric) discrepancy over the support of the pair table."""
-    if len(code) < 2:
-        raise ValueError("minimum discrepancy needs at least two codewords")
-    g = params.gamma
-    slope = g - 1.0 if symmetric else 0.0
-    return min(g * a + b - wt * slope for wt, a, b in code.pair_table() if a or b)
-
-
 def reference_ahb(dist: BidistanceDistribution, params: ChannelParams) -> dict[str, Fraction]:
     """Exact AHB components: each frequency times the exact pairwise error
     probability, over the code size."""
@@ -313,13 +332,19 @@ def reference_ahb(dist: BidistanceDistribution, params: ChannelParams) -> dict[s
 def reference_cr(code: Code, params: ChannelParams, symmetric: bool) -> dict[str, Fraction]:
     """Exact error mass of each weight class of either weight-class bound.
 
-    Enumerates the (received weight i, a) lattice of class j, b = a + i - j,
-    and counts a cell as an error unless its level a + gamma*b is below
-    h(i, j) by more than SNAP.  Each class sum is an integer over the
-    common denominator qd**j * pd**(n - j).
+    Takes dmin = alpha gamma + beta from the pair that minimizes it, by
+    exact comparison; enumerates the (received weight i, a) lattice of
+    class j, b = a + i - j, and counts a cell as an error when its level
+    a + gamma*b is at least h(i, j), decided by ``gamma_at_least``.  Each
+    class sum is an integer over the common denominator qd**j * pd**(n - j).
     """
-    dmin = reference_min_over_pairs(code, params, symmetric)
-    g = params.gamma
+    if len(code) < 2:
+        raise ValueError("minimum discrepancy needs at least two codewords")
+    s = int(symmetric)
+    # gamma a + b - s wt (gamma - 1) = alpha gamma + beta
+    forms = {(a - s * wt, b + s * wt) for wt, a, b in code.pair_table() if a or b}
+    alpha, beta = functools.reduce(
+        lambda x, y: y if gamma_at_least(x[0] - y[0], y[1] - x[1], params) else x, forms)
     n = code.n
     pn, pd = params.p.numerator, params.p.denominator
     qn, qd = params.q.numerator, params.q.denominator
@@ -329,13 +354,14 @@ def reference_cr(code: Code, params: ChannelParams, symmetric: bool) -> dict[str
             continue
         numerator = 0
         for i in range(n + 1):
-            h = (dmin + i * (g - 1.0)) / 2.0 if symmetric else (dmin + (g - 1.0) * (i - j)) / 2.0
+            # 2h = dmin + (gamma - 1) m: m = i (symmetric) or i - j
+            m = i if symmetric else i - j
             for a in range(j + 1):
                 b = a + i - j
                 if not 0 <= b <= n - j:
                     continue
-                level = a + g * b
-                if abs(level - h) < SNAP or level >= h:
+                # a + gamma b >= h  <=>  gamma (2b - alpha - m) >= beta - m - 2a
+                if gamma_at_least(2 * b - alpha - m, beta - m - 2 * a, params):
                     numerator += (math.comb(j, a) * qn ** a * (qd - qn) ** (j - a)
                                   * math.comb(n - j, b) * pn ** b * (pd - pn) ** (n - j - b))
         components[f"error[w={j}]"] = (count * Fraction(numerator, qd ** j * pd ** (n - j))

@@ -295,7 +295,7 @@ class TestCosetRecurrence:
     def test_cap_refuses_before_allocating(self):
         tracemalloc.start()
         try:
-            with pytest.raises(CapExceeded, match=r"2\*\*25 words; cap is n <= 24"):
+            with pytest.raises(CapExceeded, match=r"coset table 2\*\*24 x 26; cap is n <= 24"):
                 coset_distribution_matrix(GeneratorMatrix(25, (1,)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:

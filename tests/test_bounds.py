@@ -7,28 +7,40 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bidistance.bounds import (LatticePoint, ahb_union_bound, discrepancy,
-                               discrepancy_bound, lattice_word_count,
+from bidistance.bounds import (LatticePoint, _class_thresholds, ahb_union_bound,
+                               discrepancy, discrepancy_bound, lattice_word_count,
                                min_discrepancy, min_symmetric_discrepancy,
                                pairwise_error_probability, region_threshold,
                                symmetric_discrepancy,
                                symmetric_discrepancy_bound)
 from bidistance.channel import ChannelParams, exact_error_probability
 from bidistance.core import Code, Word, bidistance_distribution
-from helpers import (eq3_pairwise_oracle, exact_flip_tail, random_code,
-                     reference_ahb, reference_ceil_snap, reference_cr,
-                     reference_exact_pep, reference_min_over_pairs,
+from helpers import (eq3_pairwise_oracle, exact_flip_tail, gamma_at_least,
+                     random_code, reference_ahb, reference_cr,
+                     reference_cr_thresholds, reference_exact_pep,
                      reference_region_threshold)
 
 #: derandomized, with no example database, so every run draws the same cases
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 
+#: gamma just above 1, exactly 3 twice, just above 3, and above 1 by so
+#: little that the float gamma reads 1.0: thresholds here sit on or within
+#: 1e-11 of a fraction with a small denominator
+NEAR_RATIONAL = [ChannelParams.from_decimals(p, q) for p, q in (
+    ("0.05", "0.050000000001"), ("0.025", "0.325"), ("0.0025", "0.1425"),
+    ("0.025", "0.325000000001"), ("0.4999999999", "0.49999999995"))]
+
+
 @st.composite
 def channels(draw):
-    """A channel in the regime; p = q (gamma = 1, SNAP ties) half the time."""
+    """A channel in the regime: p = q (gamma = 1) a third of the time, a
+    near-rational gamma from NEAR_RATIONAL a third, else p < q."""
+    kind = draw(st.integers(0, 2))
+    if kind == 2:
+        return draw(st.sampled_from(NEAR_RATIONAL))
     p = draw(st.integers(1, 49))
-    q = p if draw(st.booleans()) else draw(st.integers(p, 49))
+    q = p if kind == 0 else draw(st.integers(p, 49))
     return ChannelParams(Fraction(p, 100), Fraction(q, 100))
 
 
@@ -92,7 +104,7 @@ class TestPairwiseErrorProbability:
                        ChannelParams(Fraction(1, 4), Fraction(1, 4))):
             for d10 in range(9):
                 for d01 in range(9):
-                    t = region_threshold(d10, d01, params.gamma)
+                    t = region_threshold(d10, d01, params)
                     assert exact_flip_tail(d10, d01, t, params) == \
                         pairwise_error_probability(d10, d01, params, exact=True)
 
@@ -109,32 +121,68 @@ class TestPairwiseErrorProbability:
         for d10, d01 in ((1100, 1100), (1100, 300), (300, 1100)):
             pep = pairwise_error_probability(d10, d01, params_ex1)
             assert 0.0 <= pep <= 1.0
-            t = region_threshold(d10, d01, params_ex1.gamma)
+            t = region_threshold(d10, d01, params_ex1)
             assert math.isclose(pep, float(exact_flip_tail(d10, d01, t, params_ex1)),
                                 rel_tol=1e-10)
 
 
 class TestRegionThreshold:
     def test_plain_values(self, params_ex1):
-        g = params_ex1.gamma
-        assert region_threshold(1, 1, g) == 1
-        assert region_threshold(0, 1, g) == 1
-        assert region_threshold(1, 2, g) == 2
+        assert region_threshold(1, 1, params_ex1) == 1
+        assert region_threshold(0, 1, params_ex1) == 1
+        assert region_threshold(1, 2, params_ex1) == 2
 
     def test_snapping_at_equal_probabilities(self):
         # gamma is exactly 1; even totals give integral thresholds
-        assert region_threshold(2, 2, 1.0) == 2
-        assert region_threshold(2, 1, 1.0) == 2  # 1.5 rounds up
+        params = ChannelParams.from_decimals("0.2", "0.2")
+        assert region_threshold(2, 2, params) == 2
+        assert region_threshold(2, 1, params) == 2  # 1.5 rounds up
 
     def test_snap_tolerance(self):
-        assert region_threshold(2, 2, 1.0 + 1e-12) == 2
+        # gamma - 1 is about 6e-12: (25 gamma + 19) / (1 + gamma) is just
+        # above 22, which a 1e-9 snap to the nearest integer took as 22
+        params = ChannelParams.from_decimals("0.05", "0.050000000001")
+        assert region_threshold(25, 19, params) == 23
+        assert region_threshold(2, 2, params) == 2
+        assert region_threshold(2, 1, params) == 2
 
     def test_arrays_match_scalar_rule(self):
         d10, d01 = np.divmod(np.arange(40 * 40), 40)
-        for gamma in (1.0, 1.0 + 1e-12, 1.5, 2.0, 37 / 13, 4.25):
-            got = region_threshold(d10, d01, gamma)
-            assert got.tolist() == [reference_region_threshold(a, b, gamma)
+        for params in [ChannelParams.from_decimals(*pq) for pq in (
+                ("0.2", "0.2"), ("0.1", "0.15"), ("0.01", "0.45"))] + NEAR_RATIONAL:
+            got = region_threshold(d10, d01, params)
+            assert got.tolist() == [reference_region_threshold(a, b, params)
                                     for a, b in zip(d10.tolist(), d01.tolist())]
+
+    @PROPERTY
+    @given(st.integers(0, 40), st.integers(0, 40), channels())
+    @example(25, 19, NEAR_RATIONAL[0])
+    def test_matches_brute_integer_comparison(self, d10, d01, params):
+        # the least k with A**(k - d10) <= B**(d01 - k), by a scan over every k
+        t = region_threshold(d10, d01, params)
+        brute = next(k for k in range(d10 + d01 + 1)
+                     if gamma_at_least(k - d10, d01 - k, params))
+        assert t == brute == reference_region_threshold(d10, d01, params)
+
+    @PROPERTY
+    @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=2, max_size=8,
+                             unique=True))), channels())
+    def test_cr_thresholds_match_brute_integer_comparison(self, case, params):
+        # t_j = min over the distinct pairs of the least k with
+        # (1 + gamma) k >= gamma a + b + s (gamma - 1)(j - wt), by a scan
+        n, words = case
+        code = Code(n, words)
+        pairs = [key for key in code.pair_table() if key[1] or key[2]]
+        for symmetric in (False, True):
+            s = int(symmetric)
+            j, t = _class_thresholds(code, params, symmetric)
+            brute = {w: min(next(k for k in range(-2 * n, 3 * n + 2) if gamma_at_least(
+                             k - a - s * (w - wt), b - s * (w - wt) - k, params))
+                            for wt, a, b in pairs)
+                     for w in j.tolist()}
+            assert dict(zip(j.tolist(), t.tolist())) == brute \
+                == reference_cr_thresholds(code, params, symmetric)
 
 
 class TestAhbUnionBound:
@@ -226,19 +274,16 @@ class TestAgainstPerTermLoops:
         rng = random.Random(n)
         code = Code(n, [rng.getrandbits(n) for _ in range(3)])
         dist = bidistance_distribution(code)
-        g = params_ex1.gamma
         ahb = {f"{a},{b}": count * exact_flip_tail(
-                   a, b, reference_region_threshold(a, b, g), params_ex1) / dist.size
+                   a, b, reference_region_threshold(a, b, params_ex1), params_ex1) / dist.size
                for (a, b), count in dist.multiset()}
         checks = [(ahb_union_bound(dist, params_ex1), ahb)]
+        counts = code.weight_distribution()
         for symmetric, bound in ((False, discrepancy_bound),
                                  (True, symmetric_discrepancy_bound)):
-            dmin = reference_min_over_pairs(code, params_ex1, symmetric)
-            slope = g - 1.0 if symmetric else 0.0
-            cr = {f"error[w={j}]": count * exact_flip_tail(
-                      j, n - j, reference_ceil_snap((dmin + slope * j) / (1.0 + g)),
-                      params_ex1) / len(code)
-                  for j, count in enumerate(code.weight_distribution()) if count}
+            cr = {f"error[w={j}]": counts[j] * exact_flip_tail(j, n - j, t, params_ex1)
+                  / len(code)
+                  for j, t in reference_cr_thresholds(code, params_ex1, symmetric).items()}
             checks.append((bound(code, params_ex1), cr))
         for report, exact in checks:
             assert 0.0 < report.raw_value <= 1.0

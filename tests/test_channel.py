@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidistance import channel
+from bidistance.bounds import region_threshold
 from bidistance.channel import (MAX_LENGTH, MC_CHUNK, ChannelParams, RegimeError,
                                 _RankKernel, _score_table,
                                 exact_error_probability, likelihood, llr,
@@ -81,6 +82,25 @@ class TestChannelParams:
             assert ChannelParams(Fraction(a, 1000), Fraction(b, 1000)).gamma >= 1.0
 
 
+    @pytest.mark.parametrize("p, q", [("0.1", "0.15"), ("0.2", "0.2"), ("0.025", "0.325"),
+                                      ("0.05", "0.050000000001"), ("0.0001", "0.45"),
+                                      ("0.4999999999", "0.49999999995")])
+    def test_bracket_sides_match_exact_powers(self, p, q):
+        # u/v against every r/s with s <= 2n + 2 near gamma, each compared as
+        # gamma is, by A**s vs B**r: at p = q and gamma = 3 the integers
+        # decide ties, and at the last channel the float logs cannot order
+        # the fractions (its float gamma reads 1.0), so the decimals do
+        params = _channel(p, q)
+        big_a, big_b = params.p / (1 - params.q), params.q / (1 - params.p)
+        for n in (0, 1, 7, 20):
+            g = Fraction(*params.bracket(n))
+            for s in range(1, 2 * n + 3):
+                for r in range(s, int(params.gamma * s) + 3 * s + 2):
+                    f = Fraction(r, s)
+                    exact = (big_b ** r > big_a ** s) - (big_b ** r < big_a ** s)
+                    assert exact == (g > f) - (g < f)
+
+
 class TestLikelihood:
     def test_no_flips(self, params_ex1):
         x = Word.from_string("1100")
@@ -119,8 +139,9 @@ class TestLlr:
         # sign(llr) <= 0 exactly when the total flip count reaches the ceiling
         rng = random.Random(17)
         for params in (ChannelParams.from_decimals("0.1", "0.15"),
-                       ChannelParams.from_decimals("0.2", "0.2")):
-            g = params.gamma
+                       ChannelParams.from_decimals("0.2", "0.2"),
+                       ChannelParams.from_decimals("0.05", "0.050000000001"),
+                       ChannelParams.from_decimals("0.025", "0.325")):
             for _ in range(12):
                 n = rng.randrange(2, 11)
                 x = Word(n, rng.getrandbits(n))
@@ -128,8 +149,7 @@ class TestLlr:
                 if x == alt:
                     continue
                 d = dir_distances(x, alt)
-                tau = (d.d10 * g + d.d01) / (g + 1.0)
-                threshold = math.ceil(round(tau) if abs(tau - round(tau)) < 1e-9 else tau)
+                threshold = region_threshold(d.d10, d.d01, params)
                 for y in range(1 << n):
                     word = Word(n, y)
                     k10 = (x.bits & ~alt.bits & ~y).bit_count()
@@ -260,6 +280,26 @@ class TestRankKernel:
             # X**w * Y**c = X**(w - 2c) at p = q, so only w - 2c decides
             assert len(distinct) == len({w - 2 * c for w in (700, 1501, 2999)
                                          for c in range(w + 1)})
+
+    def test_wide_gamma_keys_fit_int64(self):
+        # gamma is about 10.8 at p = 0.0001, q = 0.45, so u is about 11 v and
+        # v about 4n; at n = 3000 every key c(u + v) - w v is below
+        # 4n(u + v), far inside int64, and the ranks are those of the exact
+        # integers X**w * Y**c over a common denominator
+        params = _channel("0.0001", "0.45")
+        n, weights = 3000, (1, 1501, 2999)
+        u, v = params.bracket(n)
+        assert 10 * v < u < 11 * v and 4 * n * (u + v) < 1 << 40
+        kernel = _RankKernel(Code(n, [(1 << w) - 1 for w in weights]), params)
+        x = params.q / (1 - params.p)
+        y = (1 - params.q) * (1 - params.p) / (params.p * params.q)
+        y_pow = [y.denominator ** n]  # y_pow[c] = yn**c * yd**(n - c)
+        for _ in range(n):
+            y_pow.append(y_pow[-1] // y.denominator * y.numerator)
+        x_pow = {w: x.numerator ** w * x.denominator ** (n - w) for w in weights}
+        exact = [x_pow[w] * y_pow[c] for w in weights for c in range(w + 1)]
+        dense = {value: i for i, value in enumerate(sorted(set(exact)))}
+        assert kernel.rank_of.tolist() == [dense[value] for value in exact]
 
     def test_no_score_table_outside_exhaustive_sweep(self, monkeypatch, c1, params_ex1):
         def refuse(*args):
