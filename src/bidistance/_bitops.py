@@ -4,10 +4,19 @@ coordinate i on bit i % 64 of lane i // 64."""
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Sequence
+from itertools import combinations_with_replacement, repeat
+from typing import Iterator, Sequence
 
 import numpy as np
+
+#: cells in one numpy block of every kernel; small blocks keep the peak memory low
+BLOCK_CELLS = 1 << 14
+#: lengths below which AndCounts counts exactly
+MAX_LENGTH = 1 << 24
+
+
+class CapExceeded(RuntimeError):
+    """An exhaustive enumeration would exceed the configured size cap."""
 
 
 def popcount(a: np.ndarray) -> np.ndarray:
@@ -35,6 +44,36 @@ def bit_matrix(words: Sequence[int], n: int) -> np.ndarray:
     holds bit k of each word."""
     return np.unpackbits(packed_rows(words, n).view(np.uint8), axis=1, count=n,
                          bitorder="little")
+
+
+class AndCounts:
+    """int32 c = wt(x & y) of 0/1 rows x against M fixed length-n words y, from
+    one float32 product of bit matrices.  Every term is 0 or 1 and every
+    partial sum an integer at most n, so float32 is exact for n < MAX_LENGTH
+    in any BLAS summation order; a longer n is refused before the (M, n)
+    ``bits`` exist.  A block of ``rows`` rows, or a tile, holds at most
+    BLOCK_CELLS cells."""
+
+    def __init__(self, words: Sequence[int], n: int):
+        if n >= MAX_LENGTH:
+            raise CapExceeded(f"exact bit products need n < {MAX_LENGTH}, got {n}")
+        self.bits = bit_matrix(words, n)
+        self.weights = self.bits.sum(axis=1, dtype=np.int32)
+        self.columns = np.ascontiguousarray(self.bits.T, dtype=np.float32)
+        self.rows = max(1, BLOCK_CELLS // len(words))
+
+    def __call__(self, rows: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
+        """int32 c of each 0/1 row against each word, or the words in ``cols``."""
+        return (rows.astype(np.float32) @ self.columns[:, cols]).astype(np.int32)
+
+    def upper_tiles(self) -> Iterator[tuple[slice, slice, np.ndarray]]:
+        """(rows, cols, c) over square BLOCK_CELLS tiles at and above the diagonal
+        of the words against themselves (c is symmetric); at large M a row block
+        holds a few rows yet rereads all M words, and a tile does not."""
+        side = int(BLOCK_CELLS ** 0.5)
+        for start, col in combinations_with_replacement(range(0, len(self.bits), side), 2):
+            rows, cols = slice(start, start + side), slice(col, col + side)
+            yield rows, cols, self(self.bits[rows], cols)
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:

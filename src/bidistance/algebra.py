@@ -22,7 +22,8 @@ GOLAY_GENERATOR_POLY = 0b1100_0111_0101
 GOLAY_LENGTH = 23
 
 MAX_ENUM_DIMENSION = 28
-COSET_SWEEP_CAP = 24
+#: cells of the 2^(n-k) x (n+1) coset table: 256 MiB of int64 with its gathered copy
+COSET_TABLE_CAP = 1 << 24
 
 
 def _poly_mod(a: int, m: int) -> int:
@@ -287,8 +288,8 @@ def coset_distribution_matrix(g: GeneratorMatrix) -> np.ndarray:
     all, so no word of the 2^n ambient space is enumerated.
     """
     n = g.n
-    if n > COSET_SWEEP_CAP:
-        raise CapExceeded(f"coset table 2**{n - g.k} x {n + 1}; cap is n <= {COSET_SWEEP_CAP}")
+    if (n + 1) << (n - g.k) > COSET_TABLE_CAP:
+        raise CapExceeded(f"coset table 2**{n - g.k} x {n + 1}; cap is {COSET_TABLE_CAP} cells")
     checks = _null_space_rows(g.rows, n)
     cosets = np.arange(1 << len(checks))
     hist = np.zeros((len(cosets), n + 1), dtype=np.int64)

@@ -32,11 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._bitops import BLOCK_CELLS
 from .channel import ChannelParams
 from .core import BidistanceDistribution, Code, Word, dir_distances
-
-#: cells in one numpy block of the tail kernel; keeps the peak memory small
-KERNEL_CELLS = 1 << 16
 
 
 def region_threshold(d10: int | np.ndarray, d01: int | np.ndarray,
@@ -73,7 +71,7 @@ def _flip_tail(d1: np.ndarray, d2: np.ndarray, t: np.ndarray,
     tail_p[r, k] = P(Bin(d2, p) >= k) is a cumulative sum from the top, and
     an entry's sum over the q flip count i gathers
     pmf_q[d1, i] * tail_p[d2, clip(t - i)], a block of entries of at most
-    KERNEL_CELLS cells at a time.
+    BLOCK_CELLS cells at a time.
     """
     lengths, row = np.unique(np.concatenate([d1, d2]), return_inverse=True)
     q_row, p_row = row[:len(d1)], row[len(d1):]
@@ -83,7 +81,7 @@ def _flip_tail(d1: np.ndarray, d2: np.ndarray, t: np.ndarray,
     tail_p[:, -2::-1] = np.cumsum(pmf_p[:, ::-1], axis=1)
     i = np.arange(pmf_q.shape[1])
     out = np.empty(len(d1))
-    step = max(1, KERNEL_CELLS // len(i))
+    step = max(1, BLOCK_CELLS // len(i))
     for lo in range(0, len(d1), step):
         block = slice(lo, lo + step)
         k = np.clip(t[block, None] - i, 0, tail_p.shape[1] - 1)

@@ -15,11 +15,11 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from ._bitops import bit_matrix
+from ._bitops import MAX_LENGTH, AndCounts, bit_matrix
 from .core import CapExceeded, Code, ParseError, Word, dir_distances
 
 DEFAULT_EXHAUSTIVE_CAP = 24
@@ -27,12 +27,9 @@ DEFAULT_EXHAUSTIVE_CAP = 24
 #: the most trials per Monte Carlo draw; the batching changes no estimate
 MC_CHUNK = 1 << 15
 
-#: (received word, codeword) cells per kernel block, the cap on a code's rank
-#: keys, counted as one per (wt, a, b) triple over its weights, and the length
-#: below which the float32 bit-matrix product counts exactly
-_BLOCK_CELLS = 1 << 16
+#: the cap on a code's rank keys, counted as one per (wt, a, b) triple over
+#: its weights; decoding lengths are capped at MAX_LENGTH by AndCounts
 MAX_RANK_KEYS = 1 << 25
-MAX_LENGTH = 1 << 24
 
 _DECIMAL_RE = re.compile(r"^\d+(\.\d+)?$")
 
@@ -73,11 +70,13 @@ class ChannelParams:
     @cached_property
     def _logs(self) -> tuple[tuple[Fraction, float, float], ...]:
         """(X, log X, its error) for X = A = p/(1-q) <= B = q/(1-p) < 1: log X from
-        X's integers, the error 2**-42 times their logs, far above its rounding."""
+        X's integers, or near 1, where their difference cancels, log1p of the
+        exact X - 1; the error 2**-42 times their logs, far above either rounding."""
         out = []
         for x in (self.p / (1 - self.q), self.q / (1 - self.p)):
             top, bottom = math.log(x.numerator), math.log(x.denominator)
-            out.append((x, top - bottom, 2.0 ** -42 * (abs(top) + abs(bottom))))
+            log_x = math.log1p(x - 1) if x > Fraction(15, 16) else top - bottom
+            out.append((x, log_x, 2.0 ** -42 * (abs(top) + abs(bottom))))
         return tuple(out)
 
     @cached_property
@@ -156,7 +155,6 @@ class _ScoreTable:
                 * pd_pow[w] * qd_pow[self.n - w])
 
 
-@lru_cache(maxsize=64)
 def _score_table(n: int, params: ChannelParams) -> _ScoreTable:
     return _ScoreTable(n, params)
 
@@ -208,18 +206,13 @@ class _RankKernel:
     X**wt(x) * Y**c for X = q/(1-p) = B, Y = (1-q)(1-p)/(pq) = 1/(AB): for a
     fixed y the argmax and its exact ties depend only on the key (wt(x), c),
     at offset[class] + c.  X**w * Y**c = B**(w - c(1 + gamma)), so the keys
-    rank as the integers c(u + v) - w*v for (u, v) = params.bracket(n).  c is
-    one float32 product of 0/1 bit matrices, exact for n < 2^24."""
+    rank as the integers c(u + v) - w*v for (u, v) = params.bracket(n)."""
 
     def __init__(self, code: Code, params: ChannelParams):
         n = code.n
-        if n >= MAX_LENGTH:
-            raise CapExceeded(f"decoding needs n < {MAX_LENGTH}, got {n}")
-        self.bits = bit_matrix(code.words, n)
-        self.columns = self.bits.T.astype(np.float32)
-        self.weights, self.cls = np.unique(self.bits.sum(axis=1, dtype=np.int64),
-                                           return_inverse=True)
-        keys = int(((self.weights + 1) * (n - self.weights + 1)).sum())
+        self.common = AndCounts(code.words, n)
+        self.weights, self.cls = np.unique(self.common.weights, return_inverse=True)
+        keys = sum((w + 1) * (n - w + 1) for w in self.weights.tolist())
         if keys > MAX_RANK_KEYS:
             raise CapExceeded(f"decoding n={n} over {len(self.weights)} weights needs "
                               f"{keys} rank keys; cap is {MAX_RANK_KEYS}")
@@ -227,11 +220,10 @@ class _RankKernel:
         u, v = params.bracket(n)
         keys = [np.arange(w + 1) * (u + v) - w * v for w in self.weights.tolist()]
         self.rank_of = np.unique(np.concatenate(keys), return_inverse=True)[1].astype(np.int32)
-        self.rows = max(1, _BLOCK_CELLS // len(code))
 
     def decide(self, received: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Winner's c, winning codeword and exact-tie flag per 0/1 received row."""
-        common = (received.astype(np.float32) @ self.columns).astype(np.int64)
+        common = self.common(received)
         rank = self.rank_of[self.base + common]
         win = rank.argmax(axis=1)
         at = np.arange(len(win)), win
@@ -261,7 +253,7 @@ def exact_error_probability(code: Code, params: ChannelParams,
             f"exhaustive sweep needs 2**{code.n} received words; cap is n <= {cap}")
     n = code.n
     kernel = _RankKernel(code, params)
-    rows = min(1 << n, 1 << (kernel.rows.bit_length() - 1))
+    rows = min(1 << n, 1 << (kernel.common.rows.bit_length() - 1))
     counts = np.zeros((len(kernel.weights), n + 1, n + 1), dtype=np.int64)
     for start in range(0, 1 << n, rows):
         counters = np.arange(start, start + rows, dtype="<u8").view(np.uint8).reshape(rows, 8)
@@ -298,11 +290,11 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
         raise ValueError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     kernel = _RankKernel(code, params)
-    ones = kernel.bits.astype(bool)
+    ones = kernel.common.bits.astype(bool)
     tx = rng.integers(0, len(code), size=trials)
     errors = 0
     fp, fq = float(params.p), float(params.q)
-    rows = min(kernel.rows, MC_CHUNK)
+    rows = min(kernel.common.rows, MC_CHUNK)
     for start in range(0, trials, rows):
         idx = tx[start:start + rows]
         u = rng.random((len(idx), code.n))
@@ -310,7 +302,7 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
         flips = u < fq
         flips &= ones[idx]
         flips |= u < fp
-        _, win, tie = kernel.decide(kernel.bits[idx] ^ flips)
+        _, win, tie = kernel.decide(kernel.common.bits[idx] ^ flips)
         errors += int(np.count_nonzero(tie | (win != idx)))
     estimate = errors / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .algebra import (dual_code, generator_from_code, golay_code, is_projective,
-                      trace_code_27_6, weight_distribution)
+                      trace_code_27_6)
 from .bounds import (ahb_union_bound, discrepancy_bound, symmetric_discrepancy_bound)
 from .channel import (DEFAULT_EXHAUSTIVE_CAP, ChannelParams, CapExceeded,
                       RegimeError, exact_error_probability,
@@ -187,13 +187,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _construct_catalog(name: str) -> tuple[Code, dict]:
     if name == "golay":
-        gen = golay_code()
-        code = gen.codewords()
-        return code, {"weight_distribution": _weight_pairs(weight_distribution(gen))}
+        code = golay_code().codewords()
+        return code, {"weight_distribution": _weight_pairs(code.weight_distribution())}
     if name == "golay-dual":
         gen = dual_code(golay_code())
         code = gen.codewords()
-        dist = weight_distribution(gen)
+        dist = code.weight_distribution()
         weights = [w for w in range(1, code.n + 1) if dist[w]]
         scheme = scheme_from_three_weight(code)
         nonzero = three_weight_ahb(code.n, weights, scheme)
@@ -207,7 +206,7 @@ def _construct_catalog(name: str) -> tuple[Code, dict]:
     if name == "trace-27-6":
         code = trace_code_27_6()
         gen = generator_from_code(code)
-        dist = weight_distribution(gen)
+        dist = code.weight_distribution()
         w1, w2 = [w for w in range(1, code.n + 1) if dist[w]]
         nonzero = two_weight_ahb(code.n, gen.k, w1, w2, dist[w1], dist[w2])
         return code, {

@@ -17,23 +17,16 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from ._bitops import bit_matrix, packed_rows, popcount, row_reduce
+from ._bitops import AndCounts, CapExceeded, bit_matrix, packed_rows, popcount, row_reduce
 
 #: pair frequencies are held in 64-bit-sized counters; |C|^2 must fit
 MAX_CODE_SIZE = 1 << 28
-
-#: ordered pairs counted per numpy pass; small tiles keep the peak memory low
-PAIR_TILE = 1 << 14
 
 _WORD_RE = re.compile(r"^[01]+$")
 
 
 class ParseError(ValueError):
     """Malformed input: code files, probability literals, or CLI values."""
-
-
-class CapExceeded(RuntimeError):
-    """An exhaustive enumeration would exceed the configured size cap."""
 
 
 @dataclass(frozen=True)
@@ -315,22 +308,20 @@ def bidistance_distribution(code: Code) -> BidistanceDistribution:
 
 
 def _pair_table(n: int, words: tuple[int, ...]) -> dict[tuple[int, int, int], int]:
-    """Count (wt(x), d10, d01) over all ordered pairs, a tile of rows at a time.
+    """Count (wt(x), d10, d01) over all ordered pairs, a block of rows at a time.
 
-    With c = wt(x & y), d10 = wt(x) - c and d01 = wt(y) - c.  A tile's c
-    is one float32 product of 0/1 bit matrices, exact for every length
-    here: each partial sum is an integer at most n < 2^21.
+    With c = wt(x & y), d10 = wt(x) - c and d01 = wt(y) - c.  A key packs
+    the triple into one int64, which holds (n + 1)**3 for n < 2^21.
     """
     width = n + 1
     if width ** 3 > 1 << 63:
         raise ValueError(f"pair tables support lengths below 2^21, got {n}")
-    bits = bit_matrix(words, n).astype(np.float32)
-    wts = bits.sum(axis=1).astype(np.int64)
-    rows = max(1, PAIR_TILE // len(words))
+    pairs = AndCounts(words, n)
+    wts = pairs.weights.astype(np.int64)
     flat: Counter[int] = Counter()
-    for start in range(0, len(words), rows):
-        common = (bits[start:start + rows] @ bits.T).astype(np.int64)
-        wx = wts[start:start + rows, None]
+    for start in range(0, len(words), pairs.rows):
+        common = pairs(pairs.bits[start:start + pairs.rows])
+        wx = wts[start:start + pairs.rows, None]
         keys, counts = np.unique((wx * width + wx - common) * width + wts - common,
                                  return_counts=True)
         flat.update(dict(zip(keys.tolist(), counts.tolist())))

@@ -15,15 +15,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._bitops import bit_matrix, pack_bits, row_ints
+from ._bitops import AndCounts, pack_bits, row_ints
 from .algebra import (coset_distribution_matrix, distinct_row_count, dual_code,
                       generator_from_code)
 from .core import BidistanceDistribution, Code, solve_directional_system
 
-SCHEME_SIZE_CAP = 1 << 12
-#: representatives per float32 product in the scheme measurement
-SCHEME_BLOCK = 8
-GRAPH_SIZE_CAP = 1 << 16
+#: codewords in a measured graph or scheme: v x v tables, seconds of work at the cap
+MEASURE_SIZE_CAP = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -137,30 +135,34 @@ def verify_srg(code: Code, w1: int) -> SrgParams:
     """Measure (v, K, lam, mu) on the distance-w1 graph of the codewords.
 
     Returns the measured constants, or raises if the graph fails any of
-    regularity, connectedness, or constant common-neighbour counts.
+    regularity, connectedness, or constant common-neighbour counts.  The
+    pair kernel gives the distances wt(x) + wt(y) - 2c over the words, then
+    the common-neighbour counts over the rows of the 0/1 adjacency matrix.
     """
     v = len(code)
-    if v > GRAPH_SIZE_CAP:
-        raise ValueError(f"graph verification capped at {GRAPH_SIZE_CAP} vertices")
-    words = code.words
-    adjacency = []
-    for x in words:
-        row = 0
-        for j, y in enumerate(words):
-            if x != y and (x ^ y).bit_count() == w1:
-                row |= 1 << j
-        adjacency.append(row)
-    degrees = {row.bit_count() for row in adjacency}
+    if v > MEASURE_SIZE_CAP:
+        raise ValueError(f"graph verification capped at {MEASURE_SIZE_CAP} vertices")
+    words = AndCounts(code.words, code.n)
+    adjacency = np.empty((v, v), dtype=bool)
+    for rows, cols, common in words.upper_tiles():
+        near = words.weights[rows, None] + words.weights[cols] - 2 * common == w1
+        adjacency[rows, cols], adjacency[cols, rows] = near, near.T
+    np.fill_diagonal(adjacency, False)
+    # each vertex's neighbourhood is a length-v word; its weight is the degree
+    graph = AndCounts(row_ints(pack_bits(adjacency)), v)
+    degrees = set(graph.weights.tolist())
     if len(degrees) != 1:
         raise ValueError("not strongly regular: the graph is not regular")
     valency = degrees.pop()
     if valency == 0 or valency == v - 1:
         raise ValueError("not strongly regular: the graph is empty or complete")
     lams, mus = set(), set()
-    for i in range(v):
-        for j in range(i + 1, v):
-            common = (adjacency[i] & adjacency[j]).bit_count()
-            (lams if (adjacency[i] >> j) & 1 else mus).add(common)
+    for rows, cols, common in graph.upper_tiles():
+        # kind is 1 on an edge, 0 off it and 2 on the diagonal
+        diagonal = np.eye(*common.shape, rows.start - cols.start, dtype=np.uint8)
+        kind = graph.bits[rows, cols] + 2 * diagonal
+        lams.update(np.unique(common[kind == 1]).tolist())
+        mus.update(np.unique(common[kind == 0]).tolist())
     if len(lams) > 1 or len(mus) > 1:
         raise ValueError("not strongly regular: common-neighbour counts vary")
     mu = mus.pop() if mus else 0
@@ -214,13 +216,13 @@ def scheme_from_three_weight(code: Code, sample: int = 50) -> SchemeParams:
     Linearity makes pair classes translation-invariant, so representatives
     of the form (0, z) with wt(z) = w_k cover every pair in class k, and
     p[k][i][j] counts the codewords y of class i with y ^ z of class j.  For
-    up to eight z at once, c = wt(y & z) is one float32 bit-matrix product
-    and wt(y ^ z) = wt(y) + wt(z) - 2c; one bincount counts the classes.
+    a block of z at once, c = wt(y & z) comes from the pair kernel and
+    wt(y ^ z) = wt(y) + wt(z) - 2c; one bincount counts the classes.
     """
     if sample < 0:
         raise ValueError(f"sample must be non-negative, got {sample}")
-    if len(code) > SCHEME_SIZE_CAP:
-        raise ValueError(f"scheme measurement capped at {SCHEME_SIZE_CAP} codewords")
+    if len(code) > MEASURE_SIZE_CAP:
+        raise ValueError(f"scheme measurement capped at {MEASURE_SIZE_CAP} codewords")
     generator = generator_from_code(code)
     dist = code.weight_distribution()
     weights = [w for w in range(1, code.n + 1) if dist[w]]
@@ -231,10 +233,8 @@ def scheme_from_three_weight(code: Code, sample: int = 50) -> SchemeParams:
         raise ValueError(
             f"not an association scheme: the dual coset matrix has {rows} distinct "
             "rows instead of 4")
-    # the coset matrix caps n at COSET_SWEEP_CAP, so int16 weights are exact
-    bits = bit_matrix(code.words, code.n).astype(np.float32)
-    columns = np.ascontiguousarray(bits.T)
-    wts = bits.sum(axis=1, dtype=np.int16)
+    words = AndCounts(code.words, code.n)
+    wts = words.weights
     class_of = np.zeros(code.n + 1, dtype=np.intp)
     class_of[weights] = (1, 2, 3)
     cls_y = 4 * class_of[wts]
@@ -246,10 +246,9 @@ def scheme_from_three_weight(code: Code, sample: int = 50) -> SchemeParams:
             stride = -(-len(reps) // sample)
             reps = reps[::stride][:sample]
         tables = set()
-        for start in range(0, len(reps), SCHEME_BLOCK):
-            block = reps[start:start + SCHEME_BLOCK]
-            common = (bits[block] @ columns).astype(np.int16)
-            wyz = wts[block, None] + wts - 2 * common
+        for start in range(0, len(reps), words.rows):
+            block = reps[start:start + words.rows]
+            wyz = wts[block, None] + wts - 2 * words(words.bits[block])
             cells = cls_y + class_of[wyz] + 16 * np.arange(len(block))[:, None]
             counts = np.bincount(cells.ravel(), minlength=16 * len(block))
             tables.update(tuple(map(tuple, t)) for t in counts.reshape(-1, 4, 4).tolist())

@@ -16,6 +16,7 @@ from bidistance.algebra import BinaryField, GeneratorMatrix, _null_space_rows
 from bidistance.bounds import pairwise_error_probability
 from bidistance.channel import ChannelParams, _score_table, likelihood
 from bidistance.core import BidistanceDistribution, Code, Word
+from bidistance.designs import SrgParams
 
 
 def eq3_pairwise_oracle(d10: int, d01: int, params: ChannelParams) -> Fraction:
@@ -249,6 +250,37 @@ def reference_sbibd_words(design, family: int, anchor: int = 1) -> list[int]:
         return [mask(b) | 1 << design.v for b in blocks] + [mask(c) for c in comps]
     return ([mask(b, anchor) for b in blocks if anchor in b]
             + [mask(c, anchor) for b, c in zip(blocks, comps) if anchor not in b])
+
+
+def reference_srg(code: Code, w1: int) -> SrgParams:
+    """verify_srg by one Python pass over the vertex pairs, with the
+    adjacency rows held as bitmask ints."""
+    v = len(code)
+    words = code.words
+    adjacency = []
+    for x in words:
+        row = 0
+        for j, y in enumerate(words):
+            if x != y and (x ^ y).bit_count() == w1:
+                row |= 1 << j
+        adjacency.append(row)
+    degrees = {row.bit_count() for row in adjacency}
+    if len(degrees) != 1:
+        raise ValueError("not strongly regular: the graph is not regular")
+    valency = degrees.pop()
+    if valency == 0 or valency == v - 1:
+        raise ValueError("not strongly regular: the graph is empty or complete")
+    lams, mus = set(), set()
+    for i in range(v):
+        for j in range(i + 1, v):
+            common = (adjacency[i] & adjacency[j]).bit_count()
+            (lams if (adjacency[i] >> j) & 1 else mus).add(common)
+    if len(lams) > 1 or len(mus) > 1:
+        raise ValueError("not strongly regular: common-neighbour counts vary")
+    mu = mus.pop() if mus else 0
+    if mu == 0:
+        raise ValueError("not strongly regular: the graph is disconnected")
+    return SrgParams(v, valency, lams.pop() if lams else 0, mu)
 
 
 # --- exact oracles for the float bounds in bidistance.bounds

@@ -295,12 +295,20 @@ class TestCosetRecurrence:
     def test_cap_refuses_before_allocating(self):
         tracemalloc.start()
         try:
-            with pytest.raises(CapExceeded, match=r"coset table 2\*\*24 x 26; cap is n <= 24"):
+            with pytest.raises(CapExceeded, match=r"coset table 2\*\*24 x 26; cap is 16777216 cells"):
                 coset_distribution_matrix(GeneratorMatrix(25, (1,)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_cap_counts_table_cells_not_length(self):
+        # golay rows padded to n = 25: a 2^13 x 26 table, far under the cap;
+        # every coset holds 2^12 words, and row 0 is the code itself
+        mat = coset_distribution_matrix(GeneratorMatrix(25, golay_code().rows))
+        assert mat.shape == (1 << 13, 26)
+        assert np.all(mat.sum(axis=1) == 1 << 12)
+        assert mat[0].tolist() == list(weight_distribution(golay_code())) + [0, 0]
 
 
 def test_popcount_matches_int_bit_count():

@@ -1,7 +1,7 @@
 import math
 import random
 import tracemalloc
-from decimal import Decimal, getcontext
+from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -63,6 +63,17 @@ class TestChannelParams:
 
     def test_gamma_example(self, params_ex1):
         assert abs(params_ex1.gamma - 1.1944) <= 5e-5
+
+    @pytest.mark.parametrize("p, q", [("0.49999999999999999998", "0.49999999999999999999"),
+                                      ("0.4999999999", "0.49999999995")])
+    def test_gamma_near_one_half(self, p, q):
+        # A and B are within 1e-9 of 1, where the logs of their integers
+        # cancel; gamma is 1 + 2e-20 (nearest float 1.0) and 1.0000000001
+        params = ChannelParams.from_decimals(p, q)
+        with localcontext(Context(prec=60)):
+            dp, dq = Decimal(p), Decimal(q)
+            expected = float((dp / (1 - dq)).ln() / (dq / (1 - dp)).ln())
+        assert abs(params.gamma - expected) <= 2 * math.ulp(1.0)
 
     def test_gamma_equal_probabilities(self):
         assert ChannelParams.from_decimals("0.2", "0.2").gamma == 1.0

@@ -1,14 +1,19 @@
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bidistance.algebra import trace_code_27_6
 from bidistance.core import Code, bidistance_distribution
-from bidistance.designs import (DIFFERENCE_SETS, IncidenceDesign, SrgParams,
+from bidistance.designs import (DIFFERENCE_SETS, MEASURE_SIZE_CAP, IncidenceDesign, SrgParams,
                                 catalog_design, dimension_from_weights,
                                 sbibd_ahb, sbibd_codes,
                                 sbibd_from_difference_set,
                                 scheme_from_three_weight, srg_from_two_weight,
                                 three_weight_ahb, two_weight_ahb, verify_srg)
-from helpers import reference_sbibd_words, rows_from_columns, span_code
+from helpers import (random_code, random_generator_rows, reference_sbibd_words,
+                     reference_srg, rows_from_columns, span_code)
 
 # [4,3] projective two-weight code: columns are the vectors with first bit set
 AFFINE_COLUMNS = (0b001, 0b101, 0b011, 0b111)
@@ -20,6 +25,24 @@ NON_SCHEME_COLUMNS = (1, 2, 3, 4, 5, 8, 9)
 
 def _column_code(columns, k):
     return span_code(len(columns), rows_from_columns(columns, k))
+
+
+#: the 16 x 16 rook's graph at distance 2: words e_a + e_(16 + b) of length 32
+_ROOK = Code(32, [(1 << a) | (1 << (16 + b)) for a in range(16) for b in range(16)])
+#: the linear functions on F_2^7 and then their complements, so that at
+#: distance 64 the non-adjacent pairs are exactly the pairs (i, i + 128)
+_LINEAR = [sum((a & x).bit_count() % 2 << x for x in range(128)) for a in range(128)]
+_ANTIPODAL = Code(128, _LINEAR + [w ^ ((1 << 128) - 1) for w in _LINEAR])
+#: a 200-cycle at distance 2: words e_i + e_(i + 1 mod 200)
+_CYCLE = Code(200, [(1 << i) | (1 << (i + 1) % 200) for i in range(200)])
+
+
+def _srg_outcome(check, code, w1):
+    """The SrgParams a graph check returns, or the message it raises."""
+    try:
+        return check(code, w1)
+    except ValueError as exc:
+        return str(exc)
 
 
 def _pair_counts(words, weights, x, z):
@@ -86,6 +109,61 @@ class TestVerifySrg:
         code = Code(4, [0b0001, 0b0010, 0b0100, 0b1111])
         with pytest.raises(ValueError, match="not strongly regular"):
             verify_srg(code, 2)
+
+    @pytest.mark.parametrize("code, w1, expected", [
+        (_column_code(AFFINE_COLUMNS, 3), 2, SrgParams(8, 6, 4, 6)),
+        (trace_code_27_6(), 12, SrgParams(64, 36, 20, 20)),
+        (Code(4, [0b0001, 0b0010, 0b0100, 0b1111]), 2, "not regular"),
+        (Code(3, range(8)), 1, "counts vary"),
+        (Code(5, [1 << i | j << 3 for i in range(3) for j in (0, 3)]), 2, "counts vary"),
+        (Code(4, [0b0000, 0b0011, 0b1100, 0b1111]), 3, "empty or complete"),
+        (Code(4, [0b0000, 0b0011, 0b1100, 0b1111]), 0, "empty or complete"),
+        (Code(5, [1, 2, 4, 8, 16]), 2, "empty or complete"),
+        (Code(4, [0b0000, 0b0011, 0b1100, 0b1111]), 4, "disconnected"),
+        # more than 128 vertices: several tiles, and tiles past the last full one
+        (_ROOK, 2, SrgParams(256, 30, 14, 2)),
+        (_ANTIPODAL, 64, SrgParams(256, 254, 252, 254)),
+        (_ROOK, 4, SrgParams(256, 225, 196, 210)),
+        (_CYCLE, 2, "counts vary"),
+        (Code(8, range(256)), 1, "counts vary"),
+        (Code(9, range(0, 512, 3)), 3, "not regular"),
+    ], ids=["srg", "trace_27_6", "irregular", "regular_not_srg", "prism_lambda_varies",
+            "empty", "w1_zero", "complete", "disconnected", "rook", "cocktail_party",
+            "rook_complement", "cycle_200", "cube_8", "irregular_171"])
+    def test_named_graphs_match_reference(self, code, w1, expected):
+        got = _srg_outcome(verify_srg, code, w1)
+        assert got == _srg_outcome(reference_srg, code, w1)
+        assert got == expected if isinstance(expected, SrgParams) else expected in got
+
+    def test_random_codes_match_reference(self):
+        # random sets and random linear spans, at every distance and one
+        # that no pair realizes
+        rng = random.Random(1301)
+        seen = set()
+        for _ in range(60):
+            n = rng.randint(2, 7)
+            if rng.random() < 0.5:
+                code = random_code(rng, n, rng.randint(1, min(12, 1 << n)))
+            else:
+                code = span_code(n, random_generator_rows(rng, n, rng.randint(1, n)))
+            for w1 in range(n + 2):
+                got = _srg_outcome(verify_srg, code, w1)
+                assert got == _srg_outcome(reference_srg, code, w1), (code.words, w1)
+                seen.add(type(got).__name__ if isinstance(got, SrgParams) else got)
+        assert len(seen) == 5
+
+    @pytest.mark.parametrize("check", [verify_srg, scheme_from_three_weight])
+    def test_code_over_cap_refused_before_allocating(self, check):
+        code = Code(13, range(MEASURE_SIZE_CAP + 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"capped at {MEASURE_SIZE_CAP}"):
+                check(code, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the v x v adjacency table alone would take 16 MiB
+        assert peak < 1 << 20
 
 
 class TestTwoWeightAhb:
