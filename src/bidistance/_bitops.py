@@ -47,20 +47,25 @@ def bit_matrix(words: Sequence[int], n: int) -> np.ndarray:
 
 
 class AndCounts:
-    """int32 c = wt(x & y) of 0/1 rows x against M fixed length-n words y, from
-    one float32 product of bit matrices.  Every term is 0 or 1 and every
-    partial sum an integer at most n, so float32 is exact for n < MAX_LENGTH
-    in any BLAS summation order; a longer n is refused before the (M, n)
-    ``bits`` exist.  A block of ``rows`` rows, or a tile, holds at most
-    BLOCK_CELLS cells."""
+    """int32 c = wt(x & y) of 0/1 rows x against the M rows y of a fixed
+    (M, n) 0/1 matrix ``bits``, from one float32 product.  Every term is 0 or
+    1 and every partial sum an integer at most n, so float32 is exact for
+    n < MAX_LENGTH in any BLAS summation order; ``of_words`` refuses a longer
+    n before the bit matrix exists.  A block of ``rows`` rows, or a tile,
+    holds at most BLOCK_CELLS cells."""
 
-    def __init__(self, words: Sequence[int], n: int):
+    def __init__(self, bits: np.ndarray):
+        self.bits = bits
+        self.weights = bits.sum(axis=1, dtype=np.int32)
+        self.columns = np.ascontiguousarray(bits.T, dtype=np.float32)
+        self.rows = max(1, BLOCK_CELLS // len(bits))
+
+    @classmethod
+    def of_words(cls, words: Sequence[int], n: int) -> "AndCounts":
+        """Counts against the bitmask ints ``words`` of length n."""
         if n >= MAX_LENGTH:
             raise CapExceeded(f"exact bit products need n < {MAX_LENGTH}, got {n}")
-        self.bits = bit_matrix(words, n)
-        self.weights = self.bits.sum(axis=1, dtype=np.int32)
-        self.columns = np.ascontiguousarray(self.bits.T, dtype=np.float32)
-        self.rows = max(1, BLOCK_CELLS // len(words))
+        return cls(bit_matrix(words, n))
 
     def __call__(self, rows: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
         """int32 c of each 0/1 row against each word, or the words in ``cols``."""
@@ -76,12 +81,9 @@ class AndCounts:
             yield rows, cols, self(self.bits[rows], cols)
 
 
-def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Packed rows of a 0/1 bit matrix; the inverse of bit_matrix."""
-    m, n = bits.shape
-    padded = np.zeros((m, 64 * -(-n // 64)), dtype=np.uint8)
-    padded[:, :n] = bits
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+def matrix_ints(bits: np.ndarray) -> list[int]:
+    """The bitmask int of each row of a 0/1 bit matrix; the inverse of bit_matrix."""
+    return [int.from_bytes(row, "little") for row in np.packbits(bits, 1, bitorder="little")]
 
 
 def span_words(rows: Sequence[int], n: int) -> np.ndarray:

@@ -12,8 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._bitops import (bit_matrix, pack_bits, packed_rows, popcount, row_ints, row_reduce,
-                      span_words)
+from ._bitops import bit_matrix, matrix_ints, packed_rows, row_ints, row_reduce, span_words
 from .core import CapExceeded, Code, Word
 
 #: one of the two degree-11 factors of x^23 + 1 over F_2
@@ -193,7 +192,7 @@ def _null_space_rows(rows: Sequence[int], n: int) -> list[int]:
     null = np.zeros((len(free), n), dtype=np.uint8)
     null[:, free] = np.eye(len(free), dtype=np.uint8)
     null[:, pivots] = bit_matrix(reduced, n)[:, free].T
-    return row_ints(pack_bits(null))
+    return matrix_ints(null)
 
 
 @dataclass(frozen=True)
@@ -258,14 +257,9 @@ def golay_code() -> GeneratorMatrix:
 
 
 def weight_distribution(obj: GeneratorMatrix | Code) -> tuple[int, ...]:
-    """Exact weight counts A_0..A_n; linear inputs enumerate 2^k words."""
-    if isinstance(obj, Code):
-        return obj.weight_distribution()
-    if obj.k > MAX_ENUM_DIMENSION:
-        raise CapExceeded(
-            f"enumerating 2**{obj.k} codewords; cap is k <= {MAX_ENUM_DIMENSION}")
-    weights = popcount(span_words(obj.rows, obj.n)).sum(axis=1)
-    return tuple(np.bincount(weights, minlength=obj.n + 1).tolist())
+    """Exact weight counts A_0..A_n; a generator enumerates its 2^k codewords."""
+    code = obj if isinstance(obj, Code) else obj.codewords()
+    return code.weight_distribution()
 
 
 def is_projective(g: GeneratorMatrix) -> bool:
@@ -284,10 +278,14 @@ def coset_distribution_matrix(g: GeneratorMatrix) -> np.ndarray:
     words on coordinates 0..i, and those with a one at i come from the
     previous table with one less weight and the syndrome moved by h_i,
     coordinate i's syndrome column.  Each step is one gathered shift of
-    the 2^(n-k) x (n+1) table in exact int64, n*2^(n-k)*(n+1) additions in
-    all, so no word of the 2^n ambient space is enumerated.
+    the 2^(n-k) x (n+1) table, n*2^(n-k)*(n+1) additions in all, so no word
+    of the 2^n ambient space is enumerated.  A count never exceeds 2^k, the
+    words of one coset, so int64 is exact for k <= 62; that also keeps n
+    below 80 under the cell cap.
     """
     n = g.n
+    if g.k > 62:
+        raise CapExceeded(f"coset counts reach 2**{g.k}; int64 holds k <= 62")
     if (n + 1) << (n - g.k) > COSET_TABLE_CAP:
         raise CapExceeded(f"coset table 2**{n - g.k} x {n + 1}; cap is {COSET_TABLE_CAP} cells")
     checks = _null_space_rows(g.rows, n)

@@ -179,9 +179,8 @@ def llr(x: Word, x_alt: Word, y: Word, params: ChannelParams) -> float:
         return 0.0
     val = (math.log(lx.numerator) - math.log(lx.denominator)
            - math.log(la.numerator) + math.log(la.denominator))
-    want = 1.0 if lx > la else -1.0
     if val == 0.0 or (val > 0.0) != (lx > la):
-        return math.copysign(math.ulp(0.0), want)
+        return math.ulp(0.0) if lx > la else -math.ulp(0.0)
     return val
 
 
@@ -210,7 +209,7 @@ class _RankKernel:
 
     def __init__(self, code: Code, params: ChannelParams):
         n = code.n
-        self.common = AndCounts(code.words, n)
+        self.common = AndCounts.of_words(code.words, n)
         self.weights, self.cls = np.unique(self.common.weights, return_inverse=True)
         keys = sum((w + 1) * (n - w + 1) for w in self.weights.tolist())
         if keys > MAX_RANK_KEYS:

@@ -189,32 +189,22 @@ def _construct_catalog(name: str) -> tuple[Code, dict]:
     if name == "golay":
         code = golay_code().codewords()
         return code, {"weight_distribution": _weight_pairs(code.weight_distribution())}
-    if name == "golay-dual":
-        gen = dual_code(golay_code())
+    if name in ("golay-dual", "trace-27-6"):
+        # two nonzero weights give the graph's closed form, three the scheme's
+        gen = (dual_code(golay_code()) if name == "golay-dual"
+               else generator_from_code(trace_code_27_6()))
         code = gen.codewords()
         dist = code.weight_distribution()
         weights = [w for w in range(1, code.n + 1) if dist[w]]
-        scheme = scheme_from_three_weight(code)
-        nonzero = three_weight_ahb(code.n, weights, scheme)
-        return code, {
-            "weight_distribution": _weight_pairs(dist),
-            "projective": is_projective(gen),
-            "scheme": scheme.to_json_dict(),
-            "ahb": with_zero_word(nonzero, dist).to_json_dict(),
-            "ahb_nonzero": nonzero.to_json_dict(),
-        }
-    if name == "trace-27-6":
-        code = trace_code_27_6()
-        gen = generator_from_code(code)
-        dist = code.weight_distribution()
-        w1, w2 = [w for w in range(1, code.n + 1) if dist[w]]
-        nonzero = two_weight_ahb(code.n, gen.k, w1, w2, dist[w1], dist[w2])
-        return code, {
-            "weight_distribution": _weight_pairs(dist),
-            "projective": is_projective(gen),
-            "ahb": with_zero_word(nonzero, dist).to_json_dict(),
-            "ahb_nonzero": nonzero.to_json_dict(),
-        }
+        metadata = {"weight_distribution": _weight_pairs(dist), "projective": is_projective(gen)}
+        if len(weights) == 3:
+            scheme = scheme_from_three_weight(code)
+            metadata["scheme"] = scheme.to_json_dict()
+            nonzero = three_weight_ahb(code.n, weights, scheme)
+        else:
+            nonzero = two_weight_ahb(code.n, gen.k, *weights, *(dist[w] for w in weights))
+        return code, {**metadata, "ahb": with_zero_word(nonzero, dist).to_json_dict(),
+                      "ahb_nonzero": nonzero.to_json_dict()}
     if name.startswith("sbibd:"):
         parts = name.split(":")
         try:
@@ -240,10 +230,8 @@ def _construct_catalog(name: str) -> tuple[Code, dict]:
 def _cmd_construct(args: argparse.Namespace) -> int:
     code, metadata = _construct_catalog(args.name)
     code.to_file(args.out)
-    payload = {"name": args.name, "out": str(args.out),
-               "length": code.n, "size": len(code)}
-    payload.update(metadata)
-    _emit(payload)
+    _emit({"name": args.name, "out": str(args.out), "length": code.n, "size": len(code),
+           **metadata})
     return 0
 
 
@@ -330,12 +318,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (CapExceeded, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ParseError) else 3
 
 
 if __name__ == "__main__":

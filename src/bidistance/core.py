@@ -45,12 +45,9 @@ class Word:
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "Word":
         seq = list(bits)
-        mask = 0
-        for i, b in enumerate(seq):
-            if b not in (0, 1):
-                raise ValueError("symbols must be 0 or 1")
-            mask |= b << i
-        return cls(len(seq), mask)
+        if any(b not in (0, 1) for b in seq):
+            raise ValueError("symbols must be 0 or 1")
+        return cls(len(seq), sum(b << i for i, b in enumerate(seq)))
 
     @classmethod
     def from_string(cls, text: str) -> "Word":
@@ -316,7 +313,7 @@ def _pair_table(n: int, words: tuple[int, ...]) -> dict[tuple[int, int, int], in
     width = n + 1
     if width ** 3 > 1 << 63:
         raise ValueError(f"pair tables support lengths below 2^21, got {n}")
-    pairs = AndCounts(words, n)
+    pairs = AndCounts.of_words(words, n)
     wts = pairs.weights.astype(np.int64)
     flat: Counter[int] = Counter()
     for start in range(0, len(words), pairs.rows):
@@ -343,14 +340,12 @@ def weights_from_bidistance(dist: BidistanceDistribution) -> tuple[int, ...]:
     sums = [0] * (dist.n + 1)
     for (a, b), c in dist.entries.items():
         sums[a + b] += c
-    counts = []
     for i, s in enumerate(sums):
         if s % dist.size:
             raise ValueError(
                 f"antidiagonal {i} sums to {s}, not a multiple of {dist.size}; "
                 "the originating code cannot be linear")
-        counts.append(s // dist.size)
-    return tuple(counts)
+    return tuple(s // dist.size for s in sums)
 
 
 def solve_directional_system(wt_x: int, wt_y: int, wt_xy: int) -> BidistancePair:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._bitops import AndCounts, pack_bits, row_ints
+from ._bitops import AndCounts, matrix_ints
 from .algebra import (coset_distribution_matrix, distinct_row_count, dual_code,
                       generator_from_code)
 from .core import BidistanceDistribution, Code, solve_directional_system
@@ -142,14 +142,14 @@ def verify_srg(code: Code, w1: int) -> SrgParams:
     v = len(code)
     if v > MEASURE_SIZE_CAP:
         raise ValueError(f"graph verification capped at {MEASURE_SIZE_CAP} vertices")
-    words = AndCounts(code.words, code.n)
-    adjacency = np.empty((v, v), dtype=bool)
+    words = AndCounts.of_words(code.words, code.n)
+    adjacency = np.empty((v, v), dtype=np.uint8)
     for rows, cols, common in words.upper_tiles():
         near = words.weights[rows, None] + words.weights[cols] - 2 * common == w1
         adjacency[rows, cols], adjacency[cols, rows] = near, near.T
-    np.fill_diagonal(adjacency, False)
+    np.fill_diagonal(adjacency, 0)
     # each vertex's neighbourhood is a length-v word; its weight is the degree
-    graph = AndCounts(row_ints(pack_bits(adjacency)), v)
+    graph = AndCounts(adjacency)
     degrees = set(graph.weights.tolist())
     if len(degrees) != 1:
         raise ValueError("not strongly regular: the graph is not regular")
@@ -233,7 +233,7 @@ def scheme_from_three_weight(code: Code, sample: int = 50) -> SchemeParams:
         raise ValueError(
             f"not an association scheme: the dual coset matrix has {rows} distinct "
             "rows instead of 4")
-    words = AndCounts(code.words, code.n)
+    words = AndCounts.of_words(code.words, code.n)
     wts = words.weights
     class_of = np.zeros(code.n + 1, dtype=np.intp)
     class_of[weights] = (1, 2, 3)
@@ -419,7 +419,7 @@ def sbibd_codes(design: IncidenceDesign, family: int,
         bits = np.delete(np.vstack([blocks[through], 1 - blocks[~through]]), anchor - 1, 1)
     else:
         raise ValueError("family must be 1, 2, 3, or 4")
-    words = row_ints(pack_bits(bits))
+    words = matrix_ints(bits)
     if len(set(words)) != len(words):
         raise ValueError("support sets collide; the construction needs distinct words")
     return Code(bits.shape[1], words)

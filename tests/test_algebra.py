@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -301,6 +302,18 @@ class TestCosetRecurrence:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_cap_refuses_counts_past_int64(self):
+        # a 2^6 x 81 table, far under the cell cap, but one coset holds 2^74 words
+        with pytest.raises(CapExceeded, match=r"coset counts reach 2\*\*74; int64 holds k <= 62"):
+            coset_distribution_matrix(GeneratorMatrix(80, tuple(1 << i for i in range(74))))
+
+    def test_counts_exact_at_dimension_62(self):
+        # unit rows 0..61 at n = 63: the two cosets split on coordinate 62, and
+        # their counts C(62, w) reach 4.7e17, exact only in 64-bit integers
+        mat = coset_distribution_matrix(GeneratorMatrix(63, tuple(1 << i for i in range(62))))
+        binomials = [math.comb(62, w) for w in range(63)]
+        assert sorted(mat.tolist()) == [[0] + binomials, binomials + [0]]
 
     def test_cap_counts_table_cells_not_length(self):
         # golay rows padded to n = 25: a 2^13 x 26 table, far under the cap;
