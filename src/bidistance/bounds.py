@@ -17,9 +17,11 @@ error mass of class j is the tail at (j, n - j, t_j).  Each class error
 is summed directly, never as 1 minus a retained mass.  Every threshold is
 an exact integer ceiling, with gamma taken as ChannelParams.bracket's u/v.
 
-``_flip_tail`` builds binomial pmf rows from log-binomials, one ``exp``
-per (length, k), so no term overflows at any n; the p-tail is a sum from
-the top of positive terms, so nothing cancels.
+Each bound is a many-channel call, and the one-channel functions are its
+one-element calls.  A call builds one ``_TailPlan`` for its lengths, with
+the log-binomial grid and the p-tail of the latest p; pmf rows take one
+``exp`` per (length, k), so no term overflows at any n, and the p-tail is
+a sum from the top of positive terms, so nothing cancels.
 """
 
 from __future__ import annotations
@@ -38,55 +40,58 @@ from .core import BidistanceDistribution, Code, Word, dir_distances
 
 
 def region_threshold(d10: int | np.ndarray, d01: int | np.ndarray,
-                     params: ChannelParams) -> int | np.ndarray:
+                     params: ChannelParams, n: int | None = None) -> int | np.ndarray:
     """Least total flip count at which the rival word is preferred,
     ceil((gamma d10 + d01) / (1 + gamma)) with gamma taken as u/v; takes
-    ints, or integer arrays for a threshold per entry."""
-    u, v = params.bracket(int(np.max(np.add(d10, d01))))
+    ints, or integer arrays for a threshold per entry.  u/v is the bracket
+    at ``n``, any bound on d10 + d01 (by default their maximum)."""
+    u, v = params.bracket(int(np.max(np.add(d10, d01))) if n is None else n)
     return -(-(u * d10 + v * d01) // (u + v))
 
 
-def _pmf_rows(lengths: np.ndarray, xs: tuple[Fraction, ...]) -> list[np.ndarray]:
-    """For each x of ``xs``, row r holds the Bin(lengths[r], x) pmf at
-    k = 0..max(lengths), zeros past lengths[r].  log x is taken from the
-    integers of the Fraction, so it stays finite for an x below the
-    smallest float."""
-    k = np.arange(lengths.max() + 1)
-    log_fact = np.array([math.lgamma(m + 1) for m in k.tolist()])
-    rest = np.maximum(lengths[:, None] - k, 0)
-    log_comb = log_fact[lengths, None] - log_fact[k] - log_fact[rest]
-    inside = k <= lengths[:, None]
-    rows = []
-    for x in xs:
-        log_x = math.log(x.numerator) - math.log(x.denominator)
-        rows.append(np.where(inside, np.exp(log_comb + k * log_x + rest * math.log1p(-float(x))),
-                             0.0))
-    return rows
+class _TailPlan:
+    """P(Bin(d1, q) + Bin(d2, p) >= t) for fixed int arrays d1, d2, called
+    with (t, params) per channel.
 
-
-def _flip_tail(d1: np.ndarray, d2: np.ndarray, t: np.ndarray,
-               params: ChannelParams) -> np.ndarray:
-    """P(Bin(d1, q) + Bin(d2, p) >= t) for each entry of three int arrays.
-
-    tail_p[r, k] = P(Bin(d2, p) >= k) is a cumulative sum from the top, and
-    an entry's sum over the q flip count i gathers
-    pmf_q[d1, i] * tail_p[d2, clip(t - i)], a block of entries of at most
-    BLOCK_CELLS cells at a time.
+    The unique lengths and the log-binomial grid log C(lengths[r], k) are
+    built once.  A Bin(lengths[r], x) pmf row adds k log x, with log x from
+    the Fraction's integers, so finite below the smallest float, and
+    (lengths[r] - k) log1p(-x).  tail_p[r, k] = P(Bin(lengths[r], p) >= k),
+    a cumulative sum from the top, is kept until p changes.  An entry's sum
+    over the q flip count i gathers pmf_q[d1, i] * tail_p[d2, clip(t - i)],
+    a block of entries of at most BLOCK_CELLS cells at a time.
     """
-    lengths, row = np.unique(np.concatenate([d1, d2]), return_inverse=True)
-    q_row, p_row = row[:len(d1)], row[len(d1):]
-    pmf_q, pmf_p = _pmf_rows(lengths, (params.q, params.p))
-    # column k sums pmf_p[:, k:]; the extra last column stays 0
-    tail_p = np.zeros((len(lengths), pmf_p.shape[1] + 1))
-    tail_p[:, -2::-1] = np.cumsum(pmf_p[:, ::-1], axis=1)
-    i = np.arange(pmf_q.shape[1])
-    out = np.empty(len(d1))
-    step = max(1, BLOCK_CELLS // len(i))
-    for lo in range(0, len(d1), step):
-        block = slice(lo, lo + step)
-        k = np.clip(t[block, None] - i, 0, tail_p.shape[1] - 1)
-        out[block] = (pmf_q[q_row[block]] * tail_p[p_row[block, None], k]).sum(axis=1)
-    return out
+
+    def __init__(self, d1: np.ndarray, d2: np.ndarray):
+        lengths, row = np.unique(np.concatenate([d1, d2]), return_inverse=True)
+        self.q_row, self.p_row = row[:len(d1)], row[len(d1):]
+        self.k = np.arange(lengths.max() + 1)
+        log_fact = np.array([math.lgamma(m + 1) for m in self.k.tolist()])
+        self.rest = np.maximum(lengths[:, None] - self.k, 0)
+        self.log_comb = log_fact[lengths, None] - log_fact[self.k] - log_fact[self.rest]
+        self.inside = self.k <= lengths[:, None]
+        self.p, self.tail_p = None, None
+
+    def _pmf(self, x: Fraction) -> np.ndarray:
+        log_x = math.log(x.numerator) - math.log(x.denominator)
+        return np.where(self.inside, np.exp(self.log_comb + self.k * log_x
+                                            + self.rest * math.log1p(-float(x))), 0.0)
+
+    def __call__(self, t: np.ndarray, params: ChannelParams) -> np.ndarray:
+        if params.p != self.p:
+            pmf_p = self._pmf(params.p)
+            # column k sums pmf_p[:, k:]; the extra last column stays 0
+            self.tail_p = np.zeros((len(pmf_p), pmf_p.shape[1] + 1))
+            self.tail_p[:, -2::-1] = np.cumsum(pmf_p[:, ::-1], axis=1)
+            self.p = params.p
+        pmf_q, tail_p = self._pmf(params.q), self.tail_p
+        out = np.empty(len(self.q_row))
+        step = max(1, BLOCK_CELLS // len(self.k))
+        for lo in range(0, len(out), step):
+            block = slice(lo, lo + step)
+            k = np.clip(t[block, None] - self.k, 0, tail_p.shape[1] - 1)
+            out[block] = (pmf_q[self.q_row[block]] * tail_p[self.p_row[block, None], k]).sum(axis=1)
+        return out
 
 
 def pairwise_error_probability(d10: int, d01: int, params: ChannelParams,
@@ -101,7 +106,7 @@ def pairwise_error_probability(d10: int, d01: int, params: ChannelParams,
         raise ValueError("directional distances must be non-negative")
     t = region_threshold(d10, d01, params)
     if not exact:
-        return float(_flip_tail(np.array([d10]), np.array([d01]), np.array([t]), params)[0])
+        return float(_TailPlan(np.array([d10]), np.array([d01]))(np.array([t]), params)[0])
     (pn, pd), (qn, qd) = params.p.as_integer_ratio(), params.q.as_integer_ratio()
     q_num = [math.comb(d10, i) * qn ** i * (qd - qn) ** (d10 - i) for i in range(d10 + 1)]
     p_num = [math.comb(d01, j) * pn ** j * (pd - pn) ** (d01 - j) for j in range(d01 + 1)]
@@ -179,20 +184,30 @@ class BoundReport:
         return asdict(self)
 
 
-def _report(method: str, raw: float, components: dict[str, float]) -> BoundReport:
-    return BoundReport(method, min(1.0, raw), raw, components)
+def _report(method: str, keys: list[str], terms: list[float]) -> BoundReport:
+    raw = sum(terms, 0.0)
+    return BoundReport(method, min(1.0, raw), raw, dict(zip(keys, terms)))
+
+
+def ahb_union_bounds(dist: BidistanceDistribution,
+                     channels: list[ChannelParams]) -> list[BoundReport]:
+    """The union bound at each channel; the entries, their keys and the
+    tail plan are built once.  Thresholds use the bracket at the length n."""
+    entries = dist.multiset()
+    if not entries:
+        return [_report("ahb", [], []) for _ in channels]
+    d10, d01 = np.array([pair for pair, _ in entries], dtype=np.int64).T
+    counts = np.array([count for _, count in entries], dtype=np.int64)
+    keys = [f"{a},{b}" for (a, b), _ in entries]
+    tail = _TailPlan(d10, d01)
+    return [_report("ahb", keys, (counts * tail(region_threshold(d10, d01, params, dist.n),
+                                                params) / dist.size).tolist())
+            for params in channels]
 
 
 def ahb_union_bound(dist: BidistanceDistribution, params: ChannelParams) -> BoundReport:
     """Union bound driven by the off-diagonal bidistance frequencies."""
-    entries = dist.multiset()
-    components: dict[str, float] = {}
-    if entries:
-        d10, d01 = np.array([pair for pair, _ in entries], dtype=np.int64).T
-        peps = _flip_tail(d10, d01, region_threshold(d10, d01, params), params)
-        for ((a, b), count), pep in zip(entries, peps.tolist()):
-            components[f"{a},{b}"] = count * pep / dist.size
-    return _report("ahb", sum(components.values(), 0.0), components)
+    return ahb_union_bounds(dist, [params])[0]
 
 
 def _class_thresholds(code: Code, params: ChannelParams,
@@ -207,22 +222,26 @@ def _class_thresholds(code: Code, params: ChannelParams,
     return j, -(-(dmin + slope * j) // (u + v))
 
 
-def _weight_class_bound(method: str, code: Code, params: ChannelParams,
-                        symmetric: bool) -> BoundReport:
-    """Sum over weight classes j of A_j / M times the tail at (j, n - j, t_j)."""
-    counts = code.weight_distribution()
-    j, t = _class_thresholds(code, params, symmetric)
-    tails = _flip_tail(j, code.n - j, t, params)
-    components = {f"error[w={w}]": counts[w] * tail / len(code)
-                  for w, tail in zip(j.tolist(), tails.tolist())}
-    return _report(method, sum(components.values(), 0.0), components)
+def weight_class_bounds(code: Code, channels: list[ChannelParams],
+                        symmetric: bool) -> list[BoundReport]:
+    """'cr_symmetric' or 'cr_discrepancy' at each channel: over weight classes
+    j, the sum of A_j / M times the tail at (j, n - j, t_j); the classes,
+    their keys and the tail plan are built once."""
+    counts = np.array(code.weight_distribution(), dtype=np.int64)
+    j = np.flatnonzero(counts)
+    keys = [f"error[w={w}]" for w in j.tolist()]
+    tail = _TailPlan(j, code.n - j)
+    return [_report("cr_symmetric" if symmetric else "cr_discrepancy", keys,
+                    (counts[j] * tail(_class_thresholds(code, params, symmetric)[1], params)
+                     / len(code)).tolist())
+            for params in channels]
 
 
 def discrepancy_bound(code: Code, params: ChannelParams) -> BoundReport:
     """Weight-distribution bound keyed on the minimum discrepancy."""
-    return _weight_class_bound("cr_discrepancy", code, params, symmetric=False)
+    return weight_class_bounds(code, [params], symmetric=False)[0]
 
 
 def symmetric_discrepancy_bound(code: Code, params: ChannelParams) -> BoundReport:
     """Weight-distribution bound keyed on the minimum symmetric discrepancy."""
-    return _weight_class_bound("cr_symmetric", code, params, symmetric=True)
+    return weight_class_bounds(code, [params], symmetric=True)[0]

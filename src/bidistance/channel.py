@@ -24,9 +24,6 @@ from .core import CapExceeded, Code, ParseError, Word, dir_distances
 
 DEFAULT_EXHAUSTIVE_CAP = 24
 
-#: the most trials per Monte Carlo draw; the batching changes no estimate
-MC_CHUNK = 1 << 15
-
 #: the cap on a code's rank keys, counted as one per (wt, a, b) triple over
 #: its weights; decoding lengths are capped at MAX_LENGTH by AndCounts
 MAX_RANK_KEYS = 1 << 25
@@ -106,8 +103,10 @@ class ChannelParams:
         length-n threshold and rank is a sign of s*gamma - r with |s| <= 2n.
         A Stern-Brocot descent in runs keeps neighbours a/b <= gamma < c/d and
         moves each end toward the other as far as _order allows; u/v is a/b or
-        their mediant.  Callers' keys stay below 4n(u + v), past int64 at
-        n < 2**24 only for gamma > 2000 (p < 1e-300)."""
+        their mediant, kept per n in ``_brackets``.  Callers' keys stay below
+        4n(u + v), past int64 at n < 2**24 only for gamma > 2000 (p < 1e-300)."""
+        if n in self._brackets:
+            return self._brackets[n]
         limit = 2 * n + 2
         (a, b), (c, d) = (1, 1), (1, 0)
         while b + d <= limit:
@@ -119,7 +118,12 @@ class ChannelParams:
         u, v = (a, b) if self._order(a, b) == 0 else (a + c, b + d)
         if 4 * n * (u + v) >= 1 << 63:
             raise CapExceeded(f"gamma ~ {u}/{v} at n={n} overflows int64 keys")
+        self._brackets[n] = u, v
         return u, v
+
+    @cached_property
+    def _brackets(self) -> dict[int, tuple[int, int]]:
+        return {}
 
 
 def _last(keep, most: float) -> int:
@@ -278,8 +282,9 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
     Reproducibility contract: the generator is numpy's PCG64 via
     ``numpy.random.default_rng(seed)``.  Transmitted codeword indices for
     all trials are drawn first with a single ``integers`` call; channel
-    flips then take n uniform doubles per trial from the same stream, drawn in
-    batches of at most MC_CHUNK trials, compared with q (on 1s) or p (on 0s).
+    flips then take n uniform doubles per trial from the same stream, drawn
+    per decode block of trials, compared with q (on 1s) or p (on 0s); the
+    stream, and so every estimate, does not depend on the block size.
     A trial errs when the exact decoder (as mld_decode) ties or picks
     another codeword.  Any length n is accepted.
     """
@@ -293,7 +298,7 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
     tx = rng.integers(0, len(code), size=trials)
     errors = 0
     fp, fq = float(params.p), float(params.q)
-    rows = min(kernel.common.rows, MC_CHUNK)
+    rows = kernel.common.rows
     for start in range(0, trials, rows):
         idx = tx[start:start + rows]
         u = rng.random((len(idx), code.n))

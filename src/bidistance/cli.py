@@ -22,7 +22,8 @@ from pathlib import Path
 from . import __version__
 from .algebra import (dual_code, generator_from_code, golay_code, is_projective,
                       trace_code_27_6)
-from .bounds import (ahb_union_bound, discrepancy_bound, symmetric_discrepancy_bound)
+from .bounds import (ahb_union_bound, ahb_union_bounds, discrepancy_bound,
+                     symmetric_discrepancy_bound, weight_class_bounds)
 from .channel import (DEFAULT_EXHAUSTIVE_CAP, ChannelParams, CapExceeded,
                       RegimeError, exact_error_probability,
                       monte_carlo_error_probability, parse_probability)
@@ -37,6 +38,13 @@ BOUNDS = {
     "ahb": lambda code, dist, params: ahb_union_bound(dist, params),
     "cr_discrepancy": lambda code, dist, params: discrepancy_bound(code, params),
     "cr_symmetric": lambda code, dist, params: symmetric_discrepancy_bound(code, params),
+}
+#: bound name -> one report per channel of a list, the same numbers as
+#: BOUNDS at each channel; ``sweep`` makes one call per column
+GRID_BOUNDS = {
+    "ahb": lambda code, dist, grid: ahb_union_bounds(dist, grid),
+    "cr_discrepancy": lambda code, dist, grid: weight_class_bounds(code, grid, False),
+    "cr_symmetric": lambda code, dist, grid: weight_class_bounds(code, grid, True),
 }
 BOUND_METHODS = tuple(BOUNDS)
 SWEEP_METHODS = BOUND_METHODS + ("exact", "monte_carlo")
@@ -169,17 +177,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         methods.remove("exact")
     dist = bidistance_distribution(code)
-    columns = {name: (lambda params, bound=bound: bound(code, dist, params).value)
-               for name, bound in BOUNDS.items()}
-    columns["exact"] = lambda params: float(
-        exact_error_probability(code, params, cap=args.cap))
-    columns["monte_carlo"] = lambda params: monte_carlo_error_probability(
-        code, params, trials=args.trials, seed=args.seed)[0]
-    lines = [",".join(["q"] + methods)]
-    for q in sweep.grid():
-        params = ChannelParams(sweep.p, q)
-        row = [float(q)] + [columns[method](params) for method in methods]
-        lines.append(",".join(f"{x:.10g}" for x in row))
+    grid = [ChannelParams(sweep.p, q) for q in sweep.grid()]
+    columns = {name: (lambda bound=bound: [r.value for r in bound(code, dist, grid)])
+               for name, bound in GRID_BOUNDS.items()}
+    columns["exact"] = lambda: [float(exact_error_probability(code, params, cap=args.cap))
+                                for params in grid]
+    columns["monte_carlo"] = lambda: [monte_carlo_error_probability(
+        code, params, trials=args.trials, seed=args.seed)[0] for params in grid]
+    rows = zip([float(params.q) for params in grid], *(columns[m]() for m in methods))
+    lines = [",".join(["q"] + methods)] + [",".join(f"{x:.10g}" for x in row) for row in rows]
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"wrote {args.out} ({len(lines) - 1} rows)", file=sys.stderr)
     return 0

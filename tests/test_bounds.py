@@ -8,11 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bidistance.bounds import (LatticePoint, _class_thresholds, ahb_union_bound,
-                               discrepancy, discrepancy_bound, lattice_word_count,
-                               min_discrepancy, min_symmetric_discrepancy,
-                               pairwise_error_probability, region_threshold,
-                               symmetric_discrepancy,
-                               symmetric_discrepancy_bound)
+                               ahb_union_bounds, discrepancy, discrepancy_bound,
+                               lattice_word_count, min_discrepancy,
+                               min_symmetric_discrepancy, pairwise_error_probability,
+                               region_threshold, symmetric_discrepancy,
+                               symmetric_discrepancy_bound, weight_class_bounds)
 from bidistance.channel import ChannelParams, exact_error_probability
 from bidistance.core import Code, Word, bidistance_distribution
 from helpers import (eq3_pairwise_oracle, exact_flip_tail, gamma_at_least,
@@ -288,6 +288,70 @@ class TestAgainstPerTermLoops:
         for report, exact in checks:
             assert 0.0 < report.raw_value <= 1.0
             _assert_close(report, exact, rel_tol=1e-10)
+
+
+@st.composite
+def grid_cases(draw):
+    """A random code with 1 <= n <= 130 and 1 <= M <= 24, and a channel list
+    with two p values, a repeated channel, p = q and a near-p = q channel,
+    in a drawn order."""
+    n = draw(st.integers(1, 130))
+    size = draw(st.integers(1, min(24, 1 << n)))
+    words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=size,
+                          max_size=size, unique=True))
+    drawn = draw(st.lists(channels(), min_size=1, max_size=3))
+    fixed = [ChannelParams.from_decimals(p, q) for p, q in (
+        ("0.05", "0.050000000001"), ("0.2", "0.2"), ("0.01", "0.3"), ("0.05", "0.3"))]
+    grid = draw(st.permutations(drawn + fixed + [drawn[0]]))
+    return Code(n, words), grid
+
+
+class TestManyChannelCalls:
+    """A many-channel call equals the one-channel call at each channel to
+    the bit, whatever the other channels of the list: its tail plan keeps
+    only the p-tail of the latest p, and the AHB thresholds take the
+    bracket at the code length."""
+
+    @PROPERTY
+    @given(grid_cases())
+    @example((Code.from_strings(["101"]), [NEAR_RATIONAL[0], ChannelParams(
+        Fraction(1, 10), Fraction(3, 20)), NEAR_RATIONAL[0]]))
+    def test_reports_equal_one_channel_reports(self, case):
+        code, grid = case
+        dist = bidistance_distribution(code)
+        # fresh instances, so no bracket is shared with the grid's channels
+        alone = [ChannelParams(params.p, params.q) for params in grid]
+        checks = [(ahb_union_bounds(dist, grid),
+                   [ahb_union_bound(dist, params) for params in alone])]
+        for symmetric, bound in ((False, discrepancy_bound),
+                                 (True, symmetric_discrepancy_bound)):
+            if len(code) < 2:
+                with pytest.raises(ValueError):
+                    weight_class_bounds(code, grid, symmetric)
+            else:
+                checks.append((weight_class_bounds(code, grid, symmetric),
+                               [bound(code, params) for params in alone]))
+        for many, one in checks:
+            assert len(many) == len(grid)
+            for got, want in zip(many, one):
+                assert got.method == want.method
+                assert got.value == want.value and got.raw_value == want.raw_value
+                assert list(got.components) == list(want.components)
+                assert all(got.components[k] == v for k, v in want.components.items())
+        if len(code) < 2:
+            assert all(r.value == r.raw_value == 0.0 and r.components == {}
+                       for r in checks[0][0])
+
+    @PROPERTY
+    @given(grid_cases())
+    def test_thresholds_at_code_length_equal_per_entry_thresholds(self, case):
+        # a test s gamma >= r with equality has a denominator at most the
+        # pair's length, so the finer bracket at n gives the same ceilings
+        code, grid = case
+        _, d10, d01 = code.pair_support().T
+        for params in grid:
+            assert region_threshold(d10, d01, params, code.n).tolist() == [
+                region_threshold(a, b, params) for a, b in zip(d10.tolist(), d01.tolist())]
 
 
 class TestDiscrepancies:

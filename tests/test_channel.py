@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bidistance import channel
 from bidistance.bounds import region_threshold
-from bidistance.channel import (MAX_LENGTH, MC_CHUNK, ChannelParams, RegimeError,
+from bidistance.channel import (MAX_LENGTH, ChannelParams, RegimeError,
                                 _RankKernel, _score_table,
                                 exact_error_probability, likelihood, llr,
                                 mld_decode, monte_carlo_error_probability,
@@ -110,6 +110,19 @@ class TestChannelParams:
                     f = Fraction(r, s)
                     exact = (big_b ** r > big_a ** s) - (big_b ** r < big_a ** s)
                     assert exact == (g > f) - (g < f)
+
+    def test_bracket_descends_once_per_length(self, monkeypatch):
+        orders = []
+        order = ChannelParams._order
+        monkeypatch.setattr(ChannelParams, "_order",
+                            lambda self, a, b: orders.append((a, b)) or order(self, a, b))
+        params = _channel("0.1", "0.15")
+        first = params.bracket(40)
+        descent = len(orders)
+        assert descent and params.bracket(40) == first and len(orders) == descent
+        assert _channel("0.1", "0.15").bracket(40) == first and len(orders) == 2 * descent
+        params.bracket(41)
+        assert len(orders) > 2 * descent
 
 
 class TestLikelihood:
@@ -409,7 +422,7 @@ class TestMonteCarlo:
         pytest.param(Code(10, [0b1011001110]), _channel("0.1", "0.2"), 3000, 6,
                      (0.0, 0.0), id="single_word"),
         pytest.param(Code.from_strings(["111000", "011100", "110000"]),
-                     _channel("0.1", "0.15"), MC_CHUNK + 5000, 8,
+                     _channel("0.1", "0.15"), 37768, 8,
                      (0.22961237026053802, 0.002164164643019038), id="two_batches"),
         pytest.param(padded_code(random.Random(66), random_code(random.Random(65), 7, 9), 40),
                      _channel("0.05", "0.05"), 8000, 10,

@@ -219,6 +219,45 @@ class TestSweep:
                 lines.append(",".join(f"{x:.10g}" for x in row))
             assert out_path.read_text() == "\n".join(lines) + "\n"
 
+    def test_rows_equal_bounds_json(self, capsys, tmp_path):
+        # each row of the one-call-per-column sweep is the bounds command at
+        # that q, from p = q on; on a packed and a wide code
+        rng = random.Random(29)
+        steps = 6
+        for n, size in ((40, 24), (100, 16)):
+            path = tmp_path / f"n{n}.code"
+            path.write_text("".join(str(Word(n, rng.getrandbits(n))) + "\n"
+                                    for _ in range(size)))
+            out_path = tmp_path / f"n{n}.csv"
+            rc, _, _ = run(capsys, "sweep", "--code", str(path), "-p", "0.05",
+                           "--q-from", "0.05", "--q-to", "0.3", "--steps", str(steps),
+                           "--methods", "ahb,cr_discrepancy,cr_symmetric",
+                           "--out", str(out_path))
+            assert rc == 0
+            rows = out_path.read_text().splitlines()[1:]
+            assert len(rows) == steps
+            for i, row in enumerate(rows):
+                q = Fraction(5, 100) + Fraction(25, 100) * Fraction(i, steps - 1)
+                rc, out, _ = run(capsys, "bounds", "--code", str(path), "-p", "0.05",
+                                 "-q", str(float(q)))
+                assert rc == 0 and Fraction(json.loads(out)["q"]["fraction"]) == q
+                values = [float(q)] + [b["value"] for b in json.loads(out)["bounds"]]
+                assert row == ",".join(f"{x:.10g}" for x in values)
+
+    def test_one_bound_call_per_column(self, capsys, ex5_file, tmp_path, monkeypatch):
+        calls = []
+        for name in ("ahb_union_bounds", "weight_class_bounds"):
+            bound = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, bound=bound, name=name:
+                                calls.append((name, len(args[1]))) or bound(*args))
+        rc, _, _ = run(capsys, "sweep", "--code", str(ex5_file), "-p", "0.1",
+                       "--q-from", "0.1", "--q-to", "0.45", "--steps", "8",
+                       "--methods", "ahb,cr_discrepancy,cr_symmetric",
+                       "--out", str(tmp_path / "sweep.csv"))
+        assert rc == 0
+        assert sorted(calls) == [("ahb_union_bounds", 8), ("weight_class_bounds", 8),
+                                 ("weight_class_bounds", 8)]
+
     def test_byte_identical_reruns(self, capsys, ex5_file, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
