@@ -175,9 +175,9 @@ def trace_code_27_6() -> Code:
     absolute traces of its multiples.
     """
     field = BinaryField(6)
-    dset = [x for x in range(1, field.order)
-            if relative_trace(field, 1, field.pow(x, 9), source=3) == 0]
-    return defining_set_code(field, dset)
+    ninth = [field.pow(x, 9) for x in range(1, field.order)]
+    trace = {y: relative_trace(field, 1, y, source=3) for y in set(ninth)}
+    return defining_set_code(field, [x for x, y in enumerate(ninth, 1) if trace[y] == 0])
 
 
 def _rref(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:

@@ -126,24 +126,24 @@ def symmetric_discrepancy(x: Word, y: Word, params: ChannelParams) -> float:
     return discrepancy(x, y, params) - x.weight * (params.gamma - 1.0)
 
 
-def _min_over_pairs(code: Code, x, y, slope):
-    """Minimum of x a + y b - slope wt over the (wt, a = d10, b = d01) pair
-    support at (a, b) != (0, 0), the pairs of distinct words; in floats, the
-    same to the bit as a per-pair loop."""
+def _distinct_pairs(code: Code) -> np.ndarray:
+    """(wt, a = d10, b = d01) of the pair support at (a, b) != (0, 0), the pairs
+    of distinct words; a minimum over them is the same to the bit as a pair loop."""
     if len(code) < 2:
         raise ValueError("minimum discrepancy needs at least two codewords")
-    wt, a, b = code.pair_support().T
-    off = (a != 0) | (b != 0)
-    return (x * a[off] + y * b[off] - wt[off] * slope).min()
+    support = code.pair_support()
+    return support[support[:, 1:].any(axis=1)].T
 
 
 def min_discrepancy(code: Code, params: ChannelParams) -> float:
     """Smallest discrepancy over ordered distinct codeword pairs."""
-    return float(_min_over_pairs(code, params.gamma, 1, 0.0))
+    _, a, b = _distinct_pairs(code)
+    return float((params.gamma * a + b).min())
 
 
 def min_symmetric_discrepancy(code: Code, params: ChannelParams) -> float:
-    return float(_min_over_pairs(code, params.gamma, 1, params.gamma - 1.0))
+    wt, a, b = _distinct_pairs(code)
+    return float((params.gamma * a + b - wt * (params.gamma - 1.0)).min())
 
 
 class LatticePoint(NamedTuple):
@@ -210,15 +210,16 @@ def ahb_union_bound(dist: BidistanceDistribution, params: ChannelParams) -> Boun
     return ahb_union_bounds(dist, [params])[0]
 
 
-def _class_thresholds(code: Code, params: ChannelParams,
-                      symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The code's weights j and t_j = ceil((dmin + slope j) / (1 + gamma)),
-    dmin = min(gamma a + b - slope wt) over distinct pairs, slope gamma - 1
-    or 0: with gamma = u/v and every term times v, exact integers."""
+def _class_thresholds(code: Code, params: ChannelParams, symmetric: bool,
+                      classes=None) -> tuple[np.ndarray, np.ndarray]:
+    """The code's weights j and t_j = ceil((dmin + slope j) / (1 + gamma)), dmin =
+    min(gamma a + b - slope wt) over the distinct pairs, slope gamma - 1 or 0: at
+    gamma = u/v, exact integers.  ``classes`` is j and ``_distinct_pairs``, if held."""
+    j, (wt, a, b) = classes or (np.flatnonzero(code.weight_distribution()),
+                                _distinct_pairs(code))
     u, v = params.bracket(code.n)
     slope = u - v if symmetric else 0
-    dmin = int(_min_over_pairs(code, u, v, slope))
-    j = np.flatnonzero(code.weight_distribution())
+    dmin = int((u * a + v * b - slope * wt).min())
     return j, -(-(dmin + slope * j) // (u + v))
 
 
@@ -226,14 +227,15 @@ def weight_class_bounds(code: Code, channels: list[ChannelParams],
                         symmetric: bool) -> list[BoundReport]:
     """'cr_symmetric' or 'cr_discrepancy' at each channel: over weight classes
     j, the sum of A_j / M times the tail at (j, n - j, t_j); the classes,
-    their keys and the tail plan are built once."""
+    the distinct pairs, their keys and the tail plan are built once."""
     counts = np.array(code.weight_distribution(), dtype=np.int64)
     j = np.flatnonzero(counts)
+    classes = j, _distinct_pairs(code)
     keys = [f"error[w={w}]" for w in j.tolist()]
     tail = _TailPlan(j, code.n - j)
     return [_report("cr_symmetric" if symmetric else "cr_discrepancy", keys,
-                    (counts[j] * tail(_class_thresholds(code, params, symmetric)[1], params)
-                     / len(code)).tolist())
+                    (counts[j] * tail(_class_thresholds(code, params, symmetric, classes)[1],
+                                      params) / len(code)).tolist())
             for params in channels]
 
 

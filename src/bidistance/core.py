@@ -9,7 +9,6 @@ y holds 0, d01 the reverse.  The ordinary Hamming distance is their sum.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -105,7 +104,7 @@ class Code:
     weight distribution are computed once and kept.
     """
 
-    __slots__ = ("n", "words", "is_linear", "_pairs", "_support", "_weights")
+    __slots__ = ("n", "words", "is_linear", "_pairs", "_weights")
 
     def __init__(self, n: int, words: Iterable[int], is_linear: bool | None = None):
         masks = tuple(int(w) for w in words)
@@ -124,7 +123,6 @@ class Code:
         self.n = n
         self.words = masks
         self._pairs = None
-        self._support = None
         self._weights = None
         if is_linear:
             self._check_linear()
@@ -159,23 +157,21 @@ class Code:
         Path(path).write_text(format_code_text(self))
 
     def pair_table(self) -> Mapping[tuple[int, int, int], int]:
-        """Frequency of every (wt(x), d10, d01) over the |C|^2 ordered pairs.
-
-        The pair distribution and both minimum discrepancies are
-        projections of this table; it is counted on first use only.
-        """
-        if self._pairs is None:
-            self._pairs = _pair_table(self.n, self.words)
-        return MappingProxyType(self._pairs)
+        """Frequency of every (wt(x), d10, d01) over the |C|^2 ordered pairs, in
+        ``pair_support()`` row order; the pair distribution is its projection."""
+        return MappingProxyType(dict(zip(map(tuple, self.pair_support().tolist()),
+                                         self.pair_counts().tolist())))
 
     def pair_support(self) -> np.ndarray:
-        """The (wt(x), d10, d01) keys of ``pair_table()`` as a read-only
-        (K, 3) int64 array, built on first use only."""
-        if self._support is None:
-            support = np.array(list(self.pair_table()), dtype=np.int64).reshape(-1, 3)
-            support.flags.writeable = False
-            self._support = support
-        return self._support
+        """The read-only (K, 3) int64 keys of ``pair_table()``, counted on first use only."""
+        if self._pairs is None:
+            self._pairs = _pair_table(self.n, self.words)
+        return self._pairs[0]
+
+    def pair_counts(self) -> np.ndarray:
+        """The read-only (K,) int64 count of each ``pair_support()`` row."""
+        self.pair_support()
+        return self._pairs[1]
 
     def word(self, index: int) -> Word:
         return Word(self.n, self.words[index])
@@ -298,32 +294,41 @@ class BidistanceDistribution:
 
 def bidistance_distribution(code: Code) -> BidistanceDistribution:
     """Frequency of every (d10, d01) over the |C|^2 ordered codeword pairs."""
-    entries: dict[tuple[int, int], int] = {}
-    for (_, d10, d01), count in code.pair_table().items():
-        entries[d10, d01] = entries.get((d10, d01), 0) + count
-    return BidistanceDistribution(code.n, len(code), entries)
+    return BidistanceDistribution(code.n, len(code),
+                                  _project(code.pair_support()[:, 1:], code.pair_counts()))
 
 
-def _pair_table(n: int, words: tuple[int, ...]) -> dict[tuple[int, int, int], int]:
-    """Count (wt(x), d10, d01) over all ordered pairs, a block of rows at a time.
+def _project(pairs: np.ndarray, counts: np.ndarray) -> dict[tuple[int, int], int]:
+    """The int64 sum of ``counts`` over each distinct row of the non-negative
+    (K, 2) ``pairs``; exact where a float64 sum would round counts above 2^53."""
+    a, b = pairs.T
+    _, first, inverse = np.unique(a * (b.max() + 1) + b, return_index=True, return_inverse=True)
+    sums = np.zeros(len(first), dtype=np.int64)
+    np.add.at(sums, inverse, counts)
+    return dict(zip(map(tuple, pairs[first].tolist()), sums.tolist()))
 
-    With c = wt(x & y), d10 = wt(x) - c and d01 = wt(y) - c.  A key packs
-    the triple into one int64, which holds (n + 1)**3 for n < 2^21.
-    """
-    width = n + 1
-    if width ** 3 > 1 << 63:
+
+def _pair_table(n: int, words: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (K, 3) int64 (wt(x), d10, d01) keys and (K,) int64 counts over all
+    ordered pairs.  With c = wt(x & y), d10 = wt(x) - c and d01 = wt(y) - c, the rows
+    of weight wx bincount their (class of y, c) cells into W (wx + 1) int64 cells, W
+    the number of weights, one block at a time; n < 2^21 bounds them by W (n + 1)."""
+    if n >= 1 << 21:
         raise ValueError(f"pair tables support lengths below 2^21, got {n}")
     pairs = AndCounts.of_words(words, n)
-    wts = pairs.weights.astype(np.int64)
-    flat: Counter[int] = Counter()
-    for start in range(0, len(words), pairs.rows):
-        common = pairs(pairs.bits[start:start + pairs.rows])
-        wx = wts[start:start + pairs.rows, None]
-        keys, counts = np.unique((wx * width + wx - common) * width + wts - common,
-                                 return_counts=True)
-        flat.update(dict(zip(keys.tolist(), counts.tolist())))
-    return {(key // width // width, key // width % width, key % width): count
-            for key, count in flat.items()}
+    wts, col_class = np.unique(pairs.weights, return_inverse=True)
+    parts = []
+    for k, wx in enumerate(wts.tolist()):
+        rows = np.flatnonzero(col_class == k)
+        acc = np.zeros(len(wts) * (wx + 1), dtype=np.int64)
+        for start in range(0, len(rows), pairs.rows):
+            common = pairs(pairs.bits[rows[start:start + pairs.rows]])
+            acc += np.bincount((col_class * (wx + 1) + common).ravel(), minlength=len(acc))
+        y, c = np.divmod(np.flatnonzero(acc), wx + 1)
+        parts.append((np.column_stack([np.full_like(c, wx), wx - c, wts[y] - c]), acc[acc != 0]))
+    keys, counts = map(np.concatenate, zip(*parts))
+    keys.flags.writeable = counts.flags.writeable = False
+    return keys, counts
 
 
 def multiset_repr(dist: BidistanceDistribution) -> list[tuple[tuple[int, int], int]]:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bidistance import algebra
 from bidistance._bitops import packed_rows, popcount, row_reduce
 from bidistance.algebra import (GOLAY_GENERATOR_POLY, BinaryField,
                                 GeneratorMatrix, _null_space_rows, _poly_mod, _rref,
@@ -126,6 +127,24 @@ class TestDefiningSetCode:
         dist = code.weight_distribution()
         assert dist[12] == 36 and dist[16] == 27 and sum(dist) == 64
         assert is_projective(generator_from_code(code))
+
+    def test_trace_code_evaluates_each_ninth_power_once(self, monkeypatch):
+        # 63 elements have 7 distinct ninth powers; the defining set is the
+        # same 27 elements, in the same order, as a trace per element gives
+        f = BinaryField(6)
+        traced, sets = [], []
+        build = algebra.defining_set_code
+        monkeypatch.setattr(algebra, "relative_trace",
+                            lambda field, d, a, **kw: traced.append(a)
+                            or relative_trace(field, d, a, **kw))
+        monkeypatch.setattr(algebra, "defining_set_code",
+                            lambda field, dset: sets.append(list(dset)) or build(field, dset))
+        code = trace_code_27_6()
+        assert sorted(traced) == sorted({f.pow(x, 9) for x in range(1, f.order)})
+        assert len(traced) == 7
+        assert sets == [[x for x in range(1, f.order)
+                         if relative_trace(f, 1, f.pow(x, 9), source=3) == 0]]
+        assert code == defining_set_code(f, sets[0])
 
     def test_tiny_set(self):
         code = defining_set_code(BinaryField(2), [1])

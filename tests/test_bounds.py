@@ -342,6 +342,21 @@ class TestManyChannelCalls:
             assert all(r.value == r.raw_value == 0.0 and r.components == {}
                        for r in checks[0][0])
 
+    def test_weight_class_call_reads_the_pair_support_once(self, monkeypatch):
+        # the distinct pairs and the classes are built once per call, not
+        # once per channel
+        code = random_code(random.Random(9), 10, 12)
+        grid = [ChannelParams.from_decimals("0.05", q) for q in ("0.05", "0.1", "0.2", "0.3")]
+        reads = []
+        support = Code.pair_support
+        monkeypatch.setattr(Code, "pair_support", lambda self: reads.append(1) or support(self))
+        for symmetric in (False, True):
+            reads.clear()
+            many = weight_class_bounds(code, grid, symmetric)
+            assert len(reads) == 1
+            assert many == [weight_class_bounds(code, [params], symmetric)[0]
+                            for params in grid]
+
     @PROPERTY
     @given(grid_cases())
     def test_thresholds_at_code_length_equal_per_entry_thresholds(self, case):

@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bidistance import core
-from bidistance._bitops import bit_matrix
+from bidistance._bitops import BLOCK_CELLS, bit_matrix
 from bidistance.core import (BidistanceDistribution, BidistancePair, Code,
                              ParseError, Word, bidistance_distribution,
                              dir_distances, format_code_text, multiset_repr,
@@ -198,12 +199,8 @@ class TestBidistanceDistribution:
         bits = bit_matrix(code.words, n)
         assert bits.dtype == np.uint8 and bits.shape == (len(code), n)
         assert [tuple(row) for row in bits.tolist()] == [x.to_bits() for x in code]
-        triples: dict[tuple[int, int, int], int] = {}
-        for x in code:
-            for y in code:
-                key = (x.weight,) + directional_pair(x, y)
-                triples[key] = triples.get(key, 0) + 1
-        assert code.pair_table() == triples
+        assert code.pair_table() == self.brute_triples(code)
+        self.check_kernel(code)
 
     def test_pair_table_counted_once(self, c1, monkeypatch):
         calls = []
@@ -228,6 +225,66 @@ class TestBidistanceDistribution:
             bidistance_distribution(code)
         assert bidistance_distribution(Code((1 << 21) - 1, [0, 1])).entries == \
             {(0, 0): 2, (0, 1): 1, (1, 0): 1}
+
+    @staticmethod
+    def brute_triples(code):
+        triples: dict[tuple[int, int, int], int] = {}
+        for x in code:
+            for y in code:
+                key = (x.weight,) + directional_pair(x, y)
+                triples[key] = triples.get(key, 0) + 1
+        return triples
+
+    def check_kernel(self, code):
+        keys, counts = core._pair_table(code.n, code.words)
+        assert keys.dtype == counts.dtype == np.int64 and keys.shape == (len(counts), 3)
+        assert not keys.flags.writeable and not counts.flags.writeable
+        assert len({tuple(k) for k in keys.tolist()}) == len(keys)
+        assert dict(zip(map(tuple, keys.tolist()), counts.tolist())) == \
+            self.brute_triples(code)
+
+    def test_kernel_one_weight_class_over_several_blocks(self):
+        # 200 words of weight 6: the class has more rows than one block holds
+        words = [w for w in range(1 << 12) if w.bit_count() == 6]
+        code = Code(12, random.Random(3).sample(words, 200))
+        assert len(code) > BLOCK_CELLS // len(code)
+        self.check_kernel(code)
+
+    def test_kernel_all_weights_distinct(self):
+        rng = random.Random(4)
+        n = 20
+        words = [sum(1 << i for i in rng.sample(range(n), w)) for w in range(n + 1)]
+        rng.shuffle(words)
+        self.check_kernel(Code(n, words))
+
+    def test_projection_sums_exactly_in_int64(self):
+        # each count is 2^53 + 1, which a float64 sum would round
+        big = (1 << 53) + 1
+        keys = np.array([[1, 2], [3, 4], [1, 2], [1, 2]], dtype=np.int64)
+        counts = np.full(4, big, dtype=np.int64)
+        assert core._project(keys, counts) == {(1, 2): 3 * big, (3, 4): big}
+
+    def test_kernel_memory_stays_near_the_column_matrix(self):
+        # the float32 column matrix and the 0/1 bit matrix, the keys and
+        # counts (held twice while they are joined), a W (n + 1) int64
+        # accumulator with W <= n + 1, and one block's float32 product,
+        # int32 counts and int64 cell index with its cast; per-key Python
+        # objects or an M^2-sized key array exceed it
+        rng = random.Random(64)
+        n, size = 64, 2048
+        words = set()
+        while len(words) < size:
+            words.add(rng.getrandbits(n))
+        words = tuple(words)
+        keys, _ = core._pair_table(n, words)
+        bound = 5 * n * size + 2 * 32 * len(keys) + 8 * (n + 1) ** 2 + 32 * BLOCK_CELLS
+        tracemalloc.start()
+        try:
+            core._pair_table(n, words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound < 8 * size * size
 
     def test_matches_independent_count(self, c1):
         dist = bidistance_distribution(c1)
