@@ -4,8 +4,9 @@ Crossover probabilities are exact rationals parsed from decimal strings;
 the supported regime is 0 < p <= q < 1/2, where p is the 0->1 and q the
 1->0 flip probability.  Every decoder here is one block kernel, _RankKernel.
 A codeword x's likelihood order for a received y depends only on the key
-(wt(x), c = wt(x & y)); each call ranks every key once by an integer, with
+(wt(x), c = wt(x & y)); each channel ranks every key once by an integer, with
 gamma replaced by the exact rational of ChannelParams.bracket, so ties are exact.
+The exhaustive sweep takes each block's c once for a whole list of channels.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ DEFAULT_EXHAUSTIVE_CAP = 24
 #: the cap on a code's rank keys, counted as one per (wt, a, b) triple over
 #: its weights; decoding lengths are capped at MAX_LENGTH by AndCounts
 MAX_RANK_KEYS = 1 << 25
+#: int64 (class, c, wt(y)) counts held at once by exact_error_probabilities, 8 MiB
+EXACT_CELLS = 1 << 20
 
 _DECIMAL_RE = re.compile(r"^\d+(\.\d+)?$")
 
@@ -159,8 +162,7 @@ class _ScoreTable:
                 * pd_pow[w] * qd_pow[self.n - w])
 
 
-def _score_table(n: int, params: ChannelParams) -> _ScoreTable:
-    return _ScoreTable(n, params)
+_score_table = _ScoreTable
 
 
 def likelihood(y: Word, x: Word, params: ChannelParams) -> Fraction:
@@ -209,25 +211,29 @@ class _RankKernel:
     X**wt(x) * Y**c for X = q/(1-p) = B, Y = (1-q)(1-p)/(pq) = 1/(AB): for a
     fixed y the argmax and its exact ties depend only on the key (wt(x), c),
     at offset[class] + c.  X**w * Y**c = B**(w - c(1 + gamma)), so the keys
-    rank as the integers c(u + v) - w*v for (u, v) = params.bracket(n)."""
+    rank as the integers c(u + v) - w*v for (u, v) = params.bracket(n): one table per
+    channel in ``ranks`` (the first is ``rank_of``); the rest is shared by all channels."""
 
-    def __init__(self, code: Code, params: ChannelParams):
+    def __init__(self, code: Code, *channels: ChannelParams):
         n = code.n
         self.common = AndCounts.of_words(code.words, n)
         self.weights, self.cls = np.unique(self.common.weights, return_inverse=True)
-        keys = sum((w + 1) * (n - w + 1) for w in self.weights.tolist())
+        weights = self.weights.tolist()
+        keys = sum((w + 1) * (n - w + 1) for w in weights)
         if keys > MAX_RANK_KEYS:
             raise CapExceeded(f"decoding n={n} over {len(self.weights)} weights needs "
                               f"{keys} rank keys; cap is {MAX_RANK_KEYS}")
         self.base = np.concatenate(([0], np.cumsum(self.weights + 1)))[self.cls]
-        u, v = params.bracket(n)
-        keys = [np.arange(w + 1) * (u + v) - w * v for w in self.weights.tolist()]
-        self.rank_of = np.unique(np.concatenate(keys), return_inverse=True)[1].astype(np.int32)
+        self.ranks = []
+        for u, v in (params.bracket(n) for params in channels):
+            keys = np.concatenate([np.arange(w + 1) * (u + v) - w * v for w in weights])
+            self.ranks.append(np.unique(keys, return_inverse=True)[1].astype(np.int32))
+        self.rank_of = self.ranks[0]
 
-    def decide(self, received: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Winner's c, winning codeword and exact-tie flag per 0/1 received row."""
-        common = self.common(received)
-        rank = self.rank_of[self.base + common]
+    def decide(self, common: np.ndarray,
+               channel: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Winner's c, winning codeword and exact-tie flag per row of self.common(received)."""
+        rank = self.ranks[channel][self.base + common]
         win = rank.argmax(axis=1)
         at = np.arange(len(win)), win
         tie = np.count_nonzero(rank == rank[at][:, None], axis=1) > 1
@@ -238,38 +244,54 @@ def mld_decode(code: Code, y: Word, params: ChannelParams) -> DecodeResult:
     """Decode y to the unique likelihood maximizer; any exact tie fails."""
     if code.n != y.n:
         raise ValueError(f"length mismatch: code n={code.n}, word n={y.n}")
-    _, win, tie = _RankKernel(code, params).decide(bit_matrix([y.bits], code.n))
+    kernel = _RankKernel(code, params)
+    _, win, tie = kernel.decide(kernel.common(bit_matrix([y.bits], code.n)))
     return FAILURE if tie[0] else DecodeResult(code.word(int(win[0])))
 
 
 def exact_error_probability(code: Code, params: ChannelParams,
                             cap: int = DEFAULT_EXHAUSTIVE_CAP) -> Fraction:
-    """Average decoder error probability by exhaustive received-word sweep.
+    """The one-channel call of exact_error_probabilities."""
+    return exact_error_probabilities(code, [params], cap)[0]
 
-    Counts, over all 2^n received words, how often each (class, c, wt(y))
-    cell wins without a tie, then sums count * score(w, w - c, wt(y) - c)
-    exactly: the mass decoded back to its transmitted word.  Failures (exact
-    ties) count as errors for every transmitted word.  Guarded by the cap.
-    """
-    if code.n > cap:
-        raise CapExceeded(
-            f"exhaustive sweep needs 2**{code.n} received words; cap is n <= {cap}")
+
+def exact_error_probabilities(code: Code, channels: list[ChannelParams],
+                              cap: int = DEFAULT_EXHAUSTIVE_CAP) -> list[Fraction]:
+    """Average decoder error probability at each channel, by one sweep of the 2^n
+    received words per group of channels whose counts fit in EXACT_CELLS: each block's
+    c = wt(x & y) and wt(y) are decided at every channel's rank table, and each channel
+    sums count * score(w, w - c, wt(y) - c) over its untied (class, c, wt(y)) cells,
+    exactly.  Exact ties count as errors.  Guarded by the cap."""
     n = code.n
-    kernel = _RankKernel(code, params)
+    if n > cap:
+        raise CapExceeded(f"exhaustive sweep needs 2**{n} received words; cap is n <= {cap}")
+    if not channels:
+        return []
+    kernel = _RankKernel(code, *channels)
+    shape = (len(kernel.weights), n + 1, n + 1)
+    group = max(1, EXACT_CELLS // math.prod(shape))
     rows = min(1 << n, 1 << (kernel.common.rows.bit_length() - 1))
-    counts = np.zeros((len(kernel.weights), n + 1, n + 1), dtype=np.int64)
-    for start in range(0, 1 << n, rows):
-        counters = np.arange(start, start + rows, dtype="<u8").view(np.uint8).reshape(rows, 8)
-        received = np.unpackbits(counters, 1, n, "little")
-        common, win, tie = kernel.decide(received)
-        cell = np.ravel_multi_index((kernel.cls[win], common, received.sum(1)), counts.shape)
-        counts += np.bincount(cell[~tie], minlength=counts.size).reshape(counts.shape)
-    table = _score_table(n, params)
-    cls, common, weight = np.nonzero(counts)
-    success = sum(k * table.score(w, w - c, v - c) for k, w, c, v in zip(
-        counts[cls, common, weight].tolist(), kernel.weights[cls].tolist(),
-        common.tolist(), weight.tolist()))
-    return 1 - Fraction(success, len(code) * table.denominator)
+    counts = np.empty((min(group, len(channels)), *shape), dtype=np.int64)
+    out = []
+    for first in range(0, len(channels), group):
+        part = range(first, min(first + group, len(channels)))
+        counts[:] = 0
+        for start in range(0, 1 << n, rows):
+            counters = np.arange(start, start + rows, dtype="<u8").view(np.uint8).reshape(rows, 8)
+            received = np.unpackbits(counters, 1, n, "little")
+            common, weight = kernel.common(received), received.sum(1)
+            for channel, tally in zip(part, counts):
+                best, win, tie = kernel.decide(common, channel)
+                cell = np.ravel_multi_index((kernel.cls[win], best, weight), shape)
+                tally += np.bincount(cell[~tie], minlength=tally.size).reshape(shape)
+        for channel, tally in zip(part, counts):
+            table = _score_table(n, channels[channel])
+            cls, common, weight = np.nonzero(tally)
+            success = sum(k * table.score(w, w - c, v - c) for k, w, c, v in zip(
+                tally[cls, common, weight].tolist(), kernel.weights[cls].tolist(),
+                common.tolist(), weight.tolist()))
+            out.append(1 - Fraction(success, len(code) * table.denominator))
+    return out
 
 
 def monte_carlo_error_probability(code: Code, params: ChannelParams,
@@ -306,7 +328,7 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
         flips = u < fq
         flips &= ones[idx]
         flips |= u < fp
-        _, win, tie = kernel.decide(kernel.common.bits[idx] ^ flips)
+        _, win, tie = kernel.decide(kernel.common(kernel.common.bits[idx] ^ flips))
         errors += int(np.count_nonzero(tie | (win != idx)))
     estimate = errors / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)

@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .algebra import (dual_code, generator_from_code, golay_code, is_projective,
 from .bounds import (ahb_union_bound, ahb_union_bounds, discrepancy_bound,
                      symmetric_discrepancy_bound, weight_class_bounds)
 from .channel import (DEFAULT_EXHAUSTIVE_CAP, ChannelParams, CapExceeded,
-                      RegimeError, exact_error_probability,
+                      RegimeError, exact_error_probabilities, exact_error_probability,
                       monte_carlo_error_probability, parse_probability)
 from .core import Code, ParseError, bidistance_distribution
 from .designs import (catalog_design, sbibd_ahb, sbibd_codes,
@@ -39,39 +38,19 @@ BOUNDS = {
     "cr_discrepancy": lambda code, dist, params: discrepancy_bound(code, params),
     "cr_symmetric": lambda code, dist, params: symmetric_discrepancy_bound(code, params),
 }
-#: bound name -> one report per channel of a list, the same numbers as
-#: BOUNDS at each channel; ``sweep`` makes one call per column
-GRID_BOUNDS = {
-    "ahb": lambda code, dist, grid: ahb_union_bounds(dist, grid),
-    "cr_discrepancy": lambda code, dist, grid: weight_class_bounds(code, grid, False),
-    "cr_symmetric": lambda code, dist, grid: weight_class_bounds(code, grid, True),
+#: sweep column -> its values at each channel of a list, from (code, pair distribution,
+#: channels, arguments): the bounds as BOUNDS, Monte Carlo per channel by its contract
+SWEEP_COLUMNS = {
+    "ahb": lambda code, dist, grid, args: [r.value for r in ahb_union_bounds(dist, grid)],
+    "cr_discrepancy": lambda code, dist, grid, args:
+        [r.value for r in weight_class_bounds(code, grid, False)],
+    "cr_symmetric": lambda code, dist, grid, args:
+        [r.value for r in weight_class_bounds(code, grid, True)],
+    "exact": lambda code, dist, grid, args:
+        [float(v) for v in exact_error_probabilities(code, grid, args.cap)],
+    "monte_carlo": lambda code, dist, grid, args: [monte_carlo_error_probability(
+        code, params, trials=args.trials, seed=args.seed)[0] for params in grid],
 }
-BOUND_METHODS = tuple(BOUNDS)
-SWEEP_METHODS = BOUND_METHODS + ("exact", "monte_carlo")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A validated q-axis sweep request."""
-
-    p: Fraction
-    q_from: Fraction
-    q_to: Fraction
-    steps: int
-    methods: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.steps < 2:
-            raise ParseError("steps must be at least 2")
-        if not self.p <= self.q_from < self.q_to < Fraction(1, 2):
-            raise RegimeError(
-                f"sweep needs p <= q_from < q_to < 1/2, got p={self.p}, "
-                f"q_from={self.q_from}, q_to={self.q_to}")
-
-    def grid(self) -> list[Fraction]:
-        width = self.q_to - self.q_from
-        return [self.q_from + width * Fraction(i, self.steps - 1)
-                for i in range(self.steps)]
 
 
 def _fraction_json(value: Fraction) -> dict:
@@ -138,7 +117,7 @@ def _cmd_pe(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     code = Code.from_file(args.code)
     params = ChannelParams.from_decimals(args.p, args.q)
-    methods = _parse_method_list(args.methods, BOUND_METHODS)
+    methods = _parse_method_list(args.methods, BOUNDS)
     dist = bidistance_distribution(code)
     reports = [BOUNDS[method](code, dist, params) for method in methods]
     _emit({
@@ -150,7 +129,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_method_list(text: str, allowed: tuple[str, ...]) -> list[str]:
+def _parse_method_list(text: str, allowed: dict) -> list[str]:
     methods = [m.strip() for m in text.split(",") if m.strip()]
     if not methods:
         raise ParseError("no methods requested")
@@ -164,27 +143,22 @@ def _parse_method_list(text: str, allowed: tuple[str, ...]) -> list[str]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _check_sampling(args)
     code = Code.from_file(args.code)
-    sweep = SweepSpec(
-        p=parse_probability(args.p),
-        q_from=parse_probability(args.q_from),
-        q_to=parse_probability(args.q_to),
-        steps=args.steps,
-        methods=tuple(_parse_method_list(args.methods, SWEEP_METHODS)),
-    )
-    methods = list(sweep.methods)
+    p, q_from, q_to = (parse_probability(t) for t in (args.p, args.q_from, args.q_to))
+    methods = _parse_method_list(args.methods, SWEEP_COLUMNS)
+    if args.steps < 2:
+        raise ParseError("steps must be at least 2")
+    if not p <= q_from < q_to < Fraction(1, 2):
+        raise RegimeError(f"sweep needs p <= q_from < q_to < 1/2, got p={p}, "
+                          f"q_from={q_from}, q_to={q_to}")
     if "exact" in methods and code.n > args.cap:
         print(f"warning: dropping exact column, n={code.n} exceeds cap {args.cap}",
               file=sys.stderr)
         methods.remove("exact")
     dist = bidistance_distribution(code)
-    grid = [ChannelParams(sweep.p, q) for q in sweep.grid()]
-    columns = {name: (lambda bound=bound: [r.value for r in bound(code, dist, grid)])
-               for name, bound in GRID_BOUNDS.items()}
-    columns["exact"] = lambda: [float(exact_error_probability(code, params, cap=args.cap))
-                                for params in grid]
-    columns["monte_carlo"] = lambda: [monte_carlo_error_probability(
-        code, params, trials=args.trials, seed=args.seed)[0] for params in grid]
-    rows = zip([float(params.q) for params in grid], *(columns[m]() for m in methods))
+    grid = [ChannelParams(p, q_from + (q_to - q_from) * Fraction(i, args.steps - 1))
+            for i in range(args.steps)]
+    rows = zip([float(params.q) for params in grid],
+               *(SWEEP_COLUMNS[m](code, dist, grid, args) for m in methods))
     lines = [",".join(["q"] + methods)] + [",".join(f"{x:.10g}" for x in row) for row in rows]
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"wrote {args.out} ({len(lines) - 1} rows)", file=sys.stderr)
@@ -212,11 +186,11 @@ def _construct_catalog(name: str) -> tuple[Code, dict]:
         return code, {**metadata, "ahb": with_zero_word(nonzero, dist).to_json_dict(),
                       "ahb_nonzero": nonzero.to_json_dict()}
     if name.startswith("sbibd:"):
-        parts = name.split(":")
         try:
-            v, k, lam = (int(x) for x in parts[1].split(","))
-            family = int(parts[2])
-        except (IndexError, ValueError):
+            _, triple, family = name.split(":")
+            v, k, lam = (int(x) for x in triple.split(","))
+            family = int(family)
+        except ValueError:
             raise ParseError(
                 f"bad catalog name {name!r}; expected sbibd:<v>,<k>,<lambda>:<family>"
             ) from None
@@ -290,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="upper bounds on the error probability")
     add_code(p_bounds)
     add_pq(p_bounds)
-    p_bounds.add_argument("--methods", default=",".join(BOUND_METHODS))
+    p_bounds.add_argument("--methods", default=",".join(BOUNDS))
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_sweep = sub.add_parser("sweep", help="CSV of curves over a q grid")

@@ -151,7 +151,10 @@ class Code:
     @classmethod
     def from_file(cls, path: str | Path) -> "Code":
         path = Path(path)
-        return parse_code_text(path.read_text(), source=str(path))
+        try:
+            return parse_code_text(path.read_text(encoding="utf-8"), source=str(path))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
     def to_file(self, path: str | Path) -> None:
         Path(path).write_text(format_code_text(self))

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from bidistance import channel
 from bidistance.bounds import region_threshold
+from bidistance._bitops import AndCounts
 from bidistance.channel import (MAX_LENGTH, ChannelParams, RegimeError,
                                 _RankKernel, _score_table,
-                                exact_error_probability, likelihood, llr,
-                                mld_decode, monte_carlo_error_probability,
-                                parse_probability)
+                                exact_error_probabilities, exact_error_probability,
+                                likelihood, llr, mld_decode,
+                                monte_carlo_error_probability, parse_probability)
 from bidistance.core import CapExceeded, Code, ParseError, Word, dir_distances
 from helpers import (EDGE_LENGTHS, brute_error_probability, brute_mld,
                      edge_code, padded_code, random_code)
@@ -370,6 +371,43 @@ class TestExactErrorProbability:
         with pytest.raises(CapExceeded, match="cap"):
             exact_error_probability(code, params_ex1)
         exact_error_probability(Code(5, [0, 1]), params_ex1, cap=5)
+
+
+class TestExactErrorProbabilities:
+    @PROPERTY
+    @given(decoding_cases())
+    def test_matches_oracle_at_every_channel(self, case):
+        # p = q, a channel next to p = q, a repeated channel and several p values
+        code, params = case
+        channels = [params, _channel("0.1", "0.1"), _channel("0.05", "0.050000000001"),
+                    params, _channel("0.025", "0.325")]
+        assert exact_error_probabilities(code, channels) == \
+            [brute_error_probability(code, c) for c in channels]
+
+    def test_empty_channel_list(self, c1):
+        assert exact_error_probabilities(c1, []) == []
+
+    def test_groups_under_the_cell_budget(self, monkeypatch, c1):
+        # c1 has two weight classes at n = 6: 2 * 7 * 7 count cells a channel
+        channels = [_channel("0.1", q) for q in ("0.1", "0.15", "0.2", "0.25", "0.3")]
+        whole = exact_error_probabilities(c1, channels)
+        sweeps = []
+        product = AndCounts.__call__
+        monkeypatch.setattr(AndCounts, "__call__",
+                            lambda self, *args: sweeps.append(1) or product(self, *args))
+        monkeypatch.setattr(channel, "EXACT_CELLS", 2 * 2 * 7 * 7)
+        assert exact_error_probabilities(c1, channels) == whole
+        # 2^6 received words are one block, so one product per group of two
+        assert len(sweeps) == 3
+
+    def test_one_bit_matrix_per_call(self, monkeypatch, c1):
+        built = []
+        of_words = AndCounts.of_words
+        monkeypatch.setattr(AndCounts, "of_words", classmethod(
+            lambda cls, *args: built.append(1) or of_words(*args)))
+        grid = [_channel("0.05", f"0.{q:02d}") for q in range(5, 45, 4)]
+        assert len(exact_error_probabilities(c1, grid)) == 10
+        assert len(built) == 1
 
 
 class TestMonteCarlo:

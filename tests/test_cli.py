@@ -258,6 +258,31 @@ class TestSweep:
         assert sorted(calls) == [("ahb_union_bounds", 8), ("weight_class_bounds", 8),
                                  ("weight_class_bounds", 8)]
 
+    def test_one_exact_call_per_sweep(self, capsys, ex5_file, tmp_path, monkeypatch):
+        calls = []
+        exact = cli.exact_error_probabilities
+        monkeypatch.setattr(cli, "exact_error_probabilities",
+                            lambda *args: calls.append(len(args[1])) or exact(*args))
+        rc, _, _ = run(capsys, "sweep", "--code", str(ex5_file), "-p", "0.1",
+                       "--q-from", "0.1", "--q-to", "0.45", "--steps", "8",
+                       "--methods", "ahb,exact", "--out", str(tmp_path / "sweep.csv"))
+        assert rc == 0
+        assert calls == [8]
+
+    @pytest.mark.parametrize("p, q_from, steps, methods, code, message", [
+        ("0.3", "0.2", "1", "exact", 2, "steps"),
+        ("0.1", "0.1", "1", "exact,nope", 2, "unknown methods"),
+        ("0.3", "0.2", "3", "exact", 3, "q_from"),
+    ], ids=["steps_before_regime", "methods_before_steps", "regime"])
+    def test_check_order(self, capsys, ex5_file, tmp_path, p, q_from, steps, methods,
+                         code, message):
+        out_path = tmp_path / "x.csv"
+        rc, out, err = run(capsys, "sweep", "--code", str(ex5_file), "-p", p,
+                           "--q-from", q_from, "--q-to", "0.4", "--steps", steps,
+                           "--methods", methods, "--out", str(out_path))
+        assert rc == code and out == "" and message in err
+        assert not out_path.exists()
+
     def test_byte_identical_reruns(self, capsys, ex5_file, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
@@ -399,6 +424,12 @@ class TestConstruct:
                          "--out", str(tmp_path / "x.code"))
         assert rc == 2 and "sbibd" in err
 
+    def test_sbibd_name_with_extra_parts(self, capsys, tmp_path):
+        out_path = tmp_path / "x.code"
+        rc, out, err = run(capsys, "construct", "sbibd:7,3,1:2:junk", "--out", str(out_path))
+        assert rc == 2 and out == "" and "sbibd" in err
+        assert not out_path.exists()
+
 
 class TestScheme:
     def test_small_three_weight_code(self, capsys, tmp_path):
@@ -428,6 +459,17 @@ class TestScheme:
         path.write_text("".join(line + "\n" for line in lines))
         rc, _, err = run(capsys, "scheme", "--code", str(path))
         assert rc == 3 and "three nonzero weights" in err
+
+
+@pytest.mark.parametrize("command", ["bidist", "pe", "bounds", "sweep", "scheme"])
+def test_non_utf8_code_file_is_parse_error(capsys, tmp_path, command):
+    path = tmp_path / "latin.code"
+    path.write_bytes(b"\xff\xfe01\n")
+    extra = {"pe": ["-p", "0.1", "-q", "0.15"], "bounds": ["-p", "0.1", "-q", "0.15"],
+             "sweep": ["-p", "0.1", "--q-from", "0.1", "--q-to", "0.2", "--steps", "3",
+                       "--out", str(tmp_path / "x.csv")]}
+    rc, out, err = run(capsys, command, "--code", str(path), *extra.get(command, []))
+    assert rc == 2 and out == "" and str(path) in err and "UTF-8" in err
 
 
 def test_usage_error_exit_code(capsys):
