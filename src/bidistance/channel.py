@@ -2,11 +2,12 @@
 
 Crossover probabilities are exact rationals parsed from decimal strings;
 the supported regime is 0 < p <= q < 1/2, where p is the 0->1 and q the
-1->0 flip probability.  Every decoder here is one block kernel, _RankKernel.
-A codeword x's likelihood order for a received y depends only on the key
-(wt(x), c = wt(x & y)); each channel ranks every key once by an integer, with
-gamma replaced by the exact rational of ChannelParams.bracket, so ties are exact.
-The exhaustive sweep takes each block's c once for a whole list of channels.
+1->0 flip probability.  Every decoder here is one block kernel, _RankKernel:
+x's likelihood for a received y orders as the int64 key c(u + v) - wt(x) v of
+c = wt(x & y), u/v the exact rational of ChannelParams.bracket for gamma, so ties
+are exact; a block's keys, one column per received word, are decided by a column
+max and an equality count.  The exhaustive sweep takes each block's c once for all
+channels.
 """
 
 from __future__ import annotations
@@ -209,35 +210,40 @@ class _RankKernel:
 
     With c = wt(x & y) and v = wt(y), Pr(y | x) = p**v (1-p)**(n-v) *
     X**wt(x) * Y**c for X = q/(1-p) = B, Y = (1-q)(1-p)/(pq) = 1/(AB): for a
-    fixed y the argmax and its exact ties depend only on the key (wt(x), c),
-    at offset[class] + c.  X**w * Y**c = B**(w - c(1 + gamma)), so the keys
-    rank as the integers c(u + v) - w*v for (u, v) = params.bracket(n): one table per
-    channel in ``ranks`` (the first is ``rank_of``); the rest is shared by all channels."""
+    fixed y the argmax and its exact ties depend only on (wt(x), c), and as
+    X**w * Y**c = B**(w - c(1 + gamma)) they order as the int64 keys c(u + v) - w*v,
+    (u, v) = params.bracket(n).  Per channel: u + v, each codeword's w*v, the sorted
+    distinct keys with a (class, c) cell class * (n + 1) + c each, and in ``ranks``
+    the dense rank of every key (the first is ``rank_of``)."""
 
     def __init__(self, code: Code, *channels: ChannelParams):
         n = code.n
         self.common = AndCounts.of_words(code.words, n)
-        self.weights, self.cls = np.unique(self.common.weights, return_inverse=True)
+        self.weights = np.unique(self.common.weights)
         weights = self.weights.tolist()
         keys = sum((w + 1) * (n - w + 1) for w in weights)
         if keys > MAX_RANK_KEYS:
             raise CapExceeded(f"decoding n={n} over {len(self.weights)} weights needs "
                               f"{keys} rank keys; cap is {MAX_RANK_KEYS}")
-        self.base = np.concatenate(([0], np.cumsum(self.weights + 1)))[self.cls]
-        self.ranks = []
+        cells = np.concatenate([k * (n + 1) + np.arange(w + 1) for k, w in enumerate(weights)])
+        self.ranks, self.channels = [], []
         for u, v in (params.bracket(n) for params in channels):
             keys = np.concatenate([np.arange(w + 1) * (u + v) - w * v for w in weights])
-            self.ranks.append(np.unique(keys, return_inverse=True)[1].astype(np.int32))
+            distinct, first, rank = np.unique(keys, return_index=True, return_inverse=True)
+            self.ranks.append(rank.astype(np.int32))
+            self.channels.append((np.int64(u + v), self.common.weights[:, None] * np.int64(v),
+                                  distinct, cells[first]))
         self.rank_of = self.ranks[0]
 
     def decide(self, common: np.ndarray,
                channel: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Winner's c, winning codeword and exact-tie flag per row of self.common(received)."""
-        rank = self.ranks[channel][self.base + common]
-        win = rank.argmax(axis=1)
-        at = np.arange(len(win)), win
-        tie = np.count_nonzero(rank == rank[at][:, None], axis=1) > 1
-        return common[at], win, tie
+        """(M, rows) int64 keys of common = self.common(received), codeword-major;
+        each column's top key; and whether the top is held at least twice, an exact tie."""
+        slope, offset, _, _ = self.channels[channel]
+        key = np.multiply(common.T, slope, order="C")
+        key -= offset
+        top = key.max(axis=0)
+        return key, top, (key == top).sum(axis=0, dtype=np.int32) > 1
 
 
 def mld_decode(code: Code, y: Word, params: ChannelParams) -> DecodeResult:
@@ -245,8 +251,8 @@ def mld_decode(code: Code, y: Word, params: ChannelParams) -> DecodeResult:
     if code.n != y.n:
         raise ValueError(f"length mismatch: code n={code.n}, word n={y.n}")
     kernel = _RankKernel(code, params)
-    _, win, tie = kernel.decide(kernel.common(bit_matrix([y.bits], code.n)))
-    return FAILURE if tie[0] else DecodeResult(code.word(int(win[0])))
+    key, _, tie = kernel.decide(kernel.common(bit_matrix([y.bits], code.n)))
+    return FAILURE if tie[0] else DecodeResult(code.word(int(key[:, 0].argmax())))
 
 
 def exact_error_probability(code: Code, params: ChannelParams,
@@ -259,9 +265,10 @@ def exact_error_probabilities(code: Code, channels: list[ChannelParams],
                               cap: int = DEFAULT_EXHAUSTIVE_CAP) -> list[Fraction]:
     """Average decoder error probability at each channel, by one sweep of the 2^n
     received words per group of channels whose counts fit in EXACT_CELLS: each block's
-    c = wt(x & y) and wt(y) are decided at every channel's rank table, and each channel
-    sums count * score(w, w - c, wt(y) - c) over its untied (class, c, wt(y)) cells,
-    exactly.  Exact ties count as errors.  Guarded by the cap."""
+    c = wt(x & y) is decided at every channel's keys, an untied top key counts in the
+    (class, c, wt(y)) cell of the first (class, c) with that key, whose likelihood is
+    the winner's, and each channel sums count * score(w, w - c, wt(y) - c) over its
+    cells, exactly.  Exact ties count as errors.  Guarded by the cap."""
     n = code.n
     if n > cap:
         raise CapExceeded(f"exhaustive sweep needs 2**{n} received words; cap is n <= {cap}")
@@ -279,10 +286,11 @@ def exact_error_probabilities(code: Code, channels: list[ChannelParams],
         for start in range(0, 1 << n, rows):
             counters = np.arange(start, start + rows, dtype="<u8").view(np.uint8).reshape(rows, 8)
             received = np.unpackbits(counters, 1, n, "little")
-            common, weight = kernel.common(received), received.sum(1)
+            common, weight = kernel.common(received), received.sum(1, dtype=np.int64)
             for channel, tally in zip(part, counts):
-                best, win, tie = kernel.decide(common, channel)
-                cell = np.ravel_multi_index((kernel.cls[win], best, weight), shape)
+                _, top, tie = kernel.decide(common, channel)
+                _, _, distinct, cells = kernel.channels[channel]
+                cell = cells[np.searchsorted(distinct, top)] * (n + 1) + weight
                 tally += np.bincount(cell[~tie], minlength=tally.size).reshape(shape)
         for channel, tally in zip(part, counts):
             table = _score_table(n, channels[channel])
@@ -316,20 +324,20 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
         raise ValueError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     kernel = _RankKernel(code, params)
-    ones = kernel.common.bits.astype(bool)
     tx = rng.integers(0, len(code), size=trials)
     errors = 0
     fp, fq = float(params.p), float(params.q)
     rows = kernel.common.rows
     for start in range(0, trials, rows):
         idx = tx[start:start + rows]
+        sent = kernel.common.bits[idx]
         u = rng.random((len(idx), code.n))
         # u < q on ones, u < p on zeros: with p <= q, (u < q & one) | (u < p)
         flips = u < fq
-        flips &= ones[idx]
+        flips &= sent.view(bool)
         flips |= u < fp
-        _, win, tie = kernel.decide(kernel.common(kernel.common.bits[idx] ^ flips))
-        errors += int(np.count_nonzero(tie | (win != idx)))
+        key, top, tie = kernel.decide(kernel.common(sent ^ flips))
+        errors += int(np.count_nonzero(tie | (key[idx, np.arange(len(idx))] != top)))
     estimate = errors / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return estimate, stderr

@@ -239,8 +239,8 @@ class BidistanceDistribution:
     """Frequencies A(d10, d01) over all ordered pairs of a code.
 
     The diagonal entry (0, 0) equals the code size and is stored here;
-    only the multiset view drops it.  Entries are validated to be
-    symmetric (A(i, j) = A(j, i)) with total mass size**2.
+    only the multiset view drops it.  Entries a caller passes are validated
+    to be symmetric (A(i, j) = A(j, i)) with total mass size**2.
     """
 
     n: int
@@ -296,9 +296,12 @@ class BidistanceDistribution:
 
 
 def bidistance_distribution(code: Code) -> BidistanceDistribution:
-    """Frequency of every (d10, d01) over the |C|^2 ordered codeword pairs."""
-    return BidistanceDistribution(code.n, len(code),
-                                  _project(code.pair_support()[:, 1:], code.pair_counts()))
+    """Frequency of every (d10, d01) over the |C|^2 ordered codeword pairs.  The
+    pair table makes it valid by construction, so __post_init__'s checks are skipped."""
+    dist = object.__new__(BidistanceDistribution)
+    dist.n, dist.size = code.n, len(code)
+    dist.entries = _project(code.pair_support()[:, 1:], code.pair_counts())
+    return dist
 
 
 def _project(pairs: np.ndarray, counts: np.ndarray) -> dict[tuple[int, int], int]:

@@ -4,13 +4,14 @@ import tracemalloc
 from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidistance import channel
 from bidistance.bounds import region_threshold
-from bidistance._bitops import AndCounts
+from bidistance._bitops import AndCounts, matrix_ints
 from bidistance.channel import (MAX_LENGTH, ChannelParams, RegimeError,
                                 _RankKernel, _score_table,
                                 exact_error_probabilities, exact_error_probability,
@@ -35,6 +36,21 @@ def decoding_cases(draw):
     p = draw(st.integers(1, 49))
     q = p if draw(st.booleans()) else draw(st.integers(p, 49))
     return Code(n, words), ChannelParams(Fraction(p, 100), Fraction(q, 100))
+
+
+#: p = q, next to p = q, gamma = 3 exactly, and gamma about 10.8 at a tiny p
+KEY_CHANNELS = [_channel("0.1", "0.1"), _channel("0.05", "0.050000000001"),
+                _channel("0.025", "0.325"), _channel("0.0001", "0.45")]
+KEY_IDS = ["p_eq_q", "near_p_eq_q", "gamma_3", "wide_gamma"]
+
+
+@st.composite
+def key_cases(draw):
+    """A code with n <= 9 and M <= 12 at one of KEY_CHANNELS."""
+    n = draw(st.integers(1, 9))
+    words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                          max_size=min(12, 1 << n), unique=True))
+    return Code(n, words), draw(st.sampled_from(KEY_CHANNELS))
 
 
 class TestParseProbability:
@@ -325,6 +341,69 @@ class TestRankKernel:
         exact = [x_pow[w] * y_pow[c] for w in weights for c in range(w + 1)]
         dense = {value: i for i, value in enumerate(sorted(set(exact)))}
         assert kernel.rank_of.tolist() == [dense[value] for value in exact]
+
+    @pytest.mark.parametrize("params", KEY_CHANNELS, ids=KEY_IDS)
+    def test_int64_keys_compare_as_scores(self, params):
+        # the keys decide computes for every (w, c), against every received
+        # weight v at which two cells both occur, compare as their exact
+        # scores do, so equal keys mean equal likelihoods
+        n = 9
+        kernel = _RankKernel(Code(n, [(1 << w) - 1 for w in range(n + 1)]), params)
+        # row c of the block holds min(c, w) for the weight-w codeword
+        key = kernel.decide(np.minimum.outer(np.arange(n + 1), np.arange(n + 1)))[0]
+        assert key.dtype == np.int64
+        keys = [(w, c, int(key[w, c])) for w in range(n + 1) for c in range(w + 1)]
+        table = _score_table(n, params)
+        for w, c, k in keys:
+            for w2, c2, k2 in keys:
+                for v in range(max(c, c2), min(c + n - w, c2 + n - w2) + 1):
+                    s, s2 = table.score(w, w - c, v - c), table.score(w2, w2 - c2, v - c2)
+                    assert (k > k2) - (k < k2) == (s > s2) - (s < s2)
+
+    def test_keys_past_int32_decode_as_brute_force(self):
+        # gamma is about 143 at p = 1e-50, q = 0.45, so at n = 4000 the keys
+        # c(u + v) - w v of the words sent pass 2**31
+        params = _channel("0." + "0" * 49 + "1", "0.45")
+        n = 4000
+        u, v = params.bracket(n)
+        assert 1 << 32 < n * (u + v) < 1 << 40
+        rng = random.Random(71)
+        code = Code(n, [rng.getrandbits(n) for _ in range(4)])
+        for x in code.words:
+            # clear about a tenth of the ones, as the q flips would
+            y = Word(n, x & ~(rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)))
+            assert mld_decode(code, y, params).word == brute_mld(code, y, params)
+
+    @PROPERTY
+    @given(key_cases())
+    def test_mld_decode_matches_brute_force(self, case):
+        code, params = case
+        for bits in range(1 << code.n):
+            y = Word(code.n, bits)
+            assert mld_decode(code, y, params).word == brute_mld(code, y, params)
+
+    @pytest.mark.parametrize("params", KEY_CHANNELS, ids=KEY_IDS)
+    def test_monte_carlo_block_flags_match_brute_force(self, monkeypatch, params):
+        # one Monte Carlo block at n = 65, two 64-bit lanes: a trial errs
+        # exactly when brute_mld does not decode its received word to the
+        # word sent, ties included
+        rng = random.Random(67)
+        code = padded_code(rng, random_code(rng, 8, 10), 65)
+        trials, seed = 400, 11
+        received, decided = [], []
+        product, decide = AndCounts.__call__, _RankKernel.decide
+        monkeypatch.setattr(AndCounts, "__call__",
+                            lambda self, rows: received.append(rows) or product(self, rows))
+        monkeypatch.setattr(_RankKernel, "decide",
+                            lambda self, common: decided.append(decide(self, common))
+                            or decided[-1])
+        estimate, _ = monte_carlo_error_probability(code, params, trials, seed)
+        [block], [(key, top, tie)] = received, decided
+        sent = np.random.default_rng(seed).integers(0, len(code), size=trials)
+        flags = tie | (key[sent, np.arange(trials)] != top)
+        assert flags.tolist() == [brute_mld(code, Word(65, bits), params) != code.word(i)
+                                  for bits, i in zip(matrix_ints(block), sent.tolist())]
+        assert flags.any() and flags.sum() / trials == estimate
 
     def test_no_score_table_outside_exhaustive_sweep(self, monkeypatch, c1, params_ex1):
         def refuse(*args):

@@ -303,6 +303,18 @@ class TestBidistanceDistribution:
         with pytest.raises(ValueError, match="size"):
             BidistanceDistribution(2, 2, {(0, 0): 1, (1, 1): 3})
 
+    def test_pair_table_build_skips_the_checks(self, monkeypatch, c1):
+        # the checks run on a distribution a caller builds, not on one built
+        # from the pair table, which is valid by construction
+        checks = []
+        post_init = BidistanceDistribution.__post_init__
+        monkeypatch.setattr(BidistanceDistribution, "__post_init__",
+                            lambda self: checks.append(1) or post_init(self))
+        dist = bidistance_distribution(c1)
+        assert checks == []
+        assert BidistanceDistribution(dist.n, dist.size, dict(dist.entries)) == dist
+        assert checks == [1]
+
 
 class TestWeightsFromBidistance:
     def test_linear_codes_recover_weights(self):
