@@ -71,6 +71,11 @@ class AndCounts:
         """int32 c of each 0/1 row against each word, or the words in ``cols``."""
         return (rows.astype(np.float32) @ self.columns[:, cols]).astype(np.int32)
 
+    def word_major(self, rows: np.ndarray) -> np.ndarray:
+        """The (M, len(rows)) transpose of self(rows), one row per word, from one
+        contiguous product."""
+        return (self.columns.T @ rows.astype(np.float32).T).astype(np.int32)
+
     def upper_tiles(self) -> Iterator[tuple[slice, slice, np.ndarray]]:
         """(rows, cols, c) over square BLOCK_CELLS tiles at and above the diagonal
         of the words against themselves (c is symmetric); at large M a row block

@@ -3,11 +3,12 @@
 Crossover probabilities are exact rationals parsed from decimal strings;
 the supported regime is 0 < p <= q < 1/2, where p is the 0->1 and q the
 1->0 flip probability.  Every decoder here is one block kernel, _RankKernel:
-x's likelihood for a received y orders as the int64 key c(u + v) - wt(x) v of
+x's likelihood for a received y orders as the integer key c(u + v) - wt(x) v of
 c = wt(x & y), u/v the exact rational of ChannelParams.bracket for gamma, so ties
-are exact; a block's keys, one column per received word, are decided by a column
-max and an equality count.  The exhaustive sweep takes each block's c once for all
-channels.
+are exact.  A block is one contiguous (M, rows) array of keys, int32 where they fit,
+one row per codeword; a column max and an equality count decide it.  The exhaustive
+sweep takes the c of its low received bits once per call and adds the high bits'
+counts per block.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._bitops import MAX_LENGTH, AndCounts, bit_matrix
+from ._bitops import MAX_LENGTH, AndCounts, bit_matrix, packed_rows
 from .core import CapExceeded, Code, ParseError, Word, dir_distances
 
 DEFAULT_EXHAUSTIVE_CAP = 24
@@ -211,10 +212,12 @@ class _RankKernel:
     With c = wt(x & y) and v = wt(y), Pr(y | x) = p**v (1-p)**(n-v) *
     X**wt(x) * Y**c for X = q/(1-p) = B, Y = (1-q)(1-p)/(pq) = 1/(AB): for a
     fixed y the argmax and its exact ties depend only on (wt(x), c), and as
-    X**w * Y**c = B**(w - c(1 + gamma)) they order as the int64 keys c(u + v) - w*v,
-    (u, v) = params.bracket(n).  Per channel: u + v, each codeword's w*v, the sorted
-    distinct keys with a (class, c) cell class * (n + 1) + c each, and in ``ranks``
-    the dense rank of every key (the first is ``rank_of``)."""
+    X**w * Y**c = B**(w - c(1 + gamma)) they order as the keys c(u + v) - w*v,
+    (u, v) = params.bracket(n).  Keys lie in [-nv, n(u + v)], so a channel's keys
+    are int32 when 4n(u + v) < 2**31 and int64 otherwise.  Per channel: u + v and
+    each codeword's w*v in that width, and the sorted distinct keys with a
+    (class, c) cell class * (n + 1) + c each; ``rank_of``, the dense rank of each
+    cell's key at the first channel, is built when first read."""
 
     def __init__(self, code: Code, *channels: ChannelParams):
         n = code.n
@@ -226,22 +229,35 @@ class _RankKernel:
             raise CapExceeded(f"decoding n={n} over {len(self.weights)} weights needs "
                               f"{keys} rank keys; cap is {MAX_RANK_KEYS}")
         cells = np.concatenate([k * (n + 1) + np.arange(w + 1) for k, w in enumerate(weights)])
-        self.ranks, self.channels = [], []
-        for u, v in (params.bracket(n) for params in channels):
-            keys = np.concatenate([np.arange(w + 1) * (u + v) - w * v for w in weights])
-            distinct, first, rank = np.unique(keys, return_index=True, return_inverse=True)
-            self.ranks.append(rank.astype(np.int32))
-            self.channels.append((np.int64(u + v), self.common.weights[:, None] * np.int64(v),
+        self.brackets = [params.bracket(n) for params in channels]
+        self.channels = []
+        for u, v in self.brackets:
+            width = np.int32 if 4 * n * (u + v) < 1 << 31 else np.int64
+            distinct, first = np.unique(self.cell_keys(u, v), return_index=True)
+            self.channels.append((width(u + v), self.common.weights.astype(width) * width(v),
                                   distinct, cells[first]))
-        self.rank_of = self.ranks[0]
 
-    def decide(self, common: np.ndarray,
-               channel: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(M, rows) int64 keys of common = self.common(received), codeword-major;
-        each column's top key; and whether the top is held at least twice, an exact tie."""
+    def cell_keys(self, u: int, v: int) -> np.ndarray:
+        """The key of every (class, c) cell, in cell order, at the bracket (u, v)."""
+        return np.concatenate([np.arange(w + 1) * (u + v) - w * v for w in self.weights.tolist()])
+
+    @cached_property
+    def rank_of(self) -> np.ndarray:
+        return np.unique(self.cell_keys(*self.brackets[0]), return_inverse=True)[1]
+
+    def keys(self, common: np.ndarray, channel: int = 0, high=0) -> np.ndarray:
+        """The (M, rows) keys of a block's codeword-major c = wt(x & y), plus the
+        per-codeword count ``high`` of ones the block's words share, if any."""
         slope, offset, _, _ = self.channels[channel]
-        key = np.multiply(common.T, slope, order="C")
-        key -= offset
+        key = np.multiply(common, slope, dtype=slope.dtype)
+        key += (high * slope - offset).astype(slope.dtype)[:, None]
+        return key
+
+    def decide(self, common: np.ndarray, channel: int = 0,
+               high=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The keys, as keys(); each column's top key; and whether the top is held
+        at least twice, an exact tie."""
+        key = self.keys(common, channel, high)
         top = key.max(axis=0)
         return key, top, (key == top).sum(axis=0, dtype=np.int32) > 1
 
@@ -251,7 +267,7 @@ def mld_decode(code: Code, y: Word, params: ChannelParams) -> DecodeResult:
     if code.n != y.n:
         raise ValueError(f"length mismatch: code n={code.n}, word n={y.n}")
     kernel = _RankKernel(code, params)
-    key, _, tie = kernel.decide(kernel.common(bit_matrix([y.bits], code.n)))
+    key, _, tie = kernel.decide(kernel.common.word_major(bit_matrix([y.bits], code.n)))
     return FAILURE if tie[0] else DecodeResult(code.word(int(key[:, 0].argmax())))
 
 
@@ -264,11 +280,13 @@ def exact_error_probability(code: Code, params: ChannelParams,
 def exact_error_probabilities(code: Code, channels: list[ChannelParams],
                               cap: int = DEFAULT_EXHAUSTIVE_CAP) -> list[Fraction]:
     """Average decoder error probability at each channel, by one sweep of the 2^n
-    received words per group of channels whose counts fit in EXACT_CELLS: each block's
-    c = wt(x & y) is decided at every channel's keys, an untied top key counts in the
-    (class, c, wt(y)) cell of the first (class, c) with that key, whose likelihood is
-    the winner's, and each channel sums count * score(w, w - c, wt(y) - c) over its
-    cells, exactly.  Exact ties count as errors.  Guarded by the cap."""
+    received words per group of channels whose counts fit in EXACT_CELLS.  A block
+    holds y = hi + lo for every lo < 2^b at one multiple hi of 2^b, so c(x, y) =
+    c(x, lo) + c(x, hi): one product per call gives the (M, 2^b) low c, and a block
+    adds each codeword's c(x, hi).  An untied top key counts in the (class, c, wt(y))
+    cell of the first (class, c) with that key, whose likelihood is the winner's, and
+    each channel sums count * score(w, w - c, wt(y) - c) over its cells, exactly.
+    Exact ties count as errors.  Guarded by the cap."""
     n = code.n
     if n > cap:
         raise CapExceeded(f"exhaustive sweep needs 2**{n} received words; cap is n <= {cap}")
@@ -278,17 +296,20 @@ def exact_error_probabilities(code: Code, channels: list[ChannelParams],
     shape = (len(kernel.weights), n + 1, n + 1)
     group = max(1, EXACT_CELLS // math.prod(shape))
     rows = min(1 << n, 1 << (kernel.common.rows.bit_length() - 1))
+    low = np.unpackbits(np.arange(rows, dtype="<u8").view(np.uint8).reshape(rows, 8),
+                        1, n, "little")
+    low_common, low_weight = kernel.common.word_major(low), low.sum(1, dtype=np.int64)
+    words = packed_rows(code.words, n)
     counts = np.empty((min(group, len(channels)), *shape), dtype=np.int64)
     out = []
     for first in range(0, len(channels), group):
         part = range(first, min(first + group, len(channels)))
         counts[:] = 0
         for start in range(0, 1 << n, rows):
-            counters = np.arange(start, start + rows, dtype="<u8").view(np.uint8).reshape(rows, 8)
-            received = np.unpackbits(counters, 1, n, "little")
-            common, weight = kernel.common(received), received.sum(1, dtype=np.int64)
+            high = start and np.bitwise_count(words & packed_rows([start], n)).sum(1, dtype=int)
+            weight = low_weight + start.bit_count()
             for channel, tally in zip(part, counts):
-                _, top, tie = kernel.decide(common, channel)
+                _, top, tie = kernel.decide(low_common, channel, high)
                 _, _, distinct, cells = kernel.channels[channel]
                 cell = cells[np.searchsorted(distinct, top)] * (n + 1) + weight
                 tally += np.bincount(cell[~tie], minlength=tally.size).reshape(shape)
@@ -336,8 +357,10 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
         flips = u < fq
         flips &= sent.view(bool)
         flips |= u < fp
-        key, top, tie = kernel.decide(kernel.common(sent ^ flips))
-        errors += int(np.count_nonzero(tie | (key[idx, np.arange(len(idx))] != top)))
+        key, lane = kernel.keys(kernel.common.word_major(sent ^ flips)), np.arange(len(idx))
+        sent_key = key[idx, lane]
+        key[idx, lane] = np.iinfo(key.dtype).min
+        errors += int(np.count_nonzero(key.max(axis=0) >= sent_key))  # a tie or a better rival
     estimate = errors / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return estimate, stderr

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidistance import channel
+from bidistance import _bitops, channel
 from bidistance.bounds import region_threshold
 from bidistance._bitops import AndCounts, matrix_ints
 from bidistance.channel import (MAX_LENGTH, ChannelParams, RegimeError,
@@ -51,6 +51,16 @@ def key_cases(draw):
     words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
                           max_size=min(12, 1 << n), unique=True))
     return Code(n, words), draw(st.sampled_from(KEY_CHANNELS))
+
+
+@st.composite
+def block_cases(draw):
+    """A code with 4 <= n <= 10 and 2 <= M <= 8, and a channel list holding
+    KEY_CHANNELS with one of them repeated."""
+    n = draw(st.integers(4, 10))
+    words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=2, max_size=8,
+                          unique=True))
+    return Code(n, words), KEY_CHANNELS + [draw(st.sampled_from(KEY_CHANNELS))]
 
 
 class TestParseProbability:
@@ -351,7 +361,7 @@ class TestRankKernel:
         kernel = _RankKernel(Code(n, [(1 << w) - 1 for w in range(n + 1)]), params)
         # row c of the block holds min(c, w) for the weight-w codeword
         key = kernel.decide(np.minimum.outer(np.arange(n + 1), np.arange(n + 1)))[0]
-        assert key.dtype == np.int64
+        assert key.dtype == (np.int32 if 4 * n * sum(params.bracket(n)) < 1 << 31 else np.int64)
         keys = [(w, c, int(key[w, c])) for w in range(n + 1) for c in range(w + 1)]
         table = _score_table(n, params)
         for w, c, k in keys:
@@ -374,6 +384,23 @@ class TestRankKernel:
             y = Word(n, x & ~(rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)))
             assert mld_decode(code, y, params).word == brute_mld(code, y, params)
 
+    @pytest.mark.parametrize("n", [1315, 1316])
+    def test_key_width_at_the_int32_edge(self, n):
+        # at p = 1e-50, q = 0.45, 4n(u + v) is just below 2**31 at n = 1315 and
+        # past it at n = 1316, so the keys are int32 and then int64
+        params = _channel("0." + "0" * 49 + "1", "0.45")
+        edge = 4 * n * sum(params.bracket(n))
+        assert (1 << 30 < edge < 1 << 31) if n == 1315 else (1 << 31 <= edge < 1 << 32)
+        rng = random.Random(n)
+        code = Code(n, [rng.getrandbits(n) for _ in range(4)])
+        kernel = _RankKernel(code, params)
+        key = kernel.keys(kernel.common.word_major(kernel.common.bits))
+        assert key.dtype == (np.int32 if edge < 1 << 31 else np.int64)
+        for x in code.words:
+            for flips in (0, 1, 3, 40):
+                y = Word(n, x ^ sum(1 << i for i in rng.sample(range(n), flips)))
+                assert mld_decode(code, y, params).word == brute_mld(code, y, params)
+
     @PROPERTY
     @given(key_cases())
     def test_mld_decode_matches_brute_force(self, case):
@@ -390,15 +417,20 @@ class TestRankKernel:
         rng = random.Random(67)
         code = padded_code(rng, random_code(rng, 8, 10), 65)
         trials, seed = 400, 11
-        received, decided = [], []
-        product, decide = AndCounts.__call__, _RankKernel.decide
-        monkeypatch.setattr(AndCounts, "__call__",
+        received, keyed = [], []
+        product, keys = AndCounts.word_major, _RankKernel.keys
+
+        def keep_keys(self, common):
+            key = keys(self, common)
+            keyed.append(key.copy())
+            return key
+        monkeypatch.setattr(AndCounts, "word_major",
                             lambda self, rows: received.append(rows) or product(self, rows))
-        monkeypatch.setattr(_RankKernel, "decide",
-                            lambda self, common: decided.append(decide(self, common))
-                            or decided[-1])
+        monkeypatch.setattr(_RankKernel, "keys", keep_keys)
         estimate, _ = monte_carlo_error_probability(code, params, trials, seed)
-        [block], [(key, top, tie)] = received, decided
+        [block], [key] = received, keyed
+        top = key.max(axis=0)
+        tie = (key == top).sum(axis=0) > 1
         sent = np.random.default_rng(seed).integers(0, len(code), size=trials)
         flags = tie | (key[sent, np.arange(trials)] != top)
         assert flags.tolist() == [brute_mld(code, Word(65, bits), params) != code.word(i)
@@ -463,6 +495,33 @@ class TestExactErrorProbabilities:
         assert exact_error_probabilities(code, channels) == \
             [brute_error_probability(code, c) for c in channels]
 
+    @settings(PROPERTY, max_examples=20)
+    @given(block_cases())
+    def test_matches_oracle_over_many_blocks(self, case):
+        # a 16-cell block holds at most 8 received words here, so every sweep
+        # runs in at least two blocks and the high bits of c(x, y) are used
+        code, channels = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_bitops, "BLOCK_CELLS", 16)
+            assert 2 * AndCounts.of_words(code.words, code.n).rows <= 1 << code.n
+            assert exact_error_probabilities(code, channels) == \
+                [brute_error_probability(code, c) for c in channels]
+
+    def test_many_channels_in_bounded_memory(self):
+        # 2000 channels at n = 10, M = 64: the shared low c table and one block
+        # of keys at a time, never one low table per channel
+        rng = random.Random(29)
+        code = random_code(rng, 10, 64)
+        channels = [ChannelParams(Fraction(1, 20), Fraction(1, 20) + Fraction(k, 10000))
+                    for k in range(2000)]
+        tracemalloc.start()
+        try:
+            exact_error_probabilities(code, channels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 << 20
+
     def test_empty_channel_list(self, c1):
         assert exact_error_probabilities(c1, []) == []
 
@@ -471,13 +530,13 @@ class TestExactErrorProbabilities:
         channels = [_channel("0.1", q) for q in ("0.1", "0.15", "0.2", "0.25", "0.3")]
         whole = exact_error_probabilities(c1, channels)
         sweeps = []
-        product = AndCounts.__call__
-        monkeypatch.setattr(AndCounts, "__call__",
+        product = AndCounts.word_major
+        monkeypatch.setattr(AndCounts, "word_major",
                             lambda self, *args: sweeps.append(1) or product(self, *args))
         monkeypatch.setattr(channel, "EXACT_CELLS", 2 * 2 * 7 * 7)
         assert exact_error_probabilities(c1, channels) == whole
-        # 2^6 received words are one block, so one product per group of two
-        assert len(sweeps) == 3
+        # three groups of at most two channels share the one product of the call
+        assert len(sweeps) == 1
 
     def test_one_bit_matrix_per_call(self, monkeypatch, c1):
         built = []
