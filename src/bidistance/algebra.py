@@ -149,8 +149,8 @@ def defining_set_code(field: BinaryField, defining_set: Sequence[int]) -> Code:
 
     Each field element beta yields the codeword whose coordinate i is the
     absolute trace of beta * d_i.  The map is F_2-linear, so the code is the
-    span of the words of the m basis elements beta = 2^j.  Duplicate rows
-    collapse, so the size reported is the actual one (a power of two).
+    span of the words of the m basis elements beta = 2^j, reduced to a basis
+    first, so the size reported is the actual one (a power of two).
     """
     elems = list(defining_set)
     if not elems:
@@ -163,8 +163,7 @@ def defining_set_code(field: BinaryField, defining_set: Sequence[int]) -> Code:
         field._check(x)
     basis = [sum(field.trace(field.mul(1 << j, d)) << i for i, d in enumerate(elems))
              for j in range(field.m)]
-    masks = set(row_ints(span_words(basis, len(elems))))
-    return Code(len(elems), sorted(masks), is_linear=True)
+    return GeneratorMatrix(len(elems), tuple(_rref(basis, len(elems))[0])).codewords()
 
 
 def trace_code_27_6() -> Code:
@@ -228,15 +227,18 @@ class GeneratorMatrix:
         return [str(Word(self.n, r)) for r in self.rows]
 
     def codewords(self) -> Code:
+        """The span, linear by construction: no elimination over its 2^k words."""
         if self.k > MAX_ENUM_DIMENSION:
             raise CapExceeded(
                 f"enumerating 2**{self.k} codewords; cap is k <= {MAX_ENUM_DIMENSION}")
-        return Code(self.n, sorted(row_ints(span_words(self.rows, self.n))), is_linear=True)
+        code = Code(self.n, sorted(row_ints(span_words(self.rows, self.n))))
+        code.is_linear, code._basis = True, self.rows
+        return code
 
 
 def generator_from_code(code: Code) -> GeneratorMatrix:
-    """Row-reduced basis of a code that must form a linear subspace."""
-    reduced, _ = _rref(code.words, code.n)
+    """Row-reduced basis of a linear code, from its kept basis rows if it has them."""
+    reduced, _ = _rref(code._basis or code.words, code.n)
     if len(code) != 1 << len(reduced):
         raise ValueError("codewords do not form a linear subspace")
     return GeneratorMatrix(code.n, tuple(reduced))
@@ -274,14 +276,16 @@ def coset_distribution_matrix(g: GeneratorMatrix) -> np.ndarray:
 
     Row s counts, by weight 0..n, the words whose syndrome under a dual
     basis of ``g`` is s (bit b is the parity against the b-th check).
-    Built one coordinate at a time: after step i the table counts the
-    words on coordinates 0..i, and those with a one at i come from the
-    previous table with one less weight and the syndrome moved by h_i,
-    coordinate i's syndrome column.  Each step is one gathered shift of
-    the 2^(n-k) x (n+1) table, n*2^(n-k)*(n+1) additions in all, so no word
-    of the 2^n ambient space is enumerated.  A count never exceeds 2^k, the
-    words of one coset, so int64 is exact for k <= 62; that also keeps n
-    below 80 under the cell cap.
+    Check b holds the only one at the b-th free (non-pivot) coordinate of
+    ``g``, so the words on the n - k free coordinates give each syndrome s
+    one word, of weight wt(s).  From there the table adds one pivot
+    coordinate i at a time: the words with a one at i come from the
+    previous table with one less weight and the syndrome moved by h_i, i's
+    syndrome column.  Each is one gathered shift of the 2^(n-k) x (n+1)
+    table, k*2^(n-k)*(n+1) additions in all, so no word of the 2^n ambient
+    space is enumerated.  A count never exceeds 2^k, the words of one
+    coset, so int64 is exact for k <= 62; that also keeps n below 80 under
+    the cell cap.
     """
     n = g.n
     if g.k > 62:
@@ -291,8 +295,8 @@ def coset_distribution_matrix(g: GeneratorMatrix) -> np.ndarray:
     checks = _null_space_rows(g.rows, n)
     cosets = np.arange(1 << len(checks))
     hist = np.zeros((len(cosets), n + 1), dtype=np.int64)
-    hist[0, 0] = 1
-    for i in range(n):
+    hist[cosets, np.bitwise_count(cosets)] = 1
+    for i in _rref(g.rows, n)[1]:
         h_i = sum(((row >> i) & 1) << b for b, row in enumerate(checks))
         hist[:, 1:] += hist[cosets ^ h_i, :-1]  # the gather copies the old table
     return hist

@@ -289,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scheme = sub.add_parser("scheme", help="intersection numbers of a three-weight code")
     add_code(p_scheme)
     p_scheme.add_argument("--sample", type=int, default=50,
-                          help="constancy-check pairs per class (0 = all)")
+                          help="accepted for compatibility; every pair is checked")
     p_scheme.set_defaults(func=_cmd_scheme)
     return parser
 

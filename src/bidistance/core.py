@@ -101,10 +101,11 @@ class Code:
     ``is_linear`` is metadata: asserting it triggers an actual subspace
     check (power-of-two size and XOR closure via a rank computation).
     A code is immutable, so its pair table, the table's support and the
-    weight distribution are computed once and kept.
+    weight distribution are computed once and kept.  A code built as the
+    span of rows keeps them in ``_basis``, linear by construction.
     """
 
-    __slots__ = ("n", "words", "is_linear", "_pairs", "_weights")
+    __slots__ = ("n", "words", "is_linear", "_pairs", "_weights", "_basis")
 
     def __init__(self, n: int, words: Iterable[int], is_linear: bool | None = None):
         masks = tuple(int(w) for w in words)
@@ -122,8 +123,7 @@ class Code:
             raise ValueError("duplicate codewords")
         self.n = n
         self.words = masks
-        self._pairs = None
-        self._weights = None
+        self._pairs = self._weights = self._basis = None
         if is_linear:
             self._check_linear()
         self.is_linear = is_linear

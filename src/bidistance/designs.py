@@ -15,9 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._bitops import AndCounts, matrix_ints
-from .algebra import (coset_distribution_matrix, distinct_row_count, dual_code,
-                      generator_from_code)
+from ._bitops import AndCounts, matrix_ints, popcount, span_words
+from .algebra import distinct_row_count, generator_from_code
 from .core import BidistanceDistribution, Code, solve_directional_system
 
 #: codewords in a measured graph or scheme: v x v tables, seconds of work at the cap
@@ -205,19 +204,33 @@ class SchemeParams:
         }
 
 
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform down each column of the int64
+    (2^k, m) ``a``, by k add/subtract butterflies on reshaped views, each over
+    contiguous runs of rows; applied twice it scales by 2^k."""
+    size, width = a.shape
+    a, out, half = a.copy(), np.empty_like(a), 1
+    while half < size:
+        pairs, sums = a.reshape(-1, 2, half * width), out.reshape(-1, 2, half * width)
+        np.add(pairs[:, 0], pairs[:, 1], out=sums[:, 0])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=sums[:, 1])
+        a, out, half = out, a, 2 * half
+    return a
+
+
 def scheme_from_three_weight(code: Code, sample: int = 50) -> SchemeParams:
     """Measure the distance-scheme intersection numbers of a three-weight code.
 
-    The dual's coset distribution matrix must have exactly four distinct
-    rows for the distance classes to compose consistently; that condition
-    is verified first, then every constant is measured on one representative
-    and checked across a stride sample per class (``sample=0`` checks all).
-
-    Linearity makes pair classes translation-invariant, so representatives
-    of the form (0, z) with wt(z) = w_k cover every pair in class k, and
-    p[k][i][j] counts the codewords y of class i with y ^ z of class j.  For
-    a block of z at once, c = wt(y & z) comes from the pair kernel and
-    wt(y ^ z) = wt(y) + wt(z) - 2c; one bincount counts the classes.
+    Codeword t is the XOR of the reduced basis rows on t's set bits, so y ^ z
+    has index t_y ^ t_z, and the count of y in class i with y ^ z in class j
+    is the XOR convolution of the class-i and class-j indicators at z.  One
+    Walsh-Hadamard transform F of the four class indicators gives all 16 as
+    the transform of F_i F_j over 2^k, for every z at once, so every pair is
+    checked; each value stays below 2^(3k).  Row s of F is the weight
+    enumerator of the dual's coset of syndrome s in the invertible
+    Krawtchouk basis (MacWilliams), so F has as many distinct rows as the
+    dual coset matrix, and it must have 4 for the classes to compose.
+    ``sample`` is validated and otherwise unused, kept for compatibility.
     """
     if sample < 0:
         raise ValueError(f"sample must be non-negative, got {sample}")
@@ -228,35 +241,26 @@ def scheme_from_three_weight(code: Code, sample: int = 50) -> SchemeParams:
     weights = [w for w in range(1, code.n + 1) if dist[w]]
     if len(weights) != 3:
         raise ValueError(f"need exactly three nonzero weights, found {len(weights)}")
-    rows = distinct_row_count(coset_distribution_matrix(dual_code(generator)))
+    if generator.k == code.n:
+        raise ValueError("the dual of the full space is the zero code")
+    class_of = np.zeros(code.n + 1, dtype=np.intp)
+    class_of[weights] = (1, 2, 3)
+    classes = class_of[popcount(span_words(generator.rows, code.n)).sum(axis=1)]
+    spectra = _walsh_hadamard(np.equal.outer(classes, np.arange(4)).astype(np.int64))
+    rows = distinct_row_count(spectra)
     if rows != 4:
         raise ValueError(
             f"not an association scheme: the dual coset matrix has {rows} distinct "
             "rows instead of 4")
-    words = AndCounts.of_words(code.words, code.n)
-    wts = words.weights
-    class_of = np.zeros(code.n + 1, dtype=np.intp)
-    class_of[weights] = (1, 2, 3)
-    cls_y = 4 * class_of[wts]
-    valences = tuple(dist[w] for w in weights)
-    measured = [tuple(map(tuple, np.diag((1,) + valences).tolist()))]
-    for k, wk in enumerate(weights, start=1):
-        reps = np.flatnonzero(wts == wk)
-        if sample and len(reps) > sample:
-            stride = -(-len(reps) // sample)
-            reps = reps[::stride][:sample]
-        tables = set()
-        for start in range(0, len(reps), words.rows):
-            block = reps[start:start + words.rows]
-            wyz = wts[block, None] + wts - 2 * words(words.bits[block])
-            cells = cls_y + class_of[wyz] + 16 * np.arange(len(block))[:, None]
-            counts = np.bincount(cells.ravel(), minlength=16 * len(block))
-            tables.update(tuple(map(tuple, t)) for t in counts.reshape(-1, 4, 4).tolist())
-        if len(tables) != 1:
+    tables = _walsh_hadamard((spectra[:, :, None] * spectra[:, None]).reshape(-1, 16))
+    measured = []
+    for k in range(4):
+        found = tables[classes == k] >> generator.k
+        if (found != found[0]).any():
             raise ValueError(
                 f"not an association scheme: counts vary across class-{k} pairs")
-        measured.append(tables.pop())
-    return SchemeParams(valences, tuple(measured))
+        measured.append(found[0].reshape(4, 4).tolist())
+    return SchemeParams(tuple(dist[w] for w in weights), tuple(measured))
 
 
 def three_weight_ahb(n: int, weights: Sequence[int],

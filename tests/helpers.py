@@ -11,12 +11,14 @@ from typing import Sequence
 
 import numpy as np
 
-from bidistance._bitops import popcount
-from bidistance.algebra import BinaryField, GeneratorMatrix, _null_space_rows
+from bidistance._bitops import AndCounts, popcount
+from bidistance.algebra import (BinaryField, GeneratorMatrix, _null_space_rows,
+                                coset_distribution_matrix, distinct_row_count, dual_code,
+                                generator_from_code)
 from bidistance.bounds import pairwise_error_probability
 from bidistance.channel import ChannelParams, _score_table, likelihood
 from bidistance.core import BidistanceDistribution, Code, Word
-from bidistance.designs import SrgParams
+from bidistance.designs import MEASURE_SIZE_CAP, SchemeParams, SrgParams
 
 
 def eq3_pairwise_oracle(d10: int, d01: int, params: ChannelParams) -> Fraction:
@@ -281,6 +283,58 @@ def reference_srg(code: Code, w1: int) -> SrgParams:
     if mu == 0:
         raise ValueError("not strongly regular: the graph is disconnected")
     return SrgParams(v, valency, lams.pop() if lams else 0, mu)
+
+
+def reference_scheme(code: Code, sample: int = 50) -> SchemeParams:
+    """scheme_from_three_weight by the coset table and the pair kernel it
+    used before its transforms, with the same checks in the same order.
+
+    The dual's coset distribution matrix must have exactly four distinct
+    rows.  Then, as linearity makes pair classes translation-invariant,
+    p[k][i][j] counts the codewords y of class i with y ^ z of class j for
+    representatives z of class k, a stride sample of at most ``sample`` of
+    them per class (``sample=0`` takes all), in blocks: c = wt(y & z) from
+    the pair kernel, wt(y ^ z) = wt(y) + wt(z) - 2c, one bincount of the
+    classes.
+    """
+    if sample < 0:
+        raise ValueError(f"sample must be non-negative, got {sample}")
+    if len(code) > MEASURE_SIZE_CAP:
+        raise ValueError(f"scheme measurement capped at {MEASURE_SIZE_CAP} codewords")
+    generator = generator_from_code(code)
+    dist = code.weight_distribution()
+    weights = [w for w in range(1, code.n + 1) if dist[w]]
+    if len(weights) != 3:
+        raise ValueError(f"need exactly three nonzero weights, found {len(weights)}")
+    rows = distinct_row_count(coset_distribution_matrix(dual_code(generator)))
+    if rows != 4:
+        raise ValueError(
+            f"not an association scheme: the dual coset matrix has {rows} distinct "
+            "rows instead of 4")
+    words = AndCounts.of_words(code.words, code.n)
+    wts = words.weights
+    class_of = np.zeros(code.n + 1, dtype=np.intp)
+    class_of[weights] = (1, 2, 3)
+    cls_y = 4 * class_of[wts]
+    valences = tuple(dist[w] for w in weights)
+    measured = [tuple(map(tuple, np.diag((1,) + valences).tolist()))]
+    for k, wk in enumerate(weights, start=1):
+        reps = np.flatnonzero(wts == wk)
+        if sample and len(reps) > sample:
+            stride = -(-len(reps) // sample)
+            reps = reps[::stride][:sample]
+        tables = set()
+        for start in range(0, len(reps), words.rows):
+            block = reps[start:start + words.rows]
+            wyz = wts[block, None] + wts - 2 * words(words.bits[block])
+            cells = cls_y + class_of[wyz] + 16 * np.arange(len(block))[:, None]
+            counts = np.bincount(cells.ravel(), minlength=16 * len(block))
+            tables.update(tuple(map(tuple, t)) for t in counts.reshape(-1, 4, 4).tolist())
+        if len(tables) != 1:
+            raise ValueError(
+                f"not an association scheme: counts vary across class-{k} pairs")
+        measured.append(tables.pop())
+    return SchemeParams(valences, tuple(measured))
 
 
 # --- exact oracles for the float bounds in bidistance.bounds

@@ -179,6 +179,46 @@ class TestGeneratorMatrix:
             generator_from_code(Code(3, [0, 1, 2]))
 
 
+class TestTrustedSpans:
+    """Codes built as spans are linear without an elimination over their words
+    and keep their basis; a caller's linearity claim is still checked."""
+
+    def test_codewords_trusted_and_basis_kept(self, monkeypatch):
+        rng = random.Random(1904)
+        for _ in range(60):
+            n = rng.randint(1, 70)
+            g = GeneratorMatrix(n, tuple(random_generator_rows(rng, n, rng.randint(1, min(n, 9)))))
+            monkeypatch.setattr(Code, "_check_linear", lambda self: pytest.fail("re-checked"))
+            code = g.codewords()
+            monkeypatch.undo()
+            assert code.is_linear and code._basis == g.rows
+            assert len(code) == 1 << reference_rank(code.words)
+            fresh = Code(n, code.words, is_linear=True)
+            assert code == fresh and fresh._basis is None
+            assert generator_from_code(code).rows == generator_from_code(fresh).rows
+
+    def test_defining_set_code_keeps_reduced_basis(self):
+        rng = random.Random(1905)
+        for m in range(1, 7):
+            field = BinaryField(m)
+            elems = rng.sample(range(1, field.order), rng.randint(1, field.order - 1))
+            code = defining_set_code(field, elems)
+            assert len(code._basis) == reference_rank(code.words) and code.is_linear
+            fresh = Code(code.n, code.words)
+            assert generator_from_code(code).rows == generator_from_code(fresh).rows
+
+    def test_caller_claim_still_checked(self):
+        rng = random.Random(1906)
+        for _ in range(30):
+            # at k >= 2 the words but the last still span the code, so the
+            # word from outside raises the rank past the size
+            n = rng.randint(3, 12)
+            words = span_code(n, random_generator_rows(rng, n, rng.randint(2, n - 1))).words
+            outside = next(w for w in range(1 << n) if w not in set(words))
+            with pytest.raises(ValueError, match="not linear"):
+                Code(n, words[:-1] + (outside,), is_linear=True)
+
+
 class TestGolay:
     def test_generator_divides_modulus(self):
         assert _poly_mod((1 << 23) | 1, GOLAY_GENERATOR_POLY) == 0

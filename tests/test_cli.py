@@ -460,6 +460,15 @@ class TestScheme:
         rc, _, err = run(capsys, "scheme", "--code", str(path))
         assert rc == 3 and "three nonzero weights" in err
 
+    def test_rejects_full_space(self, capsys, tmp_path):
+        # F_2^3 has three nonzero weights, and its classes compose, but the
+        # dual is the zero code: refused before any transform
+        path = tmp_path / "full.code"
+        Code(3, range(8)).to_file(path)
+        rc, out, err = run(capsys, "scheme", "--code", str(path))
+        assert (rc, out) == (3, "")
+        assert err == "error: the dual of the full space is the zero code\n"
+
 
 @pytest.mark.parametrize("command", ["bidist", "pe", "bounds", "sweep", "scheme"])
 def test_non_utf8_code_file_is_parse_error(capsys, tmp_path, command):

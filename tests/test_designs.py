@@ -4,16 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bidistance.algebra import trace_code_27_6
+from bidistance._bitops import popcount, span_words
+from bidistance.algebra import (GeneratorMatrix, coset_distribution_matrix, distinct_row_count,
+                                dual_code, golay_code, trace_code_27_6)
 from bidistance.core import Code, bidistance_distribution
 from bidistance.designs import (DIFFERENCE_SETS, MEASURE_SIZE_CAP, IncidenceDesign, SrgParams,
-                                catalog_design, dimension_from_weights,
+                                _walsh_hadamard, catalog_design, dimension_from_weights,
                                 sbibd_ahb, sbibd_codes,
                                 sbibd_from_difference_set,
                                 scheme_from_three_weight, srg_from_two_weight,
                                 three_weight_ahb, two_weight_ahb, verify_srg)
 from helpers import (random_code, random_generator_rows, reference_sbibd_words,
-                     reference_srg, rows_from_columns, span_code)
+                     reference_scheme, reference_srg, rows_from_columns, span_code)
 
 # [4,3] projective two-weight code: columns are the vectors with first bit set
 AFFINE_COLUMNS = (0b001, 0b101, 0b011, 0b111)
@@ -206,8 +208,7 @@ class TestScheme:
                 assert got == [list(r) for r in scheme.p[k.index((x ^ z).bit_count())]]
 
     def test_golay_dual_blocks_match_brute_force_count(self):
-        # sample=0 takes every representative, in many blocks of the product
-        from bidistance.algebra import dual_code, golay_code
+        # the sample is ignored: every pair is checked at either setting
         code = dual_code(golay_code()).codewords()
         weights = (8, 12, 16)
         scheme = scheme_from_three_weight(code, sample=0)
@@ -262,6 +263,103 @@ class TestScheme:
     def test_rejects_nonlinear(self):
         with pytest.raises(ValueError, match="subspace"):
             scheme_from_three_weight(Code(4, [0, 1, 2]))
+
+    def test_rejects_full_space(self):
+        # the transforms alone would return the Hamming scheme of F_2^3
+        with pytest.raises(ValueError, match="^the dual of the full space is the zero code$"):
+            scheme_from_three_weight(Code(3, range(8)))
+
+
+def _scheme_outcome(check, code, sample):
+    try:
+        return check(code, sample)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _random_linear_code(rng, n, k):
+    return span_code(n, random_generator_rows(rng, n, k))
+
+
+class TestSchemeTransform:
+    """The Walsh-Hadamard measurement against the coset table and pair kernel
+    it replaced (``reference_scheme``)."""
+
+    def test_transform_matches_hadamard_matrix(self):
+        rng = np.random.default_rng(91)
+        for k in range(6):
+            a = rng.integers(-9, 9, size=(1 << k, 3))
+            index = np.arange(1 << k)
+            signs = 1 - 2 * (np.bitwise_count(index[:, None] & index) % 2).astype(np.int64)
+            assert np.array_equal(_walsh_hadamard(a), signs @ a)
+            assert np.array_equal(_walsh_hadamard(_walsh_hadamard(a)), a << k)
+
+    @pytest.mark.parametrize("name", ["columns", "golay-dual", "golay-dual-from-words"])
+    def test_matches_oracle_on_shipped_codes(self, name):
+        code = (_column_code(SCHEME_COLUMNS, 3) if name == "columns"
+                else dual_code(golay_code()).codewords())
+        if name == "golay-dual-from-words":
+            code = Code(code.n, code.words)  # no kept basis
+        for sample in (0, 50):
+            assert scheme_from_three_weight(code, sample) == reference_scheme(code, 0)
+
+    def test_matches_oracle_on_random_three_weight_codes(self):
+        rng = random.Random(1901)
+        schemes = 0
+        while schemes < 40:
+            n = rng.randint(4, 11)
+            code = _random_linear_code(rng, n, rng.randint(2, min(n - 1, 7)))
+            if sum(1 for c in code.weight_distribution()[1:] if c) != 3:
+                continue
+            got = _scheme_outcome(scheme_from_three_weight, code, 0)
+            assert got == _scheme_outcome(reference_scheme, code, 0), code.words
+            schemes += not isinstance(got, str)
+
+    def test_same_errors_as_oracle(self):
+        rng = random.Random(1902)
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(1, 9)
+            kind = rng.randrange(4)
+            if kind == 0:
+                code = _random_linear_code(rng, n, rng.randint(1, n))
+            elif kind == 1:
+                code = span_code(n, [1 << i for i in range(n)])
+            elif kind == 2:
+                code = random_code(rng, n, rng.randint(1, min(12, 1 << n)))
+            else:
+                code = Code(n, [0])
+            sample = rng.choice([-1, 0, 1, 50])
+            got = _scheme_outcome(scheme_from_three_weight, code, sample)
+            assert got == _scheme_outcome(reference_scheme, code, sample), (code.words, sample)
+            if isinstance(got, str):
+                seen.add(got.split(",")[0].split(":")[0].rstrip("0123456789 "))
+        assert seen >= {"sample must be non-negative", "codewords do not form a linear subspace",
+                        "need exactly three nonzero weights", "at least one row is required",
+                        "the dual of the full space is the zero code",
+                        "not an association scheme"}
+
+    def test_long_code_past_the_coset_table_caps(self):
+        # F_2^3 with every coordinate repeated 30 times: n - k = 87 is past the
+        # coset table's int64 cap, which the transforms never build
+        code = Code(90, [sum(((t >> (i // 30)) & 1) << i for i in range(90)) for t in range(8)])
+        scheme = scheme_from_three_weight(code)
+        for x in code.words:
+            for z in code.words:
+                got = _pair_counts(code.words, (30, 60, 90), x, z)
+                assert got == [list(r) for r in scheme.p[(x ^ z).bit_count() // 30]]
+
+    def test_distinct_transform_rows_are_dual_coset_rows(self):
+        # the transform of the weight-class indicators has as many distinct
+        # rows as the dual's coset weight matrix, for any number of weights
+        rng = random.Random(1903)
+        for _ in range(120):
+            n = rng.randint(2, 14)
+            g = GeneratorMatrix(n, tuple(random_generator_rows(rng, n, rng.randint(1, n - 1))))
+            weights = popcount(span_words(g.rows, n)).sum(axis=1)
+            indicators = np.equal.outer(weights, np.unique(weights)).astype(np.int64)
+            got = distinct_row_count(_walsh_hadamard(indicators))
+            assert got == distinct_row_count(coset_distribution_matrix(dual_code(g))), g.rows
 
 
 class TestDifferenceSets:
