@@ -67,23 +67,20 @@ class AndCounts:
             raise CapExceeded(f"exact bit products need n < {MAX_LENGTH}, got {n}")
         return cls(bit_matrix(words, n))
 
-    def __call__(self, rows: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
-        """int32 c of each 0/1 row against each word, or the words in ``cols``."""
-        return (rows.astype(np.float32) @ self.columns[:, cols]).astype(np.int32)
-
-    def word_major(self, rows: np.ndarray) -> np.ndarray:
-        """The (M, len(rows)) transpose of self(rows), one row per word, from one
-        contiguous product."""
-        return (self.columns.T @ rows.astype(np.float32).T).astype(np.int32)
+    def word_major(self, rows: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
+        """int32 c of each word, or of the words in ``cols``, against each 0/1 row:
+        (words, len(rows)), one row per word, from one contiguous product."""
+        return (self.columns[:, cols].T @ rows.astype(np.float32).T).astype(np.int32)
 
     def upper_tiles(self) -> Iterator[tuple[slice, slice, np.ndarray]]:
         """(rows, cols, c) over square BLOCK_CELLS tiles at and above the diagonal
-        of the words against themselves (c is symmetric); at large M a row block
-        holds a few rows yet rereads all M words, and a tile does not."""
+        of the words against themselves, c the (rows, cols) view of a word-major
+        tile (c is symmetric); at large M a row block holds a few rows yet rereads
+        all M words, and a tile does not."""
         side = int(BLOCK_CELLS ** 0.5)
         for start, col in combinations_with_replacement(range(0, len(self.bits), side), 2):
             rows, cols = slice(start, start + side), slice(col, col + side)
-            yield rows, cols, self(self.bits[rows], cols)
+            yield rows, cols, self.word_major(self.bits[rows], cols).T
 
 
 def matrix_ints(bits: np.ndarray) -> list[int]:

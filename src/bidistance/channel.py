@@ -2,13 +2,9 @@
 
 Crossover probabilities are exact rationals parsed from decimal strings;
 the supported regime is 0 < p <= q < 1/2, where p is the 0->1 and q the
-1->0 flip probability.  Every decoder here is one block kernel, _RankKernel:
-x's likelihood for a received y orders as the integer key c(u + v) - wt(x) v of
-c = wt(x & y), u/v the exact rational of ChannelParams.bracket for gamma, so ties
-are exact.  A block is one contiguous (M, rows) array of keys, int32 where they fit,
-one row per codeword; a column max and an equality count decide it.  The exhaustive
-sweep takes the c of its low received bits once per call and adds the high bits'
-counts per block.
+1->0 flip probability.  Every decoder here is one exact block kernel of
+integer likelihood keys, _RankKernel; the README's "One exact decoding
+kernel" paragraph derives them.
 """
 
 from __future__ import annotations
@@ -216,8 +212,7 @@ class _RankKernel:
     (u, v) = params.bracket(n).  Keys lie in [-nv, n(u + v)], so a channel's keys
     are int32 when 4n(u + v) < 2**31 and int64 otherwise.  Per channel: u + v and
     each codeword's w*v in that width, and the sorted distinct keys with a
-    (class, c) cell class * (n + 1) + c each; ``rank_of``, the dense rank of each
-    cell's key at the first channel, is built when first read."""
+    (class, c) cell class * (n + 1) + c each."""
 
     def __init__(self, code: Code, *channels: ChannelParams):
         n = code.n
@@ -229,21 +224,14 @@ class _RankKernel:
             raise CapExceeded(f"decoding n={n} over {len(self.weights)} weights needs "
                               f"{keys} rank keys; cap is {MAX_RANK_KEYS}")
         cells = np.concatenate([k * (n + 1) + np.arange(w + 1) for k, w in enumerate(weights)])
-        self.brackets = [params.bracket(n) for params in channels]
         self.channels = []
-        for u, v in self.brackets:
+        for params in channels:
+            u, v = params.bracket(n)
             width = np.int32 if 4 * n * (u + v) < 1 << 31 else np.int64
-            distinct, first = np.unique(self.cell_keys(u, v), return_index=True)
+            cell_key = np.concatenate([np.arange(w + 1) * (u + v) - w * v for w in weights])
+            distinct, first = np.unique(cell_key, return_index=True)
             self.channels.append((width(u + v), self.common.weights.astype(width) * width(v),
                                   distinct, cells[first]))
-
-    def cell_keys(self, u: int, v: int) -> np.ndarray:
-        """The key of every (class, c) cell, in cell order, at the bracket (u, v)."""
-        return np.concatenate([np.arange(w + 1) * (u + v) - w * v for w in self.weights.tolist()])
-
-    @cached_property
-    def rank_of(self) -> np.ndarray:
-        return np.unique(self.cell_keys(*self.brackets[0]), return_inverse=True)[1]
 
     def keys(self, common: np.ndarray, channel: int = 0, high=0) -> np.ndarray:
         """The (M, rows) keys of a block's codeword-major c = wt(x & y), plus the

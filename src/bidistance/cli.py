@@ -6,7 +6,7 @@ bounds), ``sweep`` (CSV of bound/error curves over a q grid), ``construct``
 (catalog codes with metadata), and ``scheme`` (intersection numbers).
 
 Exit codes: 0 success, 2 usage/parse errors, 3 domain errors (channel
-regime violations, enumeration caps and arithmetic failures).
+regime violations, enumeration caps, arithmetic failures, failed allocations).
 """
 
 from __future__ import annotations
@@ -298,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CapExceeded, ValueError, ArithmeticError, OSError) as exc:
+    except (CapExceeded, ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ParseError) else 3
 

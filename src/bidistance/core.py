@@ -327,9 +327,10 @@ def _pair_table(n: int, words: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]
     for k, wx in enumerate(wts.tolist()):
         rows = np.flatnonzero(col_class == k)
         acc = np.zeros(len(wts) * (wx + 1), dtype=np.int64)
+        cells = col_class[:, None] * (wx + 1)
         for start in range(0, len(rows), pairs.rows):
-            common = pairs(pairs.bits[rows[start:start + pairs.rows]])
-            acc += np.bincount((col_class * (wx + 1) + common).ravel(), minlength=len(acc))
+            common = pairs.word_major(pairs.bits[rows[start:start + pairs.rows]])
+            acc += np.bincount((cells + common).ravel(), minlength=len(acc))
         y, c = np.divmod(np.flatnonzero(acc), wx + 1)
         parts.append((np.column_stack([np.full_like(c, wx), wx - c, wts[y] - c]), acc[acc != 0]))
     keys, counts = map(np.concatenate, zip(*parts))

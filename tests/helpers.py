@@ -52,6 +52,16 @@ def brute_mld(code: Code, y: Word, params: ChannelParams) -> Word | None:
     return winners[0] if len(winners) == 1 else None
 
 
+def kernel_ranks(kernel, n: int) -> list[int]:
+    """The dense rank of the decoder's key of every (weight, c) cell, in cell
+    order, for a kernel of one word per weight in ascending order: in the block
+    min(w_k, c), row k's first w_k + 1 columns are its cells c <= w_k."""
+    weights = kernel.common.weights
+    key = kernel.keys(np.minimum.outer(weights, np.arange(n + 1)))
+    cells = np.concatenate([row[:w + 1] for row, w in zip(key, weights.tolist())])
+    return np.unique(cells, return_inverse=True)[1].tolist()
+
+
 def brute_error_probability(code: Code, params: ChannelParams) -> Fraction:
     """Decoder error probability as 1 - (1/M) * sum over all received y of
     Pr(y | brute_mld(y)), skipping the received words that fail."""
@@ -326,7 +336,7 @@ def reference_scheme(code: Code, sample: int = 50) -> SchemeParams:
         tables = set()
         for start in range(0, len(reps), words.rows):
             block = reps[start:start + words.rows]
-            wyz = wts[block, None] + wts - 2 * words(words.bits[block])
+            wyz = wts[block, None] + wts - 2 * words.word_major(words.bits[block]).T
             cells = cls_y + class_of[wyz] + 16 * np.arange(len(block))[:, None]
             counts = np.bincount(cells.ravel(), minlength=16 * len(block))
             tables.update(tuple(map(tuple, t)) for t in counts.reshape(-1, 4, 4).tolist())

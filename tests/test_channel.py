@@ -19,7 +19,7 @@ from bidistance.channel import (MAX_LENGTH, ChannelParams, RegimeError,
                                 monte_carlo_error_probability, parse_probability)
 from bidistance.core import CapExceeded, Code, ParseError, Word, dir_distances
 from helpers import (EDGE_LENGTHS, brute_error_probability, brute_mld,
-                     edge_code, padded_code, random_code)
+                     edge_code, kernel_ranks, padded_code, random_code)
 
 _channel = ChannelParams.from_decimals
 
@@ -302,7 +302,7 @@ class TestRankKernel:
         kernel = _RankKernel(code, params)
         table = _score_table(n, params)
         keys = [(w, c) for w in kernel.weights.tolist() for c in range(w + 1)]
-        rank = kernel.rank_of.tolist()
+        rank = kernel_ranks(kernel, n)
         assert len(rank) == len(keys)
         for (w, c), r in zip(keys, rank):
             for (w2, c2), r2 in zip(keys, rank):
@@ -313,8 +313,9 @@ class TestRankKernel:
     @pytest.mark.parametrize("params", [_channel("0.05", "0.05"), _channel("0.05", "0.3")],
                              ids=["p_eq_q", "asymmetric"])
     def test_long_code_ranks_match_exact_integers(self, params):
-        # three weight classes at n = 3000: rank_of is the dense rank of
-        # X**w * Y**c, compared as integers over the common denominator
+        # three weight classes at n = 3000: the dense rank of the decoder's
+        # keys is that of X**w * Y**c, compared as integers over the common
+        # denominator
         n = 3000
         code = Code(n, [(1 << w) - 1 for w in (700, 1501, 2999)])
         kernel = _RankKernel(code, params)
@@ -326,7 +327,7 @@ class TestRankKernel:
                  for w in (700, 1501, 2999) for c in range(w + 1)]
         distinct = sorted(set(exact))
         dense = {value: i for i, value in enumerate(distinct)}
-        assert kernel.rank_of.tolist() == [dense[value] for value in exact]
+        assert kernel_ranks(kernel, n) == [dense[value] for value in exact]
         if params.p == params.q:
             # X**w * Y**c = X**(w - 2c) at p = q, so only w - 2c decides
             assert len(distinct) == len({w - 2 * c for w in (700, 1501, 2999)
@@ -350,7 +351,7 @@ class TestRankKernel:
         x_pow = {w: x.numerator ** w * x.denominator ** (n - w) for w in weights}
         exact = [x_pow[w] * y_pow[c] for w in weights for c in range(w + 1)]
         dense = {value: i for i, value in enumerate(sorted(set(exact)))}
-        assert kernel.rank_of.tolist() == [dense[value] for value in exact]
+        assert kernel_ranks(kernel, n) == [dense[value] for value in exact]
 
     @pytest.mark.parametrize("params", KEY_CHANNELS, ids=KEY_IDS)
     def test_int64_keys_compare_as_scores(self, params):

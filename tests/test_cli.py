@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bidistance import cli
 from bidistance.bounds import (ahb_union_bound, discrepancy_bound,
@@ -132,6 +137,20 @@ class TestSamplingFlags:
                            flag, value)
         assert rc == 2 and out == "" and flag in err
         assert not (tmp_path / "x.csv").exists()
+
+
+    @pytest.mark.parametrize("command", ["pe", "sweep"])
+    def test_unallocatable_trials_is_domain_error(self, capsys, c1_file, tmp_path, command):
+        # 2**59 trials: the single draw of codeword indices needs 4 EiB, more
+        # than any x86-64 address space, so it fails before touching memory
+        out_path = tmp_path / "x.csv"
+        args = {"pe": ["pe", "--mode", "mc", "-p", "0.1", "-q", "0.15"],
+                "sweep": ["sweep", "--methods", "monte_carlo", "-p", "0.1", "--q-from", "0.1",
+                          "--q-to", "0.2", "--steps", "3", "--out", str(out_path)]}
+        rc, out, err = run(capsys, *args[command], "--code", str(c1_file),
+                           "--trials", str(1 << 59))
+        assert (rc, out) == (3, "") and err.startswith("error:")
+        assert "Traceback" not in err and not out_path.exists()
 
 
 class TestBounds:
@@ -503,3 +522,93 @@ def test_usage_error_leaves_the_parser_intact(capsys, c1_file, tmp_path):
         capsys.readouterr()
         assert run(capsys, *argv) == fresh
     assert cli._build_parser() is cli._build_parser()
+
+
+#: probability strings: in-regime decimals with near-ties and 40 digits, and
+#: malformed or out-of-regime ones (signs, fractions, scientific notation,
+#: spaces, non-ASCII digits)
+PROBABILITIES = ["0.05", "0.050000000001", "0.1", "0.15", "0.2", "0.3", "0." + "3" * 40,
+                 "0.45", "0.4999999999999999999"]
+MALFORMED = ["0", "1", "0.5", "1/2", "-0.1", "+0.1", "1e-1", " 0.1 ", "0.1 5",
+             "\u0660.\u0661", ""]
+CATALOG_NAMES = ["golay", "golay-dual", "trace-27-6", "sbibd:7,3,1:1", "sbibd:7,3,1:2",
+                 "sbibd:7,3,1:9", "sbibd:11,5,2:1", "sbibd:7,3:1", "sbibd:7,3,1:2:junk",
+                 "sbibd:x", "golay-triple", ""]
+METHODS = ["ahb", "cr_discrepancy", "cr_symmetric", "exact", "monte_carlo", "bogus", ""]
+#: code file contents by kind; "random" and "directory" and "missing" are made per case
+CODE_FILES = {"empty": b"", "latin": b"\xff\xfe01\n", "ragged": b"101\n11\n",
+              "duplicate": b"101\n101\n", "comment": b"# no words\n",
+              "long": ("0" * 3000 + "\n" + "1" * 3000 + "\n").encode(),
+              "three_weight": "".join(w + "\n" for w in [
+                  "00000", "10101", "01100", "11001", "00011", "10110", "01111",
+                  "11010"]).encode()}
+#: the optional flags each command takes; an unknown command draws from all
+COMMAND_FLAGS = {"bidist": ["--format"], "pe": ["--cap", "--mode", "--seed", "--trials"],
+                 "bounds": ["--methods"], "sweep": ["--cap", "--methods", "--seed", "--trials"],
+                 "construct": [], "scheme": ["--sample"]}
+
+
+@st.composite
+def cli_calls(draw, root):
+    """argv for one CLI call: a command, a code file and random flags."""
+    command = draw(st.sampled_from(["bidist", "pe", "bounds", "sweep", "construct",
+                                    "scheme", "decode"]))
+    kind = draw(st.one_of(st.just("random"),
+                          st.sampled_from([*CODE_FILES, "directory", "missing"])))
+    code = {"directory": root, "missing": root / "missing.code"}.get(kind)
+    if code is None:
+        if kind == "random":
+            n = draw(st.integers(1, 12))
+            words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12,
+                                  unique=True))
+            text = "".join(format(w, f"0{n}b") + "\n" for w in words).encode()
+        else:
+            text = CODE_FILES[kind]
+        code = root / "case.code"
+        code.write_bytes(text)
+    p, q, q_to = draw(st.one_of(
+        st.lists(st.sampled_from(PROBABILITIES), min_size=3, max_size=3).map(
+            lambda ps: sorted(ps, key=Decimal)),
+        st.lists(st.sampled_from(PROBABILITIES + MALFORMED), min_size=3, max_size=3)))
+    argv = [command] if command == "construct" else [command, "--code", str(code)]
+    if command == "construct":
+        argv.append(draw(st.sampled_from(CATALOG_NAMES)))
+    if command in ("pe", "bounds"):
+        argv += ["-p", p, "-q", q]
+    if command == "sweep":
+        argv += ["-p", p, "--q-from", q, "--q-to", q_to, "--steps",
+                 str(draw(st.sampled_from([2, 3, 6, 1, 0, -1])))]
+    if command in ("sweep", "construct"):
+        out = [root / "out.txt"] * 3 + [root, root / "missing" / "out.txt"]
+        argv += ["--out", str(draw(st.sampled_from(out)))]
+    flags = {"--mode": st.sampled_from(["exact", "mc", "fast"]),
+             "--format": st.sampled_from(["json", "table", "xml"]),
+             "--trials": st.integers(-2, 50), "--seed": st.integers(-2, 1 << 40),
+             "--cap": st.integers(-1, 14), "--sample": st.integers(-3, 60),
+             "--methods": st.lists(st.sampled_from(METHODS), max_size=3).map(",".join)}
+    names = COMMAND_FLAGS.get(command, sorted(flags))
+    for flag in draw(st.lists(st.sampled_from(names), max_size=3, unique=True)) if names else []:
+        argv += [flag, str(draw(flags[flag]))]
+    if draw(st.sampled_from([False] * 9 + [True])):
+        del argv[draw(st.sampled_from(range(1, len(argv))))]  # a usage error, most likely
+    return argv
+
+
+def test_exit_code_contract(tmp_path_factory):
+    # every call exits 0, 2 (usage or parse error) or 3 (domain error, with
+    # stderr starting "error:"), and never raises or prints a traceback
+    root = tmp_path_factory.mktemp("contract")
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(cli_calls(root))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                rc = exc.code
+        assert rc in (0, 2, 3), (argv, rc, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        assert rc != 3 or err.getvalue().startswith("error:"), (argv, err.getvalue())
+    check()

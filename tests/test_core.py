@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import bidistance
 from bidistance import core
 from bidistance._bitops import BLOCK_CELLS, bit_matrix
 from bidistance.core import (BidistanceDistribution, BidistancePair, Code,
@@ -378,3 +379,25 @@ def test_bidistance_pair_helpers():
     pair = BidistancePair(2, 5)
     assert pair.swapped() == (5, 2)
     assert pair.hamming == 7
+
+
+def test_public_names_are_pinned():
+    # the package's public API: a name may be added here on purpose, never
+    # dropped by a refactor
+    assert sorted(bidistance.__all__) == [
+        "BidistanceDistribution", "BidistancePair", "BinaryField", "BoundReport",
+        "CapExceeded", "ChannelParams", "Code", "DIFFERENCE_SETS", "DecodeResult",
+        "GeneratorMatrix", "IncidenceDesign", "LatticePoint", "ParseError", "RegimeError",
+        "SchemeParams", "SrgParams", "Word", "ahb_union_bound", "algebra",
+        "bidistance_distribution", "bounds", "catalog_design", "channel", "core",
+        "coset_distribution_matrix", "defining_set_code", "designs", "dimension_from_weights",
+        "dir_distances", "discrepancy", "discrepancy_bound", "distinct_row_count",
+        "dual_code", "exact_error_probability", "generator_from_code", "golay_code",
+        "is_projective", "lattice_word_count", "likelihood", "llr", "min_discrepancy",
+        "min_symmetric_discrepancy", "mld_decode", "monte_carlo_error_probability",
+        "multiset_repr", "pairwise_error_probability", "parse_probability",
+        "relative_trace", "sbibd_ahb", "sbibd_codes", "sbibd_from_difference_set",
+        "scheme_from_three_weight", "solve_directional_system", "srg_from_two_weight",
+        "symmetric_discrepancy", "symmetric_discrepancy_bound", "three_weight_ahb",
+        "trace_code_27_6", "two_weight_ahb", "verify_srg", "weight_distribution",
+        "weights_from_bidistance", "with_zero_word"]
