@@ -211,12 +211,11 @@ def ahb_union_bound(dist: BidistanceDistribution, params: ChannelParams) -> Boun
 
 
 def _class_thresholds(code: Code, params: ChannelParams, symmetric: bool,
-                      classes=None) -> tuple[np.ndarray, np.ndarray]:
+                      classes: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The code's weights j and t_j = ceil((dmin + slope j) / (1 + gamma)), dmin =
     min(gamma a + b - slope wt) over the distinct pairs, slope gamma - 1 or 0: at
-    gamma = u/v, exact integers.  ``classes`` is j and ``_distinct_pairs``, if held."""
-    j, (wt, a, b) = classes or (np.flatnonzero(code.weight_distribution()),
-                                _distinct_pairs(code))
+    gamma = u/v, exact integers.  ``classes`` is j and ``_distinct_pairs``."""
+    j, (wt, a, b) = classes
     u, v = params.bracket(code.n)
     slope = u - v if symmetric else 0
     dmin = int((u * a + v * b - slope * wt).min())

@@ -29,7 +29,7 @@ MAX_RANK_KEYS = 1 << 25
 #: int64 (class, c, wt(y)) counts held at once by exact_error_probabilities, 8 MiB
 EXACT_CELLS = 1 << 20
 
-_DECIMAL_RE = re.compile(r"^\d+(\.\d+)?$")
+_DECIMAL_RE = re.compile(r"^[0-9]+(\.[0-9]+)?$")
 
 
 class RegimeError(ValueError):
@@ -39,10 +39,11 @@ class RegimeError(ValueError):
 def parse_probability(text: str) -> Fraction:
     """Exact rational from a plain decimal literal.
 
-    Scientific notation and signs are rejected: the written digits alone
-    define the value used in all downstream exact arithmetic.
+    Scientific notation, signs and non-ASCII digits or spaces are rejected:
+    the written digits alone define the value used in all downstream exact
+    arithmetic.
     """
-    text = text.strip()
+    text = text.strip(" \t\n\r\v\f")
     if not _DECIMAL_RE.match(text):
         raise ParseError(f"not a plain decimal probability: {text!r}")
     return Fraction(text)

@@ -21,8 +21,7 @@ from pathlib import Path
 from . import __version__
 from .algebra import (dual_code, generator_from_code, golay_code, is_projective,
                       trace_code_27_6)
-from .bounds import (ahb_union_bound, ahb_union_bounds, discrepancy_bound,
-                     symmetric_discrepancy_bound, weight_class_bounds)
+from .bounds import ahb_union_bounds, weight_class_bounds
 from .channel import (DEFAULT_EXHAUSTIVE_CAP, ChannelParams, CapExceeded,
                       RegimeError, exact_error_probabilities, exact_error_probability,
                       monte_carlo_error_probability, parse_probability)
@@ -31,21 +30,18 @@ from .designs import (catalog_design, sbibd_ahb, sbibd_codes,
                       scheme_from_three_weight, three_weight_ahb, two_weight_ahb,
                       with_zero_word)
 
-#: bound name -> report from (code, pair distribution, channel); the lambdas
-#: look the functions up at call time, so a rebound module global takes effect
+#: bound name -> its reports at each channel of a list, from (code, pair distribution,
+#: channels); looked up at call time, so a rebound module global takes effect
 BOUNDS = {
-    "ahb": lambda code, dist, params: ahb_union_bound(dist, params),
-    "cr_discrepancy": lambda code, dist, params: discrepancy_bound(code, params),
-    "cr_symmetric": lambda code, dist, params: symmetric_discrepancy_bound(code, params),
+    "ahb": lambda code, dist, grid: ahb_union_bounds(dist, grid),
+    "cr_discrepancy": lambda code, dist, grid: weight_class_bounds(code, grid, False),
+    "cr_symmetric": lambda code, dist, grid: weight_class_bounds(code, grid, True),
 }
 #: sweep column -> its values at each channel of a list, from (code, pair distribution,
-#: channels, arguments): the bounds as BOUNDS, Monte Carlo per channel by its contract
+#: channels, arguments): the bounds from BOUNDS, Monte Carlo per channel by its contract
 SWEEP_COLUMNS = {
-    "ahb": lambda code, dist, grid, args: [r.value for r in ahb_union_bounds(dist, grid)],
-    "cr_discrepancy": lambda code, dist, grid, args:
-        [r.value for r in weight_class_bounds(code, grid, False)],
-    "cr_symmetric": lambda code, dist, grid, args:
-        [r.value for r in weight_class_bounds(code, grid, True)],
+    **{m: lambda code, dist, grid, args, m=m: [r.value for r in BOUNDS[m](code, dist, grid)]
+       for m in BOUNDS},
     "exact": lambda code, dist, grid, args:
         [float(v) for v in exact_error_probabilities(code, grid, args.cap)],
     "monte_carlo": lambda code, dist, grid, args: [monte_carlo_error_probability(
@@ -119,7 +115,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     params = ChannelParams.from_decimals(args.p, args.q)
     methods = _parse_method_list(args.methods, BOUNDS)
     dist = bidistance_distribution(code)
-    reports = [BOUNDS[method](code, dist, params) for method in methods]
+    reports = [BOUNDS[method](code, dist, [params])[0] for method in methods]
     _emit({
         "code": str(args.code),
         "p": _fraction_json(params.p),

@@ -1,14 +1,15 @@
 """Closed-form bidistance distributions from combinatorial structure.
 
 Codes with few weights carry enough regularity that their full pair
-statistics follow without looping over pairs: two nonzero weights give
-a strongly regular graph on the nonzero words, three give a 3-class
-association scheme, and the block-design constructions fix every pair
-intersection outright.
+statistics follow without looping over pairs: a two-weight code's words
+form a strongly regular graph, the 2-class case of the association scheme
+a three-weight code gives, so both tables are one sum over class triples;
+the block-design constructions fix every pair intersection outright.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -86,19 +87,37 @@ def dimension_from_weights(n: int, w1: int, w2: int) -> int | None:
     return quotient.bit_length() - 1
 
 
-def _half(value: int, label: str) -> int:
-    if value % 2:
-        raise ValueError(f"{label} = {value} is odd; table offsets must be integers")
-    return value // 2
+def _class_triple_ahb(n: int, weights: Sequence[int], valences: Sequence[int],
+                      p: Sequence) -> BidistanceDistribution:
+    """Pair-frequency table of the nonzero words of a linear code whose weight
+    classes, indexed from 0, form an association scheme: each ordered class
+    triple (a, b, c), the classes of x, y and x + y, adds valences[a] * p[a][b][c]
+    pairs at the offsets solve_directional_system gives for its three weights."""
+    entries: dict[tuple[int, int], int] = {}
+    for a, b, c in itertools.product(range(len(weights)), repeat=3):
+        freq = valences[a] * p[a][b][c]
+        if freq == 0:
+            continue
+        if freq < 0:
+            raise ValueError(f"negative frequency {freq}; inputs are inconsistent")
+        try:
+            pair = solve_directional_system(weights[a], weights[b], weights[c])
+        except ValueError as exc:
+            raise ValueError(
+                f"classes ({a + 1}, {b + 1}, {c + 1}) have positive frequency {freq} "
+                f"but no integer offsets: {exc}") from None
+        key = (pair.d10, pair.d01)
+        entries[key] = entries.get(key, 0) + freq
+    return BidistanceDistribution.from_off_diagonal(n, sum(valences), entries)
 
 
 def two_weight_ahb(n: int, k: int, w1: int, w2: int,
                    count_w1: int, count_w2: int) -> BidistanceDistribution:
     """Pair-frequency table of a two-weight code with its zero word removed.
 
-    The six case rows follow from counting triangles through the zero word
-    in the associated graph and its complement; coinciding offset pairs
-    are aggregated.
+    The associated strongly regular graph is a 2-class association scheme,
+    so its intersection numbers, read off (v, K, lam, mu), feed the same
+    class-triple sum as ``three_weight_ahb``.
     """
     v = 1 << k
     if count_w1 < 0 or count_w2 < 0 or count_w1 + count_w2 != v - 1:
@@ -107,27 +126,10 @@ def two_weight_ahb(n: int, k: int, w1: int, w2: int,
     if graph.k != count_w1:
         raise ValueError(
             f"graph valency {graph.k} disagrees with the weight-{w1} count {count_w1}")
-    lam, mu = graph.lam, graph.mu
-    a1, a2 = count_w1, count_w2
-    doubled_rows = [
-        ((w1, w1), a1 * a2 + lam * a1 - mu * a2),
-        ((w2, w2), a2 * (a2 - a1 + mu - 1) + a1 * (a1 - lam - 1)),
-        ((2 * w1 - w2, w2), a1 * (a1 - lam - 1)),
-        ((w1, 2 * w2 - w1), a2 * (a1 - mu)),
-        ((w2, 2 * w1 - w2), a1 * (a1 - lam - 1)),
-        ((2 * w2 - w1, w1), a2 * (a1 - mu)),
-    ]
-    entries: dict[tuple[int, int], int] = {}
-    for (two_d10, two_d01), freq in doubled_rows:
-        if freq == 0:
-            continue
-        if freq < 0:
-            raise ValueError(f"negative frequency {freq}; inputs are inconsistent")
-        pair = (_half(two_d10, "2*d10"), _half(two_d01, "2*d01"))
-        if pair[0] < 0 or pair[1] < 0:
-            raise ValueError(f"offsets {pair} are negative; inputs are inconsistent")
-        entries[pair] = entries.get(pair, 0) + freq
-    return BidistanceDistribution.from_off_diagonal(n, v - 1, entries)
+    deg, lam, mu = graph.k, graph.lam, graph.mu
+    p = (((lam, deg - lam - 1), (deg - lam - 1, v - 2 * deg + lam)),
+         ((mu, deg - mu), (deg - mu, v - 2 * deg + mu - 2)))
+    return _class_triple_ahb(n, (w1, w2), (count_w1, count_w2), p)
 
 
 def verify_srg(code: Code, w1: int) -> SrgParams:
@@ -265,31 +267,13 @@ def scheme_from_three_weight(code: Code, sample: int = 50) -> SchemeParams:
 
 def three_weight_ahb(n: int, weights: Sequence[int],
                      scheme: SchemeParams) -> BidistanceDistribution:
-    """Pair-frequency table of a three-weight code with its zero word removed.
-
-    Every ordered class triple (a, b, c), the weight classes of x, y and
-    x + y, contributes valence(a) * p[a][b][c] ordered pairs, at the
-    offsets the three weights force through the directional linear system.
-    """
+    """Pair-frequency table of a three-weight code with its zero word removed:
+    the class-triple sum over the scheme's classes 1-3."""
     w = tuple(int(x) for x in weights)
     if len(w) != 3 or not 0 < w[0] < w[1] < w[2] <= n:
         raise ValueError("weights must be three increasing values within the length")
-    entries: dict[tuple[int, int], int] = {}
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            for c in (1, 2, 3):
-                freq = scheme.valences[a - 1] * scheme.p[a][b][c]
-                if freq == 0:
-                    continue
-                try:
-                    pair = solve_directional_system(w[a - 1], w[b - 1], w[c - 1])
-                except ValueError as exc:
-                    raise ValueError(
-                        f"classes ({a}, {b}, {c}) have positive frequency {freq} "
-                        f"but no integer offsets: {exc}") from None
-                key = (pair.d10, pair.d01)
-                entries[key] = entries.get(key, 0) + freq
-    return BidistanceDistribution.from_off_diagonal(n, sum(scheme.valences), entries)
+    p = [[row[1:] for row in plane[1:]] for plane in scheme.p[1:]]
+    return _class_triple_ahb(n, w, scheme.valences, p)
 
 
 def with_zero_word(dist: BidistanceDistribution,

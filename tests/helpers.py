@@ -18,7 +18,8 @@ from bidistance.algebra import (BinaryField, GeneratorMatrix, _null_space_rows,
 from bidistance.bounds import pairwise_error_probability
 from bidistance.channel import ChannelParams, _score_table, likelihood
 from bidistance.core import BidistanceDistribution, Code, Word
-from bidistance.designs import MEASURE_SIZE_CAP, SchemeParams, SrgParams
+from bidistance.designs import (MEASURE_SIZE_CAP, SchemeParams, SrgParams,
+                               srg_from_two_weight)
 
 
 def eq3_pairwise_oracle(d10: int, d01: int, params: ChannelParams) -> Fraction:
@@ -293,6 +294,39 @@ def reference_srg(code: Code, w1: int) -> SrgParams:
     if mu == 0:
         raise ValueError("not strongly regular: the graph is disconnected")
     return SrgParams(v, valency, lams.pop() if lams else 0, mu)
+
+
+def reference_two_weight_ahb(n: int, k: int, w1: int, w2: int,
+                             count_w1: int, count_w2: int) -> BidistanceDistribution:
+    """two_weight_ahb by the paper's six rows of doubled offsets, from
+    counting triangles through the zero word in the graph and its
+    complement, with the same validations; coinciding offsets aggregate."""
+    v = 1 << k
+    if count_w1 < 0 or count_w2 < 0 or count_w1 + count_w2 != v - 1:
+        raise ValueError("weight counts must cover exactly the nonzero words")
+    graph = srg_from_two_weight(n, k, w1, w2)
+    if graph.k != count_w1:
+        raise ValueError("graph valency disagrees with the weight-w1 count")
+    lam, mu, a1, a2 = graph.lam, graph.mu, count_w1, count_w2
+    doubled_rows = [
+        ((w1, w1), a1 * a2 + lam * a1 - mu * a2),
+        ((w2, w2), a2 * (a2 - a1 + mu - 1) + a1 * (a1 - lam - 1)),
+        ((2 * w1 - w2, w2), a1 * (a1 - lam - 1)),
+        ((w1, 2 * w2 - w1), a2 * (a1 - mu)),
+        ((w2, 2 * w1 - w2), a1 * (a1 - lam - 1)),
+        ((2 * w2 - w1, w1), a2 * (a1 - mu)),
+    ]
+    entries: dict[tuple[int, int], int] = {}
+    for doubled, freq in doubled_rows:
+        if freq == 0:
+            continue
+        if freq < 0:
+            raise ValueError(f"negative frequency {freq}")
+        if any(x % 2 or x < 0 for x in doubled):
+            raise ValueError(f"doubled offsets {doubled} are odd or negative")
+        pair = (doubled[0] // 2, doubled[1] // 2)
+        entries[pair] = entries.get(pair, 0) + freq
+    return BidistanceDistribution.from_off_diagonal(n, v - 1, entries)
 
 
 def reference_scheme(code: Code, sample: int = 50) -> SchemeParams:

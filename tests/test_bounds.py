@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bidistance.bounds import (LatticePoint, _class_thresholds, ahb_union_bound,
-                               ahb_union_bounds, discrepancy, discrepancy_bound,
+from bidistance.bounds import (LatticePoint, _class_thresholds, _distinct_pairs,
+                               ahb_union_bound, ahb_union_bounds, discrepancy,
+                               discrepancy_bound,
                                lattice_word_count, min_discrepancy,
                                min_symmetric_discrepancy, pairwise_error_probability,
                                region_threshold, symmetric_discrepancy,
@@ -174,9 +175,10 @@ class TestRegionThreshold:
         n, words = case
         code = Code(n, words)
         pairs = [key for key in code.pair_table() if key[1] or key[2]]
+        classes = np.flatnonzero(code.weight_distribution()), _distinct_pairs(code)
         for symmetric in (False, True):
             s = int(symmetric)
-            j, t = _class_thresholds(code, params, symmetric)
+            j, t = _class_thresholds(code, params, symmetric, classes)
             brute = {w: min(next(k for k in range(-2 * n, 3 * n + 2) if gamma_at_least(
                              k - a - s * (w - wt), b - s * (w - wt) - k, params))
                             for wt, a, b in pairs)

@@ -67,8 +67,10 @@ class TestParseProbability:
     def test_exact_value(self):
         assert parse_probability("0.15") == Fraction(3, 20)
         assert parse_probability("0.1") == Fraction(1, 10)
+        assert parse_probability(" 0.1 ") == Fraction(1, 10)
 
-    @pytest.mark.parametrize("bad", ["1e-3", "-0.1", "+0.2", "0.1.2", "abc", ".5", ""])
+    @pytest.mark.parametrize("bad", ["1e-3", "-0.1", "+0.2", "0.1.2", "abc", ".5", "",
+                                     "\u0660.\u0661", "\uff10.\uff11", "\u20030.1"])
     def test_rejected(self, bad):
         with pytest.raises(ParseError):
             parse_probability(bad)

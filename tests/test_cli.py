@@ -78,6 +78,11 @@ class TestPe:
         rc, _, err = run(capsys, "pe", "--code", str(c1_file), "-p", "1e-1", "-q", "0.15")
         assert rc == 2 and "decimal" in err
 
+    def test_non_ascii_digits_rejected(self, capsys, c1_file):
+        rc, out, err = run(capsys, "pe", "--code", str(c1_file),
+                           "-p", "\u0660.\u0661", "-q", "0.15")
+        assert rc == 2 and out == "" and "decimal" in err
+
     def test_cap_exceeded(self, capsys, tmp_path):
         path = tmp_path / "wide.code"
         path.write_text("0" * 25 + "\n" + "1" * 25 + "\n")
@@ -175,15 +180,22 @@ class TestBounds:
                          "-p", "0.1", "-q", "0.15", "--methods", "nope")
         assert rc == 2 and "unknown methods" in err
 
-    def test_arithmetic_failure_is_domain_error(self, capsys, c1_file, monkeypatch):
+    def test_arithmetic_failure_is_domain_error(self, capsys, c1_file, tmp_path, monkeypatch):
+        # each bound's many-channel call, under both commands that read BOUNDS;
+        # one test over the four cases keeps this test's id
         def overflow(*args):
             raise OverflowError("int too large to convert to float")
 
-        monkeypatch.setattr(cli, "discrepancy_bound", overflow)
-        rc, out, err = run(capsys, "bounds", "--code", str(c1_file),
-                           "-p", "0.1", "-q", "0.15")
-        assert rc == 3 and out == ""
-        assert err.startswith("error: ") and "Traceback" not in err
+        sweep = ["--q-from", "0.15", "--q-to", "0.2", "--steps", "2",
+                 "--out", str(tmp_path / "sweep.csv")]
+        for bound in ("ahb_union_bounds", "weight_class_bounds"):
+            for command, channel in (("bounds", ["-q", "0.15"]), ("sweep", sweep)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(cli, bound, overflow)
+                    rc, out, err = run(capsys, command, "--code", str(c1_file),
+                                       "-p", "0.1", *channel)
+                assert rc == 3 and out == "", (bound, command)
+                assert err.startswith("error: ") and "Traceback" not in err
 
     def test_long_code(self, capsys, tmp_path):
         rng = random.Random(3)

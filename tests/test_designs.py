@@ -8,14 +8,15 @@ from bidistance._bitops import popcount, span_words
 from bidistance.algebra import (GeneratorMatrix, coset_distribution_matrix, distinct_row_count,
                                 dual_code, golay_code, trace_code_27_6)
 from bidistance.core import Code, bidistance_distribution
-from bidistance.designs import (DIFFERENCE_SETS, MEASURE_SIZE_CAP, IncidenceDesign, SrgParams,
-                                _walsh_hadamard, catalog_design, dimension_from_weights,
-                                sbibd_ahb, sbibd_codes,
+from bidistance.designs import (DIFFERENCE_SETS, MEASURE_SIZE_CAP, IncidenceDesign,
+                                SchemeParams, SrgParams, _walsh_hadamard, catalog_design,
+                                dimension_from_weights, sbibd_ahb, sbibd_codes,
                                 sbibd_from_difference_set,
                                 scheme_from_three_weight, srg_from_two_weight,
                                 three_weight_ahb, two_weight_ahb, verify_srg)
 from helpers import (random_code, random_generator_rows, reference_sbibd_words,
-                     reference_scheme, reference_srg, rows_from_columns, span_code)
+                     reference_scheme, reference_srg, reference_two_weight_ahb,
+                     rows_from_columns, span_code)
 
 # [4,3] projective two-weight code: columns are the vectors with first bit set
 AFFINE_COLUMNS = (0b001, 0b101, 0b011, 0b111)
@@ -186,6 +187,33 @@ class TestTwoWeightAhb:
         with pytest.raises(ValueError):
             two_weight_ahb(27, 6, 12, 16, 35, 27)
 
+    def test_matches_paper_rows_over_parameter_grid(self):
+        # every n <= 30, k <= 6 and w1 < w2 <= n; where the graph exists, the
+        # weight-w1 count at its valency and one off each side (elsewhere both
+        # raise from the srg_from_two_weight call they share)
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except ValueError:
+                return ValueError
+
+        tables = set()
+        for n in range(1, 31):
+            for k in range(1, 7):
+                for w1 in range(1, n):
+                    for w2 in range(w1 + 1, n + 1):
+                        try:
+                            valency = srg_from_two_weight(n, k, w1, w2).k
+                        except ValueError:
+                            continue
+                        for count in (valency - 1, valency, valency + 1):
+                            args = (n, k, w1, w2, count, (1 << k) - 1 - count)
+                            got = outcome(two_weight_ahb, *args)
+                            assert got == outcome(reference_two_weight_ahb, *args), args
+                            if got is not ValueError:
+                                tables.add(args)
+        assert {(4, 3, 2, 4, 6, 1), (27, 6, 12, 16, 36, 27)} <= tables
+
 
 class TestScheme:
     def test_intersection_numbers_measured(self):
@@ -231,6 +259,14 @@ class TestScheme:
         closed = three_weight_ahb(5, (2, 3, 4), scheme)
         punctured = Code(5, [w for w in code.words if w])
         assert closed == bidistance_distribution(punctured)
+
+    def test_negative_intersection_number_rejected(self):
+        scheme = scheme_from_three_weight(_column_code(SCHEME_COLUMNS, 3))
+        # row sums and symmetry still hold, with p[1][1][1] = -1
+        p = [[list(row) for row in plane] for plane in scheme.p]
+        p[1][1], p[1][2] = [1, -1, 1, 1], [0, 1, 3, 0]
+        with pytest.raises(ValueError, match="negative frequency -2"):
+            three_weight_ahb(5, (2, 3, 4), SchemeParams(scheme.valences, p))
 
     def test_adjacency_matrix_identity(self):
         # D_i D_j == sum_k p[k][i][j] D_k over the full point set
