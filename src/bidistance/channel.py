@@ -18,14 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
-from ._bitops import MAX_LENGTH, AndCounts, bit_matrix, packed_rows
+from ._bitops import AndCounts, bit_matrix, packed_rows
 from .core import CapExceeded, Code, ParseError, Word, dir_distances
 
 DEFAULT_EXHAUSTIVE_CAP = 24
 
-#: the cap on a code's rank keys, counted as one per (wt, a, b) triple over
-#: its weights; decoding lengths are capped at MAX_LENGTH by AndCounts
-MAX_RANK_KEYS = 1 << 25
 #: int64 (class, c, wt(y)) counts held at once by exact_error_probabilities, 8 MiB
 EXACT_CELLS = 1 << 20
 
@@ -212,32 +209,22 @@ class _RankKernel:
     X**w * Y**c = B**(w - c(1 + gamma)) they order as the keys c(u + v) - w*v,
     (u, v) = params.bracket(n).  Keys lie in [-nv, n(u + v)], so a channel's keys
     are int32 when 4n(u + v) < 2**31 and int64 otherwise.  Per channel: u + v and
-    each codeword's w*v in that width, and the sorted distinct keys with a
-    (class, c) cell class * (n + 1) + c each."""
+    each codeword's w*v in that width."""
 
     def __init__(self, code: Code, *channels: ChannelParams):
         n = code.n
         self.common = AndCounts.of_words(code.words, n)
         self.weights = np.unique(self.common.weights)
-        weights = self.weights.tolist()
-        keys = sum((w + 1) * (n - w + 1) for w in weights)
-        if keys > MAX_RANK_KEYS:
-            raise CapExceeded(f"decoding n={n} over {len(self.weights)} weights needs "
-                              f"{keys} rank keys; cap is {MAX_RANK_KEYS}")
-        cells = np.concatenate([k * (n + 1) + np.arange(w + 1) for k, w in enumerate(weights)])
         self.channels = []
         for params in channels:
             u, v = params.bracket(n)
             width = np.int32 if 4 * n * (u + v) < 1 << 31 else np.int64
-            cell_key = np.concatenate([np.arange(w + 1) * (u + v) - w * v for w in weights])
-            distinct, first = np.unique(cell_key, return_index=True)
-            self.channels.append((width(u + v), self.common.weights.astype(width) * width(v),
-                                  distinct, cells[first]))
+            self.channels.append((width(u + v), self.common.weights.astype(width) * width(v)))
 
     def keys(self, common: np.ndarray, channel: int = 0, high=0) -> np.ndarray:
         """The (M, rows) keys of a block's codeword-major c = wt(x & y), plus the
         per-codeword count ``high`` of ones the block's words share, if any."""
-        slope, offset, _, _ = self.channels[channel]
+        slope, offset = self.channels[channel]
         key = np.multiply(common, slope, dtype=slope.dtype)
         key += (high * slope - offset).astype(slope.dtype)[:, None]
         return key
@@ -273,8 +260,9 @@ def exact_error_probabilities(code: Code, channels: list[ChannelParams],
     holds y = hi + lo for every lo < 2^b at one multiple hi of 2^b, so c(x, y) =
     c(x, lo) + c(x, hi): one product per call gives the (M, 2^b) low c, and a block
     adds each codeword's c(x, hi).  An untied top key counts in the (class, c, wt(y))
-    cell of the first (class, c) with that key, whose likelihood is the winner's, and
-    each channel sums count * score(w, w - c, wt(y) - c) over its cells, exactly.
+    cell of the first (class, c) with that key among the channel's sorted distinct
+    keys, built here, whose likelihood is the winner's, and each channel sums
+    count * score(w, w - c, wt(y) - c) over its cells, exactly.
     Exact ties count as errors.  Guarded by the cap."""
     n = code.n
     if n > cap:
@@ -282,7 +270,14 @@ def exact_error_probabilities(code: Code, channels: list[ChannelParams],
     if not channels:
         return []
     kernel = _RankKernel(code, *channels)
-    shape = (len(kernel.weights), n + 1, n + 1)
+    weights = kernel.weights.tolist()
+    cells = np.concatenate([k * (n + 1) + np.arange(w + 1) for k, w in enumerate(weights)])
+    ranked = []
+    for u, v in (params.bracket(n) for params in channels):
+        cell_key = np.concatenate([np.arange(w + 1) * (u + v) - w * v for w in weights])
+        distinct, first = np.unique(cell_key, return_index=True)
+        ranked.append((distinct, cells[first]))
+    shape = (len(weights), n + 1, n + 1)
     group = max(1, EXACT_CELLS // math.prod(shape))
     rows = min(1 << n, 1 << (kernel.common.rows.bit_length() - 1))
     low = np.unpackbits(np.arange(rows, dtype="<u8").view(np.uint8).reshape(rows, 8),
@@ -299,8 +294,8 @@ def exact_error_probabilities(code: Code, channels: list[ChannelParams],
             weight = low_weight + start.bit_count()
             for channel, tally in zip(part, counts):
                 _, top, tie = kernel.decide(low_common, channel, high)
-                _, _, distinct, cells = kernel.channels[channel]
-                cell = cells[np.searchsorted(distinct, top)] * (n + 1) + weight
+                distinct, reps = ranked[channel]
+                cell = reps[np.searchsorted(distinct, top)] * (n + 1) + weight
                 tally += np.bincount(cell[~tie], minlength=tally.size).reshape(shape)
         for channel, tally in zip(part, counts):
             table = _score_table(n, channels[channel])

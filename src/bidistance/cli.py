@@ -212,10 +212,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_scheme(args: argparse.Namespace) -> int:
-    if args.sample < 0:
-        raise ParseError("--sample must be non-negative")
     code = Code.from_file(args.code)
-    scheme = scheme_from_three_weight(code, sample=args.sample)
+    scheme = scheme_from_three_weight(code)
     dist = code.weight_distribution()
     _emit({
         "code": str(args.code),
@@ -284,8 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scheme = sub.add_parser("scheme", help="intersection numbers of a three-weight code")
     add_code(p_scheme)
-    p_scheme.add_argument("--sample", type=int, default=50,
-                          help="accepted for compatibility; every pair is checked")
     p_scheme.set_defaults(func=_cmd_scheme)
     return parser
 

@@ -220,7 +220,7 @@ def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def scheme_from_three_weight(code: Code, sample: int = 50) -> SchemeParams:
+def scheme_from_three_weight(code: Code) -> SchemeParams:
     """Measure the distance-scheme intersection numbers of a three-weight code.
 
     Codeword t is the XOR of the reduced basis rows on t's set bits, so y ^ z
@@ -232,10 +232,7 @@ def scheme_from_three_weight(code: Code, sample: int = 50) -> SchemeParams:
     enumerator of the dual's coset of syndrome s in the invertible
     Krawtchouk basis (MacWilliams), so F has as many distinct rows as the
     dual coset matrix, and it must have 4 for the classes to compose.
-    ``sample`` is validated and otherwise unused, kept for compatibility.
     """
-    if sample < 0:
-        raise ValueError(f"sample must be non-negative, got {sample}")
     if len(code) > MEASURE_SIZE_CAP:
         raise ValueError(f"scheme measurement capped at {MEASURE_SIZE_CAP} codewords")
     generator = generator_from_code(code)

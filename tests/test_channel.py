@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from bidistance import _bitops, channel
 from bidistance.bounds import region_threshold
-from bidistance._bitops import AndCounts, matrix_ints
-from bidistance.channel import (MAX_LENGTH, ChannelParams, RegimeError,
+from bidistance._bitops import MAX_LENGTH, AndCounts, matrix_ints
+from bidistance.channel import (ChannelParams, RegimeError,
                                 _RankKernel, _score_table,
                                 exact_error_probabilities, exact_error_probability,
                                 likelihood, llr, mld_decode,

@@ -111,15 +111,22 @@ class TestPe:
         assert (doc["estimate"], doc["standard_error"]) == \
             monte_carlo_error_probability(code, params, trials=4000, seed=3)
 
-    def test_monte_carlo_rank_table_cap(self, capsys, tmp_path):
+    def test_monte_carlo_six_weights_at_length_5000(self, capsys, tmp_path):
+        # the decoder holds one slope and one offset per codeword at any
+        # length, so six weights near n/2 at n = 5000 decode like any code
         path = tmp_path / "huge.code"
-        Code(5000, [(1 << w) - 1 for w in range(2495, 2501)]).to_file(path)
-        rc, _, err = run(capsys, "pe", "--code", str(path), "-p", "0.1", "-q", "0.15",
-                         "--mode", "mc", "--trials", "10")
-        assert rc == 3 and "rank keys" in err
+        code = Code(5000, [(1 << w) - 1 for w in range(2495, 2501)])
+        code.to_file(path)
+        rc, out, err = run(capsys, "pe", "--code", str(path), "-p", "0.1", "-q", "0.15",
+                           "--mode", "mc", "--trials", "10")
+        assert rc == 0, err
+        params = ChannelParams.from_decimals("0.1", "0.15")
+        assert json.loads(out)["estimate"] == \
+            monte_carlo_error_probability(code, params, trials=10, seed=0)[0]
 
     def test_monte_carlo_just_under_rank_table_cap(self, capsys, tmp_path):
-        # (5500 + 1) * (11000 - 5500 + 1) keys, just under the 2^25 cap
+        # two complementary halves at n = 11000: a long code the decoder
+        # keeps apart at every trial
         path = tmp_path / "long.code"
         half = (1 << 5500) - 1
         Code(11000, [half, half << 5500]).to_file(path)
@@ -475,14 +482,15 @@ class TestScheme:
         assert doc["valences"] == [2, 4, 1]
         assert len(doc["p"]) == 4
 
-    @pytest.mark.parametrize("sample", ["-3", "-5000"])
-    def test_negative_sample_is_usage_error(self, capsys, tmp_path, sample):
+    def test_sample_flag_is_usage_error(self, capsys, tmp_path):
+        # every pair is checked, so there is no sample to choose
         lines = ["00000", "10101", "01100", "11001",
                  "00011", "10110", "01111", "11010"]
         path = tmp_path / "scheme.code"
         path.write_text("".join(line + "\n" for line in lines))
-        rc, out, err = run(capsys, "scheme", "--code", str(path), "--sample", sample)
-        assert rc == 2 and out == "" and "--sample" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["scheme", "--code", str(path), "--sample", "5"])
+        assert exc.value.code == 2 and "--sample" in capsys.readouterr().err
 
     def test_rejects_two_weight_code(self, capsys, tmp_path):
         lines = ["000", "110", "101", "011"]
@@ -557,7 +565,7 @@ CODE_FILES = {"empty": b"", "latin": b"\xff\xfe01\n", "ragged": b"101\n11\n",
 #: the optional flags each command takes; an unknown command draws from all
 COMMAND_FLAGS = {"bidist": ["--format"], "pe": ["--cap", "--mode", "--seed", "--trials"],
                  "bounds": ["--methods"], "sweep": ["--cap", "--methods", "--seed", "--trials"],
-                 "construct": [], "scheme": ["--sample"]}
+                 "construct": [], "scheme": []}
 
 
 @st.composite
