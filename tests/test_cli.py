@@ -482,15 +482,17 @@ class TestScheme:
         assert doc["valences"] == [2, 4, 1]
         assert len(doc["p"]) == 4
 
-    def test_sample_flag_is_usage_error(self, capsys, tmp_path):
-        # every pair is checked, so there is no sample to choose
+    @pytest.mark.parametrize("sample", ["-3", "-5000", "5"])
+    def test_negative_sample_is_usage_error(self, capsys, tmp_path, sample):
+        # every pair is checked, so --sample is gone and any value is a usage error
         lines = ["00000", "10101", "01100", "11001",
                  "00011", "10110", "01111", "11010"]
         path = tmp_path / "scheme.code"
         path.write_text("".join(line + "\n" for line in lines))
         with pytest.raises(SystemExit) as exc:
-            main(["scheme", "--code", str(path), "--sample", "5"])
-        assert exc.value.code == 2 and "--sample" in capsys.readouterr().err
+            main(["scheme", "--code", str(path), "--sample", sample])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == "" and "--sample" in captured.err
 
     def test_rejects_two_weight_code(self, capsys, tmp_path):
         lines = ["000", "110", "101", "011"]
