@@ -42,8 +42,12 @@ def row_ints(packed: np.ndarray) -> list[int]:
 def bit_matrix(words: Sequence[int], n: int) -> np.ndarray:
     """(M, n) uint8 0/1 matrix of bitmask ints of any length n; column k
     holds bit k of each word."""
-    return np.unpackbits(packed_rows(words, n).view(np.uint8), axis=1, count=n,
-                         bitorder="little")
+    return unpack_rows(packed_rows(words, n), n)
+
+
+def unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
+    """(M, n) uint8 0/1 matrix of packed rows of length n."""
+    return np.unpackbits(packed.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
 class AndCounts:

@@ -7,7 +7,7 @@ irreducible polynomial; generator-matrix rows are packed like words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -112,14 +112,20 @@ class BinaryField:
             raise ZeroDivisionError("0 has no inverse")
         return self.pow(a, self.order - 2)
 
+    @cached_property
+    def trace_mask(self) -> int:
+        """Tr is F_2-linear, so Tr(a) = parity(a & mask): bit j of the mask is Tr(2^j),
+        the sum of the m powers (2^j)^(2^i) of 2^j."""
+        powers = traces = [1 << j for j in range(self.m)]
+        for _ in range(self.m - 1):
+            powers = [self.mul(x, x) for x in powers]
+            traces = [t ^ x for t, x in zip(traces, powers)]
+        return sum(t << j for j, t in enumerate(traces))
+
     def trace(self, a: int) -> int:
         """Absolute trace down to F_2."""
-        t = 0
-        x = a
-        for _ in range(self.m):
-            t ^= x
-            x = self.mul(x, x)
-        return t
+        self._check(a)
+        return (a & self.trace_mask).bit_count() & 1
 
 
 def relative_trace(field: BinaryField, d: int, a: int, source: int | None = None) -> int:
@@ -145,13 +151,9 @@ def relative_trace(field: BinaryField, d: int, a: int, source: int | None = None
 
 
 def defining_set_code(field: BinaryField, defining_set: Sequence[int]) -> Code:
-    """Linear code of trace evaluations over a set of field elements.
-
-    Each field element beta yields the codeword whose coordinate i is the
-    absolute trace of beta * d_i.  The map is F_2-linear, so the code is the
-    span of the words of the m basis elements beta = 2^j, reduced to a basis
-    first, so the size reported is the actual one (a power of two).
-    """
+    """Linear code of trace evaluations over a set of field elements: the word of beta
+    has Tr(beta * d_i) at coordinate i, F_2-linear in beta, so the code is the span of
+    the m basis-element words, reduced to a basis first (its size is the actual one)."""
     elems = list(defining_set)
     if not elems:
         raise ValueError("the defining set is empty")
@@ -161,20 +163,21 @@ def defining_set_code(field: BinaryField, defining_set: Sequence[int]) -> Code:
         raise ValueError("defining-set elements must be nonzero")
     for x in elems:
         field._check(x)
-    basis = [sum(field.trace(field.mul(1 << j, d)) << i for i, d in enumerate(elems))
-             for j in range(field.m)]
-    return GeneratorMatrix(len(elems), tuple(_rref(basis, len(elems))[0])).codewords()
+    # row j holds Tr(2^j d) for every d: multiply by 2 (a shift, reduced) between rows
+    prods, bits = np.array(elems, dtype=np.int64), np.empty((field.m, len(elems)), np.uint8)
+    for j in range(field.m):
+        bits[j] = np.bitwise_count(prods & field.trace_mask) & 1
+        prods <<= 1
+        prods ^= (prods >> field.m) * field.modulus
+    return GeneratorMatrix(len(elems), tuple(_rref(matrix_ints(bits), len(elems))[0])).codewords()
 
 
 def trace_code_27_6() -> Code:
-    """The [27,6] two-weight trace code over GF(64).
-
-    The defining set collects the nonzero elements whose ninth power (a
-    GF(8) subfield element) has subfield trace zero; coordinates are
-    absolute traces of its multiples.
-    """
+    """The [27,6] two-weight trace code over GF(64): its defining set holds the nonzero
+    elements whose ninth power, a GF(8) element, has subfield trace zero."""
     field = BinaryField(6)
-    ninth = [field.pow(x, 9) for x in range(1, field.order)]
+    square = [field.mul(x, x) for x in range(field.order)]
+    ninth = [field.mul(square[square[square[x]]], x) for x in range(1, field.order)]  # x^8 x
     trace = {y: relative_trace(field, 1, y, source=3) for y in set(ninth)}
     return defining_set_code(field, [x for x, y in enumerate(ninth, 1) if trace[y] == 0])
 
@@ -231,9 +234,7 @@ class GeneratorMatrix:
         if self.k > MAX_ENUM_DIMENSION:
             raise CapExceeded(
                 f"enumerating 2**{self.k} codewords; cap is k <= {MAX_ENUM_DIMENSION}")
-        code = Code(self.n, sorted(row_ints(span_words(self.rows, self.n))))
-        code.is_linear, code._basis = True, self.rows
-        return code
+        return Code.of_span(self.n, span_words(self.rows, self.n), self.rows)
 
 
 def generator_from_code(code: Code) -> GeneratorMatrix:
@@ -272,21 +273,11 @@ def is_projective(g: GeneratorMatrix) -> bool:
 
 
 def coset_distribution_matrix(g: GeneratorMatrix) -> np.ndarray:
-    """Weight histogram of every coset of the code generated by ``g``.
-
-    Row s counts, by weight 0..n, the words whose syndrome under a dual
-    basis of ``g`` is s (bit b is the parity against the b-th check).
-    Check b holds the only one at the b-th free (non-pivot) coordinate of
-    ``g``, so the words on the n - k free coordinates give each syndrome s
-    one word, of weight wt(s).  From there the table adds one pivot
-    coordinate i at a time: the words with a one at i come from the
-    previous table with one less weight and the syndrome moved by h_i, i's
-    syndrome column.  Each is one gathered shift of the 2^(n-k) x (n+1)
-    table, k*2^(n-k)*(n+1) additions in all, so no word of the 2^n ambient
-    space is enumerated.  A count never exceeds 2^k, the words of one
-    coset, so int64 is exact for k <= 62; that also keeps n below 80 under
-    the cell cap.
-    """
+    """Weight histogram of every coset of the code generated by ``g``: row s counts, by
+    weight 0..n, the words whose syndrome under a dual basis of ``g`` is s (bit b is
+    the parity against the b-th check).  A syndrome recurrence over the pivot
+    coordinates builds it without enumerating the 2^n words (README, Library layout);
+    a count never exceeds 2^k, so int64 is exact for k <= 62."""
     n = g.n
     if g.k > 62:
         raise CapExceeded(f"coset counts reach 2**{g.k}; int64 holds k <= 62")

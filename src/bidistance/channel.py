@@ -201,15 +201,10 @@ FAILURE = DecodeResult(None)
 
 
 class _RankKernel:
-    """Exact maximum-likelihood decoding of blocks of received words.
-
-    With c = wt(x & y) and v = wt(y), Pr(y | x) = p**v (1-p)**(n-v) *
-    X**wt(x) * Y**c for X = q/(1-p) = B, Y = (1-q)(1-p)/(pq) = 1/(AB): for a
-    fixed y the argmax and its exact ties depend only on (wt(x), c), and as
-    X**w * Y**c = B**(w - c(1 + gamma)) they order as the keys c(u + v) - w*v,
-    (u, v) = params.bracket(n).  Keys lie in [-nv, n(u + v)], so a channel's keys
-    are int32 when 4n(u + v) < 2**31 and int64 otherwise.  Per channel: u + v and
-    each codeword's w*v in that width."""
+    """Exact maximum-likelihood decoding of blocks of received words by the integer keys
+    c(u + v) - w*v of (w, c) = (wt(x), wt(x & y)), (u, v) = params.bracket(n), which rank
+    as the likelihoods do (README, Library layout).  Per channel: u + v and each
+    codeword's w*v, in int32 when 4n(u + v) < 2**31 and in int64 otherwise."""
 
     def __init__(self, code: Code, *channels: ChannelParams):
         n = code.n
@@ -256,14 +251,9 @@ def exact_error_probability(code: Code, params: ChannelParams,
 def exact_error_probabilities(code: Code, channels: list[ChannelParams],
                               cap: int = DEFAULT_EXHAUSTIVE_CAP) -> list[Fraction]:
     """Average decoder error probability at each channel, by one sweep of the 2^n
-    received words per group of channels whose counts fit in EXACT_CELLS.  A block
-    holds y = hi + lo for every lo < 2^b at one multiple hi of 2^b, so c(x, y) =
-    c(x, lo) + c(x, hi): one product per call gives the (M, 2^b) low c, and a block
-    adds each codeword's c(x, hi).  An untied top key counts in the (class, c, wt(y))
-    cell of the first (class, c) with that key among the channel's sorted distinct
-    keys, built here, whose likelihood is the winner's, and each channel sums
-    count * score(w, w - c, wt(y) - c) over its cells, exactly.
-    Exact ties count as errors.  Guarded by the cap."""
+    received words per group of channels whose counts fit in EXACT_CELLS, each untied
+    top key scored exactly through the channel's sorted distinct keys (README, Library
+    layout).  Exact ties count as errors.  Guarded by the cap."""
     n = code.n
     if n > cap:
         raise CapExceeded(f"exhaustive sweep needs 2**{n} received words; cap is n <= {cap}")
@@ -283,7 +273,7 @@ def exact_error_probabilities(code: Code, channels: list[ChannelParams],
     low = np.unpackbits(np.arange(rows, dtype="<u8").view(np.uint8).reshape(rows, 8),
                         1, n, "little")
     low_common, low_weight = kernel.common.word_major(low), low.sum(1, dtype=np.int64)
-    words = packed_rows(code.words, n)
+    words = code.packed()
     counts = np.empty((min(group, len(channels)), *shape), dtype=np.int64)
     out = []
     for first in range(0, len(channels), group):

@@ -16,6 +16,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import __version__
@@ -54,8 +55,24 @@ def _fraction_json(value: Fraction) -> dict:
             "decimal": float(value)}
 
 
+def _json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte: str.join lays out each container,
+    an int in one is formatted in place, and any other scalar is json's C encoder."""
+    if isinstance(value, str):
+        return _json_str(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items, ends = [f"{_json_str(k)}: {v if type(v) is int else _json(v, inner)}"
+                       for k, v in value.items()], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = [f"{v if type(v) is int else _json(v, inner)}" for v in value], "[]"
+    else:
+        return json.dumps(value)
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{pad}{ends[1]}" if items else ends
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(_json(payload))
 
 
 def _weight_pairs(dist: tuple[int, ...]) -> list[list[int]]:
@@ -184,8 +201,9 @@ def _construct_catalog(name: str) -> tuple[Code, dict]:
     if name.startswith("sbibd:"):
         try:
             _, triple, family = name.split(":")
-            v, k, lam = (int(x) for x in triple.split(","))
-            family = int(family)
+            # int("") refuses what int() alone reads: signs, spaces, _ and other digits
+            v, k, lam, family = (int(f if f.isascii() and f.isdigit() else "")
+                                 for f in [*triple.split(","), family])
         except ValueError:
             raise ParseError(
                 f"bad catalog name {name!r}; expected sbibd:<v>,<k>,<lambda>:<family>"

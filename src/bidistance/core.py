@@ -16,7 +16,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from ._bitops import AndCounts, CapExceeded, bit_matrix, packed_rows, popcount, row_reduce
+from ._bitops import (AndCounts, CapExceeded, packed_rows, popcount, row_ints, row_reduce,
+                      unpack_rows)
 
 #: pair frequencies are held in 64-bit-sized counters; |C|^2 must fit
 MAX_CODE_SIZE = 1 << 28
@@ -100,15 +101,15 @@ class Code:
 
     ``is_linear`` is metadata: asserting it triggers an actual subspace
     check (power-of-two size and XOR closure via a rank computation).
-    A code is immutable, so its pair table, the table's support and the
-    weight distribution are computed once and kept.  A code built as the
-    span of rows keeps them in ``_basis``, linear by construction.
+    A code is immutable, so its pair table, the table's support, the weight
+    distribution and the packed rows are computed once and kept.  A code built
+    as the span of rows keeps them in ``_basis``, linear by construction.
     """
 
-    __slots__ = ("n", "words", "is_linear", "_pairs", "_weights", "_basis")
+    __slots__ = ("n", "words", "is_linear", "_pairs", "_weights", "_basis", "_packed")
 
     def __init__(self, n: int, words: Iterable[int], is_linear: bool | None = None):
-        masks = tuple(int(w) for w in words)
+        masks = tuple(map(int, words))
         if n < 1:
             raise ValueError("code length must be at least 1")
         if not masks:
@@ -116,23 +117,38 @@ class Code:
         if len(masks) > MAX_CODE_SIZE:
             raise ValueError(f"codes are capped at {MAX_CODE_SIZE} words")
         top = 1 << n
-        for w in masks:
-            if not 0 <= w < top:
-                raise ValueError(f"word {w} out of range for length {n}")
+        if min(masks) < 0 or max(masks) >= top:
+            bad = next(w for w in masks if not 0 <= w < top)
+            raise ValueError(f"word {bad} out of range for length {n}")
         if len(set(masks)) != len(masks):
             raise ValueError("duplicate codewords")
         self.n = n
         self.words = masks
-        self._pairs = self._weights = self._basis = None
+        self._pairs = self._weights = self._basis = self._packed = None
         if is_linear:
             self._check_linear()
         self.is_linear = is_linear
 
     def _check_linear(self) -> None:
         """Distinct words form a subspace iff there are 2^rank of them."""
-        _, pivots = row_reduce(packed_rows(self.words, self.n), self.n)
+        _, pivots = row_reduce(self.packed(), self.n)
         if len(self.words) != 1 << len(pivots):
             raise ValueError("code is not linear: size differs from its span")
+
+    @classmethod
+    def of_span(cls, n: int, span: np.ndarray, basis: tuple[int, ...]) -> "Code":
+        """The code of the packed rows of the whole span of independent ``basis`` rows, in
+        ascending order; they are distinct and in range by construction, so unchecked."""
+        code = object.__new__(cls)
+        code.n, code._packed, code.is_linear, code._basis = n, span[np.lexsort(span.T)], True, basis
+        code.words, code._pairs, code._weights = tuple(row_ints(code._packed)), None, None
+        return code
+
+    def packed(self) -> np.ndarray:
+        """The (M, ceil(n/64)) packed rows of the words, built on first use only."""
+        if self._packed is None:
+            self._packed = packed_rows(self.words, self.n)
+        return self._packed
 
     @classmethod
     def from_words(cls, words: Iterable[Word], is_linear: bool | None = None) -> "Code":
@@ -200,7 +216,7 @@ class Code:
     def weight_distribution(self) -> tuple[int, ...]:
         """Number of codewords of each weight 0..n, counted on first use only."""
         if self._weights is None:
-            weights = popcount(packed_rows(self.words, self.n)).sum(axis=1)
+            weights = popcount(self.packed()).sum(axis=1)
             self._weights = tuple(np.bincount(weights, minlength=self.n + 1).tolist())
         return self._weights
 
@@ -230,7 +246,7 @@ def parse_code_text(text: str, source: str = "<text>") -> Code:
 
 def format_code_text(code: Code) -> str:
     text = np.full((len(code), code.n + 1), ord("\n"), dtype=np.uint8)
-    text[:, :-1] = bit_matrix(code.words, code.n) + ord("0")
+    text[:, :-1] = unpack_rows(code.packed(), code.n) + ord("0")
     return text.tobytes().decode("ascii")
 
 

@@ -221,18 +221,10 @@ def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
 
 
 def scheme_from_three_weight(code: Code) -> SchemeParams:
-    """Measure the distance-scheme intersection numbers of a three-weight code.
-
-    Codeword t is the XOR of the reduced basis rows on t's set bits, so y ^ z
-    has index t_y ^ t_z, and the count of y in class i with y ^ z in class j
-    is the XOR convolution of the class-i and class-j indicators at z.  One
-    Walsh-Hadamard transform F of the four class indicators gives all 16 as
-    the transform of F_i F_j over 2^k, for every z at once, so every pair is
-    checked; each value stays below 2^(3k).  Row s of F is the weight
-    enumerator of the dual's coset of syndrome s in the invertible
-    Krawtchouk basis (MacWilliams), so F has as many distinct rows as the
-    dual coset matrix, and it must have 4 for the classes to compose.
-    """
+    """Measure the distance-scheme intersection numbers of a three-weight code on every
+    pair at once, by Walsh-Hadamard transforms of the weight-class indicators over the
+    code's span (README, Library layout); the classes compose only if the transform
+    has 4 distinct rows, as many as the dual coset matrix."""
     if len(code) > MEASURE_SIZE_CAP:
         raise ValueError(f"scheme measurement capped at {MEASURE_SIZE_CAP} codewords")
     generator = generator_from_code(code)
@@ -302,8 +294,7 @@ class IncidenceDesign:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(tuple(sorted(int(p) for p in b)) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
+        blocks = tuple(map(tuple, map(sorted, self.blocks)))
         if not 2 <= self.k < self.v:
             raise ValueError("need 2 <= k < v")
         if len(blocks) != self.v:
@@ -315,18 +306,23 @@ class IncidenceDesign:
                 raise ValueError("every block must hold k distinct points")
             if block[0] < 1 or block[-1] > self.v:
                 raise ValueError("points must lie in 1..v")
-        incidence = self.incidence().astype(np.int64)
-        if np.any(incidence.sum(axis=0) != self.k):
+        # the flat (v, k) block array: the blocks as ints, and the incidence matrix
+        points = np.fromiter(itertools.chain.from_iterable(blocks), np.intp, self.v * self.k)
+        object.__setattr__(self, "blocks", tuple(map(tuple, points.reshape(self.v, -1).tolist())))
+        incidence = np.zeros((self.v, self.v), dtype=np.uint8)
+        incidence.flat[points + np.arange(-1, self.v * self.v - 1, self.v).repeat(self.k)] = 1
+        object.__setattr__(self, "_incidence", incidence)
+        # blocks through both points i and j, exact in float64; i = j counts replication
+        meets = incidence.T.astype(np.float64) @ incidence
+        if (meets.diagonal() != self.k).any():
             raise ValueError("replication number differs from k")
-        meets = incidence.T @ incidence  # blocks through both points of each pair
-        if np.any(meets[~np.eye(self.v, dtype=bool)] != self.lam):
+        meets.flat[::self.v + 1] = self.lam
+        if (meets != self.lam).any():
             raise ValueError(f"pair coverage is not constant at lam={self.lam}")
 
     def incidence(self) -> np.ndarray:
         """(v, v) uint8 0/1 matrix whose row i marks the points of block i."""
-        rows = np.zeros((self.v, self.v), dtype=np.uint8)
-        rows[np.arange(self.v)[:, None], np.array(self.blocks) - 1] = 1
-        return rows
+        return self._incidence.copy()
 
     def complement(self) -> "IncidenceDesign":
         full = frozenset(range(1, self.v + 1))
@@ -349,7 +345,7 @@ def sbibd_from_difference_set(v: int, difference_set: Iterable[int]) -> Incidenc
     if rem:
         raise ValueError(f"not a difference set: k(k-1) = {k * (k - 1)} is not "
                          f"divisible by v - 1 = {v - 1}")
-    blocks = tuple(tuple(sorted((d + shift) % v + 1 for d in base)) for shift in range(v))
+    blocks = (np.add.outer(np.arange(v), base) % v + 1).tolist()  # sorted on construction
     try:
         return IncidenceDesign(v, k, pair_count, blocks)
     except ValueError as exc:
@@ -393,15 +389,15 @@ def sbibd_codes(design: IncidenceDesign, family: int,
     if family == 1:
         bits = blocks
     elif family in (2, 3):
-        bits = np.vstack([blocks, 1 - blocks])
+        bits = np.concatenate([blocks, 1 - blocks])
         if family == 3:
-            bits = np.hstack([bits, np.repeat([[1], [0]], v, axis=0)])
+            bits = np.concatenate([bits, np.repeat([[1], [0]], v, axis=0)], axis=1)
     elif family == 4:
         anchor = 1 if puncture_point is None else puncture_point
         if not 1 <= anchor <= v:
             raise ValueError(f"puncture point must lie in 1..{v}")
         through = blocks[:, anchor - 1] == 1
-        bits = np.delete(np.vstack([blocks[through], 1 - blocks[~through]]), anchor - 1, 1)
+        bits = np.delete(np.concatenate([blocks[through], 1 - blocks[~through]]), anchor - 1, 1)
     else:
         raise ValueError("family must be 1, 2, 3, or 4")
     words = matrix_ints(bits)

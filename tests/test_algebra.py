@@ -97,6 +97,21 @@ class TestTraces:
                 a, b = rng.randrange(f.order), rng.randrange(f.order)
                 assert f.trace(a ^ b) == f.trace(a) ^ f.trace(b)
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_trace_mask_on_every_element(self, m):
+        # parity(x & mask) is x + x^2 + ... + x^(2^(m-1)), the trace by definition
+        f = BinaryField(m)
+        for x in range(f.order):
+            t = y = x
+            for _ in range(m - 1):
+                y = f.mul(y, y)
+                t ^= y
+            assert (x & f.trace_mask).bit_count() % 2 == t == f.trace(x)
+
+    def test_trace_refuses_outside_elements(self):
+        with pytest.raises(ValueError, match="outside GF"):
+            BinaryField(3).trace(8)
+
     def test_relative_lands_in_subfield(self):
         f = BinaryField(6)
         for a in range(0, f.order, 7):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -467,6 +468,96 @@ class TestConstruct:
         rc, out, err = run(capsys, "construct", "sbibd:7,3,1:2:junk", "--out", str(out_path))
         assert rc == 2 and out == "" and "sbibd" in err
         assert not out_path.exists()
+
+
+#: sha256 of the stdout and of the code file of each shipped catalog name, written
+#: as "code.txt" in the working directory; the bytes json.dumps(indent=2) gave
+CATALOG_PINS = [
+    ("golay", "8f31efe30a7a7562238c183491d9d1413da0b1f310b38b9ee062d0d595a3fa87",
+     "9d71dbb207817fc6161596dbda8a069e6343b227906e6612a3f78c09a6f85201"),
+    ("golay-dual", "ff3bf7b6c2ea31d3360a6a00cfee3c7e9eb7438b7293df3a56f59219126225ab",
+     "5050ef55b484cdf8b078598dba2b851a92a605b2345542ac2a18ffe7dbfa3f18"),
+    ("trace-27-6", "73de24766488c619921b548770f78c1c5783ccfaf645c6e4754f35bd5ca2e460",
+     "3724399dac251e16476ca0f3cf632edfceef82af947da46557ea86282e3f4203"),
+    ("sbibd:7,3,1:1", "012566d9d9198c049a711fffb9d4225e6da88abfa7e7b5624db965c4be6fddd9",
+     "42785be73f0118406ccbad83611099c415a36ad60368e5aa1c4e2d44c4c12f35"),
+    ("sbibd:7,3,1:2", "ca3f90d37d0851a1959afbcaaa77ba5cc62d2fb3d021f52f8306d4c2a189b3b7",
+     "4aa771250c4c8149efc6ee59de20869d5007591965533ef77c81270fc97e9863"),
+    ("sbibd:7,3,1:3", "513d3a51afb62f476fb3ad89e57ece159403c954f83b32d8b50eae60c1c9f799",
+     "b18b5af8ff64043a25dd2eef42fb8a0fa4adaf77c86dcf6341e26ac3a9b15953"),
+    ("sbibd:7,3,1:4", "ae995a5ccacf4d6f70f742641e0c2791933e9b031da14ea9976933536dc417c8",
+     "26aa4312b98d84f90a636b6a51ef0ca17218ac9dc4aef4587b8c0f0f33a35ed1"),
+    ("sbibd:11,5,2:1", "9448343f1c0336b4e765de257d3c24a9cddf7d3cc36b4570d519bd6f2d6d8ff6",
+     "1670f1828bea0029a8ef145042a6313c3311ad30c271c2c886549de067d6089c"),
+    ("sbibd:11,5,2:2", "019b1d7627be1be6319adb02f4d3846ce6629c9610f20d02678e640418e96e1d",
+     "c4a3de5ad32bfbf153c4a94504e39bd4769100295cb59c52042e032a7e9dc061"),
+    ("sbibd:11,5,2:3", "2233c45322701a9eb5b94ae6ea59621ec1f7b18a8a93ce5f59b08e3d8cac4557",
+     "85111c9e4812f5425be99863cea6771fb375e016a11f4551fe3622fb4ea72d2a"),
+    ("sbibd:11,5,2:4", "cd0b879eca61ec510e99b97b219709f460b4faf5380881a7a555437123b161d2",
+     "7ed8715c700816972ef32c48258b411c889a51c6b04d345ae8f6846ec2e0ec54"),
+    ("sbibd:13,4,1:1", "1c8e4a3185acc500a0e03fecfc31b8f2b60c952ecd5dc5865f3a3a5fd42f74eb",
+     "ad706ec126ed5ace507202d1957c33c04985af42df6cc0738c43c113bf78d5c4"),
+    ("sbibd:13,4,1:2", "d63a2267eee67273c5a4ef52d9d8fc0ae63f3824699509757113e10dff61f62f",
+     "d8ffafaac3cc1e9431d2268e598f2c066138b80074d4bc4ab2d64e9fcadd12d5"),
+    ("sbibd:13,4,1:3", "02020f43f0df1ae2d9330117170b30dcc50cf11f8664caab5d2bd8d1cdf198c9",
+     "0091c75878f57dc1fec57c63a55a4d0c3caaa4c8ba3b916cb9c7e9f765add261"),
+    ("sbibd:13,4,1:4", "956addc3bfcd77cb52ba9334df71079aaf9ca7781e92c3d91529b1c8e4480dcd",
+     "7c3551d8c77d9a24c67771d23ff4f40a397505ea20406a0e5fa6c45075baaaa5"),
+    ("sbibd:15,7,3:1", "312dd0e7a2d4e256d5370849f12a4fde2097d5a618bf7c75bf896bba84e3d2f2",
+     "8d9c45a3f00385c7f2a2b34937ba7323dd6082198662dd23587d7cfaf9a4b7ce"),
+    ("sbibd:15,7,3:2", "b4ee25933b0229dc5236e8002ae0aff2b8dffc4311fe16635e7bd8121689cd21",
+     "45887f874141df88aff209d88d150115d2cd5fb13f3b644bb4f7991334a8954a"),
+    ("sbibd:15,7,3:3", "f2bb1d646f499e8ec408d13e98f4a9037d1b6af5649679a55a52398126b5086f",
+     "057f0388f36080161ae479af6c4819b13d3d502eb716295ecab6e5285978389f"),
+    ("sbibd:15,7,3:4", "843d7e7817dac28a2f8b296490ad22d31ebca0985a3b03ce1cea2cc055ba6b9f",
+     "f11541f238d4baa98a247faf4cd0795c8bcbb287a7c2a1d5bd364c2a16fc931e"),
+    ("sbibd:23,11,5:1", "ac44dea80f6df3f3f383f598b6b56b688aa47d59b221376874defb2ef96862ef",
+     "22fd87042bdbb1d3e3d7c9b17889c89593b707c049b290dca5d5250d50c61884"),
+    ("sbibd:23,11,5:2", "85d490cb1f158c517fc39e2894026e0f888fafa2c4f91adde3f0ddb38ae9381a",
+     "2c8aeaa2c02e7dfafefc2a69b10164088638901f6f8fbde010e45e6d5506a367"),
+    ("sbibd:23,11,5:3", "f6afb50cdabfacf6abc96304e513cee3e09a11bc48f4ce27015b22906c1d5c8a",
+     "46f753276d7681d2ccfd6babca5bdb55bc204cacc8b23f5bb39431b0c734e855"),
+    ("sbibd:23,11,5:4", "d464c7f9eda63b4e20e9200570608d6c88a08e50109bab29994b05d9802b2585",
+     "b8c89fbca63d9c23bed45b821cae97796cba4c55a15f616791a6e2a803ecd0a4"),
+]
+
+
+@pytest.mark.parametrize("name, stdout_sha, file_sha", CATALOG_PINS)
+def test_catalog_output_bytes_pinned(capsys, tmp_path, monkeypatch, name, stdout_sha, file_sha):
+    monkeypatch.chdir(tmp_path)
+    rc, out, _ = run(capsys, "construct", name, "--out", "code.txt")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256((tmp_path / "code.txt").read_bytes()).hexdigest() == file_sha
+
+
+@pytest.mark.parametrize("name", ["sbibd:7, 3,1:+1", "sbibd:7,3,1:0_1", "sbibd:\u0667,3,1:1",
+                                  "sbibd:7,3,1:\uff11", "sbibd:7,3,1:-1", "sbibd:7,3,1:"])
+def test_catalog_fields_are_ascii_digits(capsys, tmp_path, name):
+    # int() alone reads signs, spaces, underscores and other scripts' digits
+    out_path = tmp_path / "x.code"
+    rc, out, err = run(capsys, "construct", name, "--out", str(out_path))
+    assert (rc, out) == (2, "") and "bad catalog name" in err
+    assert not out_path.exists()
+
+
+#: JSON scalars the payload writer must render as json.dumps does, edge values included
+JSON_LEAVES = st.one_of(
+    st.text(),
+    st.sampled_from(["", "\u00e9t\u00e9", "tab\tquote\"back\\slash\n", "\U0001d11e\x00"]),
+    st.integers(), st.sampled_from([2 ** 64, -(2 ** 64) - 1, 3 ** 50]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e-300, 5e-324, float("nan"), float("inf"), float("-inf")]),
+    st.booleans(), st.none())
+JSON_PAYLOADS = st.recursive(
+    JSON_LEAVES, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4), max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(JSON_PAYLOADS)
+def test_payload_writer_matches_json_dumps(payload):
+    assert cli._json(payload) == json.dumps(payload, indent=2)
 
 
 class TestScheme:

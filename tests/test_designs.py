@@ -461,6 +461,48 @@ class TestIncidenceDesign:
             IncidenceDesign(7, 3, 1, consecutive)
 
 
+def _perturbed(design, kind):
+    """The shipped design's blocks with one fault of the given kind."""
+    blocks = [tuple(b) for b in design.blocks]
+    first = blocks[0]
+    point = first[0]
+    outside = next(x for x in range(1, design.v + 1) if x not in first)
+    if kind == "block size":
+        blocks[2] = blocks[2][:-1]
+    elif kind == "repeated point":
+        blocks[3] = blocks[3][:1] + blocks[3][:-1]
+    elif kind == "duplicate block":
+        blocks[4] = first
+    elif kind == "point outside":
+        blocks[1] = blocks[1][:-1] + (design.v + 1,)
+    elif kind == "swap":  # one point moves out of block 0: replication breaks
+        blocks[0] = tuple(outside if x == point else x for x in first)
+    else:  # two blocks trade points: replication holds, coverage breaks
+        j = next(j for j, b in enumerate(blocks) if point not in b and set(b) - set(first))
+        other = next(x for x in blocks[j] if x not in first)
+        blocks[0] = tuple(other if x == point else x for x in first)
+        blocks[j] = tuple(point if x == other else x for x in blocks[j])
+    return tuple(blocks)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("block size", "every block must hold k distinct points"),
+    ("repeated point", "every block must hold k distinct points"),
+    ("duplicate block", "duplicate blocks"),
+    ("point outside", "points must lie in 1..v"),
+    ("swap", "replication number differs from k"),
+    ("exchange", "pair coverage is not constant at lam={lam}"),
+])
+@pytest.mark.parametrize("params", sorted(DIFFERENCE_SETS))
+def test_perturbed_design_refused_with_its_message(params, kind, message):
+    # each single fault in a shipped design names its rule, in the words the
+    # per-element checks used before the checks moved to the block array
+    design = catalog_design(*params)
+    with pytest.raises(ValueError) as exc:
+        IncidenceDesign(*params, _perturbed(design, kind))
+    assert str(exc.value) == message.format(lam=design.lam)
+
+
 class TestSbibdCodes:
     def test_fano_family_shapes(self):
         design = catalog_design(7, 3, 1)
