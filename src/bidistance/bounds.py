@@ -18,10 +18,7 @@ is summed directly, never as 1 minus a retained mass.  Every threshold is
 an exact integer ceiling, with gamma taken as ChannelParams.bracket's u/v.
 
 Each bound is a many-channel call, and the one-channel functions are its
-one-element calls.  A call builds one ``_TailPlan`` for its lengths, with
-the log-binomial grid and the p-tail of the latest p; pmf rows take one
-``exp`` per (length, k), so no term overflows at any n, and the p-tail is
-a sum from the top of positive terms, so nothing cancels.
+one-element calls; a call builds one ``_TailPlan`` (README, Library layout).
 """
 
 from __future__ import annotations
@@ -50,17 +47,10 @@ def region_threshold(d10: int | np.ndarray, d01: int | np.ndarray,
 
 
 class _TailPlan:
-    """P(Bin(d1, q) + Bin(d2, p) >= t) for fixed int arrays d1, d2, called
-    with (t, params) per channel.
-
-    The unique lengths and the log-binomial grid log C(lengths[r], k) are
-    built once.  A Bin(lengths[r], x) pmf row adds k log x, with log x from
-    the Fraction's integers, so finite below the smallest float, and
-    (lengths[r] - k) log1p(-x).  tail_p[r, k] = P(Bin(lengths[r], p) >= k),
-    a cumulative sum from the top, is kept until p changes.  An entry's sum
-    over the q flip count i gathers pmf_q[d1, i] * tail_p[d2, clip(t - i)],
-    a block of entries of at most BLOCK_CELLS cells at a time.
-    """
+    """P(Bin(d1, q) + Bin(d2, p) >= t) for fixed int arrays d1, d2, called with
+    (t, params) per channel (README, Library layout): the log-binomial grid, -inf
+    past each length, is built once, log x is taken from x's integers, the p-tail
+    is kept until p changes, and entries are summed BLOCK_CELLS cells at a time."""
 
     def __init__(self, d1: np.ndarray, d2: np.ndarray):
         lengths, row = np.unique(np.concatenate([d1, d2]), return_inverse=True)
@@ -68,14 +58,13 @@ class _TailPlan:
         self.k = np.arange(lengths.max() + 1)
         log_fact = np.array([math.lgamma(m + 1) for m in self.k.tolist()])
         self.rest = np.maximum(lengths[:, None] - self.k, 0)
-        self.log_comb = log_fact[lengths, None] - log_fact[self.k] - log_fact[self.rest]
-        self.inside = self.k <= lengths[:, None]
+        self.log_comb = np.where(self.k <= lengths[:, None], log_fact[lengths, None]
+                                 - log_fact[self.k] - log_fact[self.rest], -np.inf)
         self.p, self.tail_p = None, None
 
     def _pmf(self, x: Fraction) -> np.ndarray:
         log_x = math.log(x.numerator) - math.log(x.denominator)
-        return np.where(self.inside, np.exp(self.log_comb + self.k * log_x
-                                            + self.rest * math.log1p(-float(x))), 0.0)
+        return np.exp(self.log_comb + self.k * log_x + self.rest * math.log1p(-float(x)))
 
     def __call__(self, t: np.ndarray, params: ChannelParams) -> np.ndarray:
         if params.p != self.p:

@@ -98,12 +98,9 @@ class ChannelParams:
 
     def bracket(self, n: int) -> tuple[int, int]:
         """Integers (u, v) with u/v on the same side of gamma as every fraction
-        of denominator at most 2n + 2, and equal to gamma if gamma is one: each
-        length-n threshold and rank is a sign of s*gamma - r with |s| <= 2n.
-        A Stern-Brocot descent in runs keeps neighbours a/b <= gamma < c/d and
-        moves each end toward the other as far as _order allows; u/v is a/b or
-        their mediant, kept per n in ``_brackets``.  Callers' keys stay below
-        4n(u + v), past int64 at n < 2**24 only for gamma > 2000 (p < 1e-300)."""
+        of denominator at most 2n + 2, and equal to gamma if gamma is one, by a
+        Stern-Brocot descent in runs, kept per n (README, Library layout); raises
+        CapExceeded where callers' keys, below 4n(u + v), would pass int64."""
         if n in self._brackets:
             return self._brackets[n]
         limit = 2 * n + 2
@@ -209,7 +206,7 @@ class _RankKernel:
     def __init__(self, code: Code, *channels: ChannelParams):
         n = code.n
         self.common = AndCounts.of_words(code.words, n)
-        self.weights = np.unique(self.common.weights)
+        self.weights = np.flatnonzero(code.weight_distribution())
         self.channels = []
         for params in channels:
             u, v = params.bracket(n)
@@ -331,10 +328,10 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
         flips = u < fq
         flips &= sent.view(bool)
         flips |= u < fp
-        key, lane = kernel.keys(kernel.common.word_major(sent ^ flips)), np.arange(len(idx))
-        sent_key = key[idx, lane]
-        key[idx, lane] = np.iinfo(key.dtype).min
-        errors += int(np.count_nonzero(key.max(axis=0) >= sent_key))  # a tie or a better rival
+        key = kernel.keys(kernel.common.word_major(sent ^ flips))
+        # the sent word reaches its own key, so a tie or a better rival is a second one
+        reach = (key >= key[idx, np.arange(len(idx))]).sum(axis=0, dtype=np.int32)
+        errors += int(np.count_nonzero(reach > 1))
     estimate = errors / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return estimate, stderr

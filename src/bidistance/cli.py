@@ -258,6 +258,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-p", required=True, help="0->1 crossover probability (decimal)")
         p.add_argument("-q", required=True, help="1->0 crossover probability (decimal)")
 
+    def add_decoding(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--trials", type=int, default=100_000)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP,
+                       help="length cap for the exhaustive sweep")
+
     p_bidist = sub.add_parser("bidist", help="pair distribution of a code file")
     add_code(p_bidist)
     p_bidist.add_argument("--format", choices=("json", "table"), default="json")
@@ -267,10 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_code(p_pe)
     add_pq(p_pe)
     p_pe.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p_pe.add_argument("--trials", type=int, default=100_000)
-    p_pe.add_argument("--seed", type=int, default=0)
-    p_pe.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP,
-                      help="length cap for the exhaustive sweep")
+    add_decoding(p_pe)
     p_pe.set_defaults(func=_cmd_pe)
 
     p_bounds = sub.add_parser("bounds", help="upper bounds on the error probability")
@@ -287,9 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.add_argument("--methods", default="ahb,cr_discrepancy,cr_symmetric,exact")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--trials", type=int, default=100_000)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP)
+    add_decoding(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_construct = sub.add_parser("construct", help="write a catalog code with metadata")

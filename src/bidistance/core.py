@@ -332,9 +332,8 @@ def _project(pairs: np.ndarray, counts: np.ndarray) -> dict[tuple[int, int], int
 
 def _pair_table(n: int, words: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (K, 3) int64 (wt(x), d10, d01) keys and (K,) int64 counts over all
-    ordered pairs.  With c = wt(x & y), d10 = wt(x) - c and d01 = wt(y) - c, the rows
-    of weight wx bincount their (class of y, c) cells into W (wx + 1) int64 cells, W
-    the number of weights, one block at a time; n < 2^21 bounds them by W (n + 1)."""
+    ordered pairs, one bincount of (class of y, c) cells per block of rows of one
+    weight (README, Library layout); n < 2^21 bounds the W (n + 1) cells."""
     if n >= 1 << 21:
         raise ValueError(f"pair tables support lengths below 2^21, got {n}")
     pairs = AndCounts.of_words(words, n)

@@ -162,8 +162,8 @@ def verify_srg(code: Code, w1: int) -> SrgParams:
         # kind is 1 on an edge, 0 off it and 2 on the diagonal
         diagonal = np.eye(*common.shape, rows.start - cols.start, dtype=np.uint8)
         kind = graph.bits[rows, cols] + 2 * diagonal
-        lams.update(np.unique(common[kind == 1]).tolist())
-        mus.update(np.unique(common[kind == 0]).tolist())
+        lams.update(np.flatnonzero(np.bincount(common[kind == 1])).tolist())
+        mus.update(np.flatnonzero(np.bincount(common[kind == 0])).tolist())
     if len(lams) > 1 or len(mus) > 1:
         raise ValueError("not strongly regular: common-neighbour counts vary")
     mu = mus.pop() if mus else 0
@@ -211,7 +211,7 @@ def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
     (2^k, m) ``a``, by k add/subtract butterflies on reshaped views, each over
     contiguous runs of rows; applied twice it scales by 2^k."""
     size, width = a.shape
-    a, out, half = a.copy(), np.empty_like(a), 1
+    a, out, half = a.copy(), np.empty(a.shape, a.dtype), 1
     while half < size:
         pairs, sums = a.reshape(-1, 2, half * width), out.reshape(-1, 2, half * width)
         np.add(pairs[:, 0], pairs[:, 1], out=sums[:, 0])

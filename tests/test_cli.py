@@ -2,9 +2,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -725,3 +729,55 @@ def test_exit_code_contract(tmp_path_factory):
         assert "Traceback" not in out.getvalue() + err.getvalue()
         assert rc != 3 or err.getvalue().startswith("error:"), (argv, err.getvalue())
     check()
+
+
+#: run in a fresh interpreter: each step, then whether numpy has imported numpy.ma
+COLD_START = """
+import contextlib, io, json, os, sys
+from bidistance.algebra import trace_code_27_6
+from bidistance.channel import ChannelParams, mld_decode
+from bidistance.cli import main
+from bidistance.core import Code, Word
+from bidistance.designs import verify_srg
+
+code = sys.argv[1]
+root = os.path.dirname(code)
+dual = os.path.join(root, "golay-dual.code")
+pq = ["-p", "0.1", "-q", "0.15"]
+steps = {
+    "bidist": lambda: main(["bidist", "--code", code]),
+    "pe exact": lambda: main(["pe", "--code", code, *pq, "--mode", "exact"]),
+    "pe mc": lambda: main(["pe", "--code", code, *pq, "--mode", "mc", "--trials", "500"]),
+    "sweep exact": lambda: main(["sweep", "--code", code, "-p", "0.1", "--q-from", "0.15",
+                                 "--q-to", "0.3", "--steps", "3", "--methods", "ahb,exact",
+                                 "--out", os.path.join(root, "sweep.csv")]),
+    "bounds": lambda: main(["bounds", "--code", code, *pq]),
+    "construct golay-dual": lambda: main(["construct", "golay-dual", "--out", dual]),
+    "scheme": lambda: main(["scheme", "--code", dual]),
+    "mld_decode": lambda: mld_decode(Code.from_file(code), Word.from_string("110100"),
+                                     ChannelParams.from_decimals("0.1", "0.15")).is_failure,
+    "verify_srg": lambda: verify_srg(trace_code_27_6(), 12).v,
+}
+seen = {}
+for name, step in steps.items():
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        result = step()
+    seen[name] = [result, "numpy.ma" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_no_call_imports_numpy_ma(c1_file):
+    # numpy imports numpy.ma, about 15 ms, on a plain np.unique; a fresh process
+    # must not pay it on any command or library call
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", COLD_START, str(c1_file)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen == {"bidist": [0, False], "pe exact": [0, False], "pe mc": [0, False],
+                    "sweep exact": [0, False], "bounds": [0, False],
+                    "construct golay-dual": [0, False], "scheme": [0, False],
+                    "mld_decode": [False, False], "verify_srg": [64, False]}

@@ -314,13 +314,15 @@ class TestSchemeTransform:
     it replaced (``reference_scheme``)."""
 
     def test_transform_matches_hadamard_matrix(self):
+        # on C-order, F-order and strided int64 input alike
         rng = np.random.default_rng(91)
-        for k in range(6):
-            a = rng.integers(-9, 9, size=(1 << k, 3))
+        for k in range(7):
             index = np.arange(1 << k)
             signs = 1 - 2 * (np.bitwise_count(index[:, None] & index) % 2).astype(np.int64)
-            assert np.array_equal(_walsh_hadamard(a), signs @ a)
-            assert np.array_equal(_walsh_hadamard(_walsh_hadamard(a)), a << k)
+            wide = rng.integers(-9, 9, size=(2 << k, 6))
+            for a in (wide[::2, :3].copy(), np.asfortranarray(wide[::2, :3]), wide[::2, ::2]):
+                assert np.array_equal(_walsh_hadamard(a), signs @ a)
+                assert np.array_equal(_walsh_hadamard(_walsh_hadamard(a)), a << k)
 
     @pytest.mark.parametrize("name", ["columns", "golay-dual", "golay-dual-from-words"])
     def test_matches_oracle_on_shipped_codes(self, name):
