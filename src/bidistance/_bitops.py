@@ -65,11 +65,12 @@ class AndCounts:
         self.rows = max(1, BLOCK_CELLS // len(bits))
 
     @classmethod
-    def of_words(cls, words: Sequence[int], n: int) -> "AndCounts":
-        """Counts against the bitmask ints ``words`` of length n."""
+    def of_words(cls, words, n: int) -> "AndCounts":
+        """Counts against the bitmask ints ``words``, or a ``Code``'s kept packed rows."""
         if n >= MAX_LENGTH:
             raise CapExceeded(f"exact bit products need n < {MAX_LENGTH}, got {n}")
-        return cls(bit_matrix(words, n))
+        return cls(unpack_rows(words.packed() if hasattr(words, "packed")
+                               else packed_rows(words, n), n))
 
     def word_major(self, rows: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
         """int32 c of each word, or of the words in ``cols``, against each 0/1 row:

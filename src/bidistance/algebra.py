@@ -169,7 +169,7 @@ def defining_set_code(field: BinaryField, defining_set: Sequence[int]) -> Code:
         bits[j] = np.bitwise_count(prods & field.trace_mask) & 1
         prods <<= 1
         prods ^= (prods >> field.m) * field.modulus
-    return GeneratorMatrix(len(elems), tuple(_rref(matrix_ints(bits), len(elems))[0])).codewords()
+    return GeneratorMatrix.of_basis(len(elems), _rref(matrix_ints(bits), len(elems))[0]).codewords()
 
 
 def trace_code_27_6() -> Code:
@@ -217,6 +217,15 @@ class GeneratorMatrix:
         if len(_rref(rows, self.n)[0]) != len(rows):
             raise ValueError("rows are linearly dependent")
 
+    @classmethod
+    def of_basis(cls, n: int, rows: list[int]) -> "GeneratorMatrix":
+        """Rows independent by construction, a reduced or null-space basis: unchecked."""
+        if not rows:
+            raise ValueError("at least one row is required")
+        gen = object.__new__(cls)
+        vars(gen).update(n=n, rows=tuple(rows))
+        return gen
+
     @property
     def k(self) -> int:
         return len(self.rows)
@@ -242,7 +251,7 @@ def generator_from_code(code: Code) -> GeneratorMatrix:
     reduced, _ = _rref(code._basis or code.words, code.n)
     if len(code) != 1 << len(reduced):
         raise ValueError("codewords do not form a linear subspace")
-    return GeneratorMatrix(code.n, tuple(reduced))
+    return GeneratorMatrix.of_basis(code.n, reduced)
 
 
 def dual_code(g: GeneratorMatrix) -> GeneratorMatrix:
@@ -250,7 +259,7 @@ def dual_code(g: GeneratorMatrix) -> GeneratorMatrix:
     rows = _null_space_rows(g.rows, g.n)
     if not rows:
         raise ValueError("the dual of the full space is the zero code")
-    return GeneratorMatrix(g.n, tuple(rows))
+    return GeneratorMatrix.of_basis(g.n, rows)
 
 
 def golay_code() -> GeneratorMatrix:

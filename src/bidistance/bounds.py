@@ -17,8 +17,8 @@ error mass of class j is the tail at (j, n - j, t_j).  Each class error
 is summed directly, never as 1 minus a retained mass.  Every threshold is
 an exact integer ceiling, with gamma taken as ChannelParams.bracket's u/v.
 
-Each bound is a many-channel call, and the one-channel functions are its
-one-element calls; a call builds one ``_TailPlan`` (README, Library layout).
+Each bound is a many-channel call, and the one-channel functions are its one-element
+calls; a call builds one ``_TailPlan``, or reads the code's (README, Library layout).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._bitops import BLOCK_CELLS
 from .channel import ChannelParams
@@ -50,7 +51,7 @@ class _TailPlan:
     """P(Bin(d1, q) + Bin(d2, p) >= t) for fixed int arrays d1, d2, called with
     (t, params) per channel (README, Library layout): the log-binomial grid, -inf
     past each length, is built once, log x is taken from x's integers, the p-tail
-    is kept until p changes, and entries are summed BLOCK_CELLS cells at a time."""
+    window is kept until p changes, and entries are summed BLOCK_CELLS cells at a time."""
 
     def __init__(self, d1: np.ndarray, d2: np.ndarray):
         lengths, row = np.unique(np.concatenate([d1, d2]), return_inverse=True)
@@ -60,26 +61,27 @@ class _TailPlan:
         self.rest = np.maximum(lengths[:, None] - self.k, 0)
         self.log_comb = np.where(self.k <= lengths[:, None], log_fact[lengths, None]
                                  - log_fact[self.k] - log_fact[self.rest], -np.inf)
-        self.p, self.tail_p = None, None
+        self.p, self.window = None, None
 
     def _pmf(self, x: Fraction) -> np.ndarray:
         log_x = math.log(x.numerator) - math.log(x.denominator)
         return np.exp(self.log_comb + self.k * log_x + self.rest * math.log1p(-float(x)))
 
     def __call__(self, t: np.ndarray, params: ChannelParams) -> np.ndarray:
+        size, last = len(self.k), 2 * len(self.k) - 1
         if params.p != self.p:
             pmf_p = self._pmf(params.p)
-            # column k sums pmf_p[:, k:]; the extra last column stays 0
-            self.tail_p = np.zeros((len(pmf_p), pmf_p.shape[1] + 1))
-            self.tail_p[:, -2::-1] = np.cumsum(pmf_p[:, ::-1], axis=1)
-            self.p = params.p
-        pmf_q, tail_p = self._pmf(params.q), self.tail_p
+            # column m is the p-tail at j = last - m: 0 for j >= size, the whole sum for j <= 0
+            tail = np.cumsum(pmf_p[:, ::-1], axis=1)
+            padded = np.hstack([np.zeros_like(pmf_p), tail, tail[:, -1:].repeat(size - 1, axis=1)])
+            self.window, self.p = sliding_window_view(padded, size, axis=1), params.p
+        pmf_q, start = self._pmf(params.q), last - np.minimum(np.maximum(t, 0), last)
         out = np.empty(len(self.q_row))
-        step = max(1, BLOCK_CELLS // len(self.k))
+        step = max(1, BLOCK_CELLS // size)
         for lo in range(0, len(out), step):
             block = slice(lo, lo + step)
-            k = np.clip(t[block, None] - self.k, 0, tail_p.shape[1] - 1)
-            out[block] = (pmf_q[self.q_row[block]] * tail_p[self.p_row[block, None], k]).sum(axis=1)
+            out[block] = (pmf_q[self.q_row[block]]
+                          * self.window[self.p_row[block], start[block]]).sum(axis=1)
         return out
 
 
@@ -182,12 +184,12 @@ def ahb_union_bounds(dist: BidistanceDistribution,
                      channels: list[ChannelParams]) -> list[BoundReport]:
     """The union bound at each channel; the entries, their keys and the
     tail plan are built once.  Thresholds use the bracket at the length n."""
-    entries = dist.multiset()
-    if not entries:
+    pairs = np.fromiter(itertools.chain.from_iterable(dist.entries), np.int64).reshape(-1, 2)
+    order = np.lexsort(pairs.T[::-1])[1:]  # by pair; (0, 0), the least, is left out
+    if not len(order):
         return [_report("ahb", [], []) for _ in channels]
-    d10, d01 = np.array([pair for pair, _ in entries], dtype=np.int64).T
-    counts = np.array([count for _, count in entries], dtype=np.int64)
-    keys = [f"{a},{b}" for (a, b), _ in entries]
+    (d10, d01), counts = pairs[order].T, np.fromiter(dist.entries.values(), np.int64)[order]
+    keys = list(map("{},{}".format, d10.tolist(), d01.tolist()))
     tail = _TailPlan(d10, d01)
     return [_report("ahb", keys, (counts * tail(region_threshold(d10, d01, params, dist.n),
                                                 params) / dist.size).tolist())
@@ -213,17 +215,17 @@ def _class_thresholds(code: Code, params: ChannelParams, symmetric: bool,
 
 def weight_class_bounds(code: Code, channels: list[ChannelParams],
                         symmetric: bool) -> list[BoundReport]:
-    """'cr_symmetric' or 'cr_discrepancy' at each channel: over weight classes
-    j, the sum of A_j / M times the tail at (j, n - j, t_j); the classes,
-    the distinct pairs, their keys and the tail plan are built once."""
-    counts = np.array(code.weight_distribution(), dtype=np.int64)
-    j = np.flatnonzero(counts)
-    classes = j, _distinct_pairs(code)
-    keys = [f"error[w={w}]" for w in j.tolist()]
-    tail = _TailPlan(j, code.n - j)
+    """'cr_symmetric' or 'cr_discrepancy' at each channel: over weight classes j, the
+    sum of A_j / M times the tail at (j, n - j, t_j), from the class plan the code keeps."""
+    if code._bounds is None:
+        counts = np.array(code.weight_distribution(), dtype=np.int64)
+        j = np.flatnonzero(counts)
+        code._bounds = (counts[j], (j, _distinct_pairs(code)),
+                            [f"error[w={w}]" for w in j.tolist()], _TailPlan(j, code.n - j))
+    counts, classes, keys, tail = code._bounds
     return [_report("cr_symmetric" if symmetric else "cr_discrepancy", keys,
-                    (counts[j] * tail(_class_thresholds(code, params, symmetric, classes)[1],
-                                      params) / len(code)).tolist())
+                    (counts * tail(_class_thresholds(code, params, symmetric, classes)[1],
+                                   params) / len(code)).tolist())
             for params in channels]
 
 

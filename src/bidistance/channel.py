@@ -205,7 +205,7 @@ class _RankKernel:
 
     def __init__(self, code: Code, *channels: ChannelParams):
         n = code.n
-        self.common = AndCounts.of_words(code.words, n)
+        self.common = AndCounts.of_words(code, n)
         self.weights = np.flatnonzero(code.weight_distribution())
         self.channels = []
         for params in channels:

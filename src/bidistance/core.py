@@ -16,8 +16,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from ._bitops import (AndCounts, CapExceeded, packed_rows, popcount, row_ints, row_reduce,
-                      unpack_rows)
+from ._bitops import (BLOCK_CELLS, AndCounts, CapExceeded, packed_rows, popcount, row_ints,
+                      row_reduce, unpack_rows)
 
 #: pair frequencies are held in 64-bit-sized counters; |C|^2 must fit
 MAX_CODE_SIZE = 1 << 28
@@ -102,11 +102,11 @@ class Code:
     ``is_linear`` is metadata: asserting it triggers an actual subspace
     check (power-of-two size and XOR closure via a rank computation).
     A code is immutable, so its pair table, the table's support, the weight
-    distribution and the packed rows are computed once and kept.  A code built
-    as the span of rows keeps them in ``_basis``, linear by construction.
+    distribution, the packed rows and its weight-class bound plan are computed once
+    and kept.  A code built as the span of rows keeps them in ``_basis``.
     """
 
-    __slots__ = ("n", "words", "is_linear", "_pairs", "_weights", "_basis", "_packed")
+    __slots__ = ("n", "words", "is_linear", "_pairs", "_weights", "_basis", "_packed", "_bounds")
 
     def __init__(self, n: int, words: Iterable[int], is_linear: bool | None = None):
         masks = tuple(map(int, words))
@@ -124,7 +124,7 @@ class Code:
             raise ValueError("duplicate codewords")
         self.n = n
         self.words = masks
-        self._pairs = self._weights = self._basis = self._packed = None
+        self._pairs = self._weights = self._basis = self._packed = self._bounds = None
         if is_linear:
             self._check_linear()
         self.is_linear = is_linear
@@ -141,7 +141,8 @@ class Code:
         ascending order; they are distinct and in range by construction, so unchecked."""
         code = object.__new__(cls)
         code.n, code._packed, code.is_linear, code._basis = n, span[np.lexsort(span.T)], True, basis
-        code.words, code._pairs, code._weights = tuple(row_ints(code._packed)), None, None
+        code.words, code._pairs = tuple(row_ints(code._packed)), None
+        code._weights = code._bounds = None
         return code
 
     def packed(self) -> np.ndarray:
@@ -184,7 +185,7 @@ class Code:
     def pair_support(self) -> np.ndarray:
         """The read-only (K, 3) int64 keys of ``pair_table()``, counted on first use only."""
         if self._pairs is None:
-            self._pairs = _pair_table(self.n, self.words)
+            self._pairs = _pair_table(self.n, self)
         return self._pairs[0]
 
     def pair_counts(self) -> np.ndarray:
@@ -222,26 +223,29 @@ class Code:
 
 
 def parse_code_text(text: str, source: str = "<text>") -> Code:
-    """One codeword per line as a 0/1 string; blanks and '#' lines skipped."""
-    masks: list[int] = []
-    n = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not _WORD_RE.match(line):
-            raise ParseError(f"{source}:{lineno}: expected a 0/1 word, got {line!r}")
-        if n is None:
-            n = len(line)
-        elif len(line) != n:
-            raise ParseError(f"{source}:{lineno}: word length {len(line)} differs from {n}")
-        masks.append(int(line[::-1], 2))
-    if n is None:
+    """One codeword per line as a 0/1 string; blanks and '#' lines skipped (README,
+    Library layout: a bad file is read again, line by line, to name its bad line)."""
+    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    if not lines:
         raise ParseError(f"{source}: no codewords found")
+    n, flat = len(lines[0]), "".join(lines).encode("ascii", "replace")
+    if len(set(map(len, lines))) > 1 or flat.translate(None, b"01"):
+        for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
+            if not line or line[0] == "#":
+                continue
+            if not _WORD_RE.match(line):
+                raise ParseError(f"{source}:{lineno}: expected a 0/1 word, got {line!r}")
+            if len(line) != n:
+                raise ParseError(f"{source}:{lineno}: word length {len(line)} differs from {n}")
+    bits = np.zeros((len(lines), 64 * -(-n // 64)), dtype=np.uint8)  # whole lanes
+    bits[:, :n] = np.frombuffer(flat, dtype=np.uint8).reshape(len(lines), n) & 1
+    packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
     try:
-        return Code(n, masks)
+        code = Code(n, row_ints(packed))
     except ValueError as exc:
         raise ParseError(f"{source}: {exc}") from None
+    code._packed = packed
+    return code
 
 
 def format_code_text(code: Code) -> str:
@@ -330,24 +334,30 @@ def _project(pairs: np.ndarray, counts: np.ndarray) -> dict[tuple[int, int], int
     return dict(zip(map(tuple, pairs[first].tolist()), sums.tolist()))
 
 
-def _pair_table(n: int, words: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (K, 3) int64 (wt(x), d10, d01) keys and (K,) int64 counts over all
-    ordered pairs, one bincount of (class of y, c) cells per block of rows of one
-    weight (README, Library layout); n < 2^21 bounds the W (n + 1) cells."""
+def _pair_table(n: int, words: tuple[int, ...] | Code) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (K, 3) int64 (wt(x), d10, d01) keys and (K,) int64 counts over all ordered
+    pairs of ``words``, bitmask ints or a ``Code`` (README, Library layout)."""
     if n >= 1 << 21:
         raise ValueError(f"pair tables support lengths below 2^21, got {n}")
     pairs = AndCounts.of_words(words, n)
-    wts, col_class = np.unique(pairs.weights, return_inverse=True)
+    wts, col_class = np.unique(pairs.weights.astype(np.int64), return_inverse=True)
+    # class k's W (wts[k] + 1) cells start at start[k]; one accumulator under twice the budget
+    start = np.concatenate([[0], np.cumsum(len(wts) * (wts + 1))])
+    passes = start[:-1] // max(BLOCK_CELLS, start[-1] - start[-2])  # the largest class
     parts = []
-    for k, wx in enumerate(wts.tolist()):
-        rows = np.flatnonzero(col_class == k)
-        acc = np.zeros(len(wts) * (wx + 1), dtype=np.int64)
-        cells = col_class[:, None] * (wx + 1)
-        for start in range(0, len(rows), pairs.rows):
-            common = pairs.word_major(pairs.bits[rows[start:start + pairs.rows]])
-            acc += np.bincount((cells + common).ravel(), minlength=len(acc))
-        y, c = np.divmod(np.flatnonzero(acc), wx + 1)
-        parts.append((np.column_stack([np.full_like(c, wx), wx - c, wts[y] - c]), acc[acc != 0]))
+    for group in np.split(np.arange(len(wts)), np.flatnonzero(np.diff(passes)) + 1):
+        lo = start[group[0]]
+        acc = np.zeros(start[group[-1] + 1] - lo, dtype=np.int64)
+        for k in group.tolist():
+            rows, cells = np.flatnonzero(col_class == k), col_class[:, None] * (wts[k] + 1)
+            part = acc[start[k] - lo:start[k + 1] - lo]
+            for at in range(0, len(rows), pairs.rows):
+                common = pairs.word_major(pairs.bits[rows[at:at + pairs.rows]])
+                part += np.bincount((cells + common).ravel(), minlength=len(part))
+        cell = np.flatnonzero(acc) + lo
+        k = np.searchsorted(start, cell, side="right") - 1
+        y, c = np.divmod(cell - start[k], wts[k] + 1)
+        parts.append((np.column_stack([wts[k], wts[k] - c, wts[y] - c]), acc[cell - lo]))
     keys, counts = map(np.concatenate, zip(*parts))
     keys.flags.writeable = counts.flags.writeable = False
     return keys, counts

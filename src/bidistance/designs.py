@@ -143,7 +143,7 @@ def verify_srg(code: Code, w1: int) -> SrgParams:
     v = len(code)
     if v > MEASURE_SIZE_CAP:
         raise ValueError(f"graph verification capped at {MEASURE_SIZE_CAP} vertices")
-    words = AndCounts.of_words(code.words, code.n)
+    words = AndCounts.of_words(code, code.n)
     adjacency = np.empty((v, v), dtype=np.uint8)
     for rows, cols, common in words.upper_tiles():
         near = words.weights[rows, None] + words.weights[cols] - 2 * common == w1

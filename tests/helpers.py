@@ -6,18 +6,20 @@ import functools
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
+from bidistance import bounds
 from bidistance._bitops import AndCounts, popcount
 from bidistance.algebra import (BinaryField, GeneratorMatrix, _null_space_rows,
                                 coset_distribution_matrix, distinct_row_count, dual_code,
                                 generator_from_code)
 from bidistance.bounds import pairwise_error_probability
 from bidistance.channel import ChannelParams, _score_table, likelihood
-from bidistance.core import BidistanceDistribution, Code, Word
+from bidistance.core import BidistanceDistribution, Code, ParseError, Word
 from bidistance.designs import (MEASURE_SIZE_CAP, SchemeParams, SrgParams,
                                srg_from_two_weight)
 
@@ -497,3 +499,64 @@ def reference_cr(code: Code, params: ChannelParams, symmetric: bool) -> dict[str
         components[f"error[w={j}]"] = (count * Fraction(numerator, qd ** j * pd ** (n - j))
                                        / len(code))
     return components
+
+
+def reference_tail_gather(plan, t: np.ndarray, params: ChannelParams) -> np.ndarray:
+    """A ``bounds._TailPlan`` call by a per-channel clip index: entry e's factors
+    are its p-tail row at clip(t_e - k, 0, K) for k < K, gathered by one 2-D
+    fancy index per block of the plan's entries."""
+    pmf_p = plan._pmf(params.p)
+    tail_p = np.zeros((len(pmf_p), pmf_p.shape[1] + 1))
+    tail_p[:, -2::-1] = np.cumsum(pmf_p[:, ::-1], axis=1)
+    pmf_q = plan._pmf(params.q)
+    out = np.empty(len(plan.q_row))
+    step = max(1, bounds.BLOCK_CELLS // len(plan.k))
+    for lo in range(0, len(out), step):
+        block = slice(lo, lo + step)
+        k = np.clip(t[block, None] - plan.k, 0, tail_p.shape[1] - 1)
+        out[block] = (pmf_q[plan.q_row[block]] * tail_p[plan.p_row[block, None], k]).sum(axis=1)
+    return out
+
+
+def reference_pair_table(n: int, words: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``core._pair_table`` one weight class at a time: per class wx, an int64
+    accumulator of (class of y, c) cells, decoded into its own keys, and the
+    classes' keys and counts joined in ascending wx."""
+    pairs = AndCounts.of_words(words, n)
+    wts, col_class = np.unique(pairs.weights, return_inverse=True)
+    parts = []
+    for k, wx in enumerate(wts.tolist()):
+        rows = np.flatnonzero(col_class == k)
+        acc = np.zeros(len(wts) * (wx + 1), dtype=np.int64)
+        cells = col_class[:, None] * (wx + 1)
+        for start in range(0, len(rows), pairs.rows):
+            common = pairs.word_major(pairs.bits[rows[start:start + pairs.rows]])
+            acc += np.bincount((cells + common).ravel(), minlength=len(acc))
+        y, c = np.divmod(np.flatnonzero(acc), wx + 1)
+        parts.append((np.column_stack([np.full_like(c, wx), wx - c, wts[y] - c]), acc[acc != 0]))
+    keys, counts = map(np.concatenate, zip(*parts))
+    return keys, counts
+
+
+def reference_parse_code_text(text: str, source: str = "<text>") -> Code:
+    """``core.parse_code_text`` line by line: each stripped line that is not
+    blank or a '#' comment must be a 0/1 word of the first word's length."""
+    masks: list[int] = []
+    n = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not re.match(r"^[01]+$", line):
+            raise ParseError(f"{source}:{lineno}: expected a 0/1 word, got {line!r}")
+        if n is None:
+            n = len(line)
+        elif len(line) != n:
+            raise ParseError(f"{source}:{lineno}: word length {len(line)} differs from {n}")
+        masks.append(int(line[::-1], 2))
+    if n is None:
+        raise ParseError(f"{source}: no codewords found")
+    try:
+        return Code(n, masks)
+    except ValueError as exc:
+        raise ParseError(f"{source}: {exc}") from None

@@ -193,6 +193,31 @@ class TestGeneratorMatrix:
         with pytest.raises(ValueError, match="subspace"):
             generator_from_code(Code(3, [0, 1, 2]))
 
+    def test_built_generators_reduce_their_rows_once(self, monkeypatch):
+        # a null-space or reduced basis is independent by construction, so the
+        # generator built from it is not row-reduced again; a caller's rows are
+        calls = []
+        rref = algebra._rref
+        monkeypatch.setattr(algebra, "_rref", lambda *args: calls.append(1) or rref(*args))
+        built = {"user": lambda: golay_code(),
+                 "dual": lambda: dual_code(golay_code()),
+                 "from code": lambda: generator_from_code(golay_code().codewords()),
+                 "defining set": lambda: defining_set_code(BinaryField(4), [1, 2, 3, 5, 7])}
+        reductions, results = {}, {}
+        for name, build in built.items():
+            calls.clear()
+            results[name] = build()
+            reductions[name] = len(calls)
+        monkeypatch.undo()
+        assert reductions == {"user": 1, "dual": 2, "from code": 2, "defining set": 1}
+        for result in results.values():
+            gen = result if isinstance(result, GeneratorMatrix) else generator_from_code(result)
+            assert GeneratorMatrix(gen.n, gen.rows) == gen
+
+    def test_zero_code_has_no_generator(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            generator_from_code(Code(4, [0]))
+
 
 class TestTrustedSpans:
     """Codes built as spans are linear without an elimination over their words

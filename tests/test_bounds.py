@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bidistance.bounds import (LatticePoint, _class_thresholds, _distinct_pairs,
+from bidistance import bounds
+from bidistance.bounds import (LatticePoint, _class_thresholds, _distinct_pairs, _TailPlan,
                                ahb_union_bound, ahb_union_bounds, discrepancy,
                                discrepancy_bound,
                                lattice_word_count, min_discrepancy,
@@ -17,7 +18,7 @@ from bidistance.bounds import (LatticePoint, _class_thresholds, _distinct_pairs,
 from bidistance.channel import ChannelParams, exact_error_probability
 from bidistance.core import Code, Word, bidistance_distribution
 from helpers import (eq3_pairwise_oracle, exact_flip_tail, gamma_at_least,
-                     random_code, reference_ahb, reference_cr,
+                     random_code, reference_ahb, reference_cr, reference_tail_gather,
                      reference_cr_thresholds, reference_exact_pep,
                      reference_region_threshold)
 
@@ -125,6 +126,48 @@ class TestPairwiseErrorProbability:
             t = region_threshold(d10, d01, params_ex1)
             assert math.isclose(pep, float(exact_flip_tail(d10, d01, t, params_ex1)),
                                 rel_tol=1e-10)
+
+
+@st.composite
+def tail_cases(draw):
+    """A tail plan's lengths d1, d2 (zero lengths included), the BLOCK_CELLS it
+    runs under, and per call a channel and thresholds from below 0 to past d1 + d2."""
+    size = draw(st.integers(1, 12))
+    d1, d2 = (draw(st.lists(st.integers(0, 40), min_size=size, max_size=size))
+              for _ in range(2))
+    block = draw(st.sampled_from([bounds.BLOCK_CELLS, 1, 16, 100]))
+    calls = draw(st.lists(st.tuples(channels(), st.lists(
+        st.integers(-5, max(d1) + max(d2) + 5), min_size=size, max_size=size)),
+        min_size=1, max_size=4))
+    return np.array(d1), np.array(d2), block, calls
+
+
+class TestTailWindow:
+    @PROPERTY
+    @given(tail_cases())
+    def test_window_gather_equals_clip_gather(self, case):
+        # the kept p-tail window reads the same factors as a clip index, so
+        # every sum is the same to the bit, across p changes between calls
+        d1, d2, block, calls = case
+        plan = _TailPlan(d1, d2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "BLOCK_CELLS", block)
+            for params, t in calls:
+                t = np.array(t)
+                assert plan(t, params).tobytes() == \
+                    reference_tail_gather(plan, t, params).tobytes()
+
+    def test_window_kept_until_p_changes(self):
+        plan = _TailPlan(np.array([3, 0, 7]), np.array([5, 2, 0]))
+        t = np.array([2, 0, 9])
+        first = ChannelParams.from_decimals("0.05", "0.1")
+        plan(t, first)
+        window = plan.window
+        plan(t, ChannelParams.from_decimals("0.05", "0.3"))
+        assert plan.window is window
+        plan(t, ChannelParams.from_decimals("0.07", "0.3"))
+        assert plan.window is not window
+        assert plan(t, first).tobytes() == reference_tail_gather(plan, t, first).tobytes()
 
 
 class TestRegionThreshold:
@@ -345,19 +388,19 @@ class TestManyChannelCalls:
                        for r in checks[0][0])
 
     def test_weight_class_call_reads_the_pair_support_once(self, monkeypatch):
-        # the distinct pairs and the classes are built once per call, not
-        # once per channel
+        # the distinct pairs and the classes are built once per code, not once
+        # per channel or per call: both bounds share the code's kept plan
         code = random_code(random.Random(9), 10, 12)
         grid = [ChannelParams.from_decimals("0.05", q) for q in ("0.05", "0.1", "0.2", "0.3")]
         reads = []
         support = Code.pair_support
         monkeypatch.setattr(Code, "pair_support", lambda self: reads.append(1) or support(self))
         for symmetric in (False, True):
-            reads.clear()
             many = weight_class_bounds(code, grid, symmetric)
             assert len(reads) == 1
             assert many == [weight_class_bounds(code, [params], symmetric)[0]
                             for params in grid]
+        assert len(reads) == 1
 
     @PROPERTY
     @given(grid_cases())

@@ -535,6 +535,71 @@ def test_catalog_output_bytes_pinned(capsys, tmp_path, monkeypatch, name, stdout
     assert hashlib.sha256((tmp_path / "code.txt").read_bytes()).hexdigest() == file_sha
 
 
+def _pinned_code(n: int, size: int, weights: tuple[int, ...] | None, seed: int) -> str:
+    """A seeded code file: random words, or words of the given weights in turn."""
+    rng, words = random.Random(seed), []
+    while len(words) < size:
+        if weights is None:
+            x = rng.getrandbits(n)
+        else:
+            x = sum(1 << i for i in rng.sample(range(n), weights[len(words) % len(weights)]))
+        if x not in words:
+            words.append(x)
+    return "".join(format(x, f"0{n}b")[::-1] + "\n" for x in words)
+
+
+#: seeded code files of the analysis pins: (name, n, size, weights or None, seed)
+PINNED_CODES = [("small", 10, 12, None, 3), ("mid", 40, 60, None, 5),
+                ("classes", 48, 96, (12, 20, 28, 36), 7), ("wide", 90, 40, None, 11),
+                ("wide-classes", 130, 64, (40, 64, 88), 13)]
+#: (code, command after the code, sha256 of its output: the CSV of a sweep, stdout
+#: otherwise); the sweeps run every default method (exact is dropped past the cap),
+#: three grids start at q = p, and monte_carlo runs on the small code
+ANALYSIS_PINS = [
+    ("small", ("sweep", "-p", "0.05", "--q-from", "0.05", "--q-to", "0.3", "--steps", "6",
+               "--methods", "ahb,cr_discrepancy,cr_symmetric,exact,monte_carlo",
+               "--trials", "3000", "--seed", "4"),
+     "a00faa864208f942bc2f89f3e04f43f1e678fe0227432392fe7ce9814c18bd7a"),
+    ("small", ("bounds", "-p", "0.05", "-q", "0.05"),
+     "8f68f60bf8287fda209c57a9f8c2e748ba406c680aeff5ea3a125eadd0e2fbc6"),
+    ("small", ("bidist",), "dcf7c532181928febe6438d571cce9119c8a759678d9bb531359a2c7ed7b4047"),
+    ("mid", ("sweep", "-p", "0.02", "--q-from", "0.02", "--q-to", "0.2", "--steps", "5"),
+     "c3cb605b287697120d3f29d65a1787a84dd3a77d3282af827d9f68923cdb1367"),
+    ("mid", ("bounds", "-p", "0.03", "-q", "0.17"),
+     "b39f116ab3bfa5743cc8fb6fe16dba92a225508864d988405097757e36c38f1d"),
+    ("mid", ("bidist",), "8a753a78fda6591206dd2693b9001f1d88615d28093d46e4909303a7f5633655"),
+    ("classes", ("sweep", "-p", "0.01", "--q-from", "0.03", "--q-to", "0.25", "--steps",
+                 "4"), "f30650d7fa407ff398e149f89a6c07660aba8411153f61aef09a051789c90a17"),
+    ("classes", ("bounds", "-p", "0.04", "-q", "0.04"),
+     "3bac79b5ecfab7cab6cb3c8eb36cd61963f804fdd298a3bad5bf5f4ae0d1ae26"),
+    ("classes", ("bidist",), "dc08b1bdbe7c846ef38c9441dca5afa2be98c00d18e713796b32f2663abb670b"),
+    ("wide", ("sweep", "-p", "0.03", "--q-from", "0.03", "--q-to", "0.3", "--steps", "5"),
+     "14be121c9a7a9398763b0ad834e0101f11f39b75835ef630984053d0db375748"),
+    ("wide", ("bounds", "-p", "0.001", "-q", "0.4"),
+     "ecd970f7b673992de2ebd729ec0be4584439f6a2170d3a4825f43d5fd66e5f3a"),
+    ("wide", ("bidist",), "153c788fd957802aa83eb69fdfeec2f119023db423c92a9e673b0e7bbd454b2c"),
+    ("wide-classes", ("sweep", "-p", "0.02", "--q-from", "0.05", "--q-to", "0.15", "--steps",
+                      "3"), "68346f13508abd9fc42f7aa02a370ae6f1ee8c5ee1de163a1239ac417abba504"),
+    ("wide-classes", ("bounds", "-p", "0.06", "-q", "0.06"),
+     "c2c1efd4350b328ef9c80aa379746faa68674963c77d216d08009cd8b553c43b"),
+    ("wide-classes", ("bidist",),
+     "a9228bc3b9f8da494778e8b500a1df86febf48b006a64c246fc5b47fbbd5d9f8"),
+]
+
+
+@pytest.mark.parametrize("code, command, sha", ANALYSIS_PINS)
+def test_analysis_output_bytes_pinned(capsys, tmp_path, monkeypatch, code, command, sha):
+    monkeypatch.chdir(tmp_path)
+    _, n, size, weights, seed = next(c for c in PINNED_CODES if c[0] == code)
+    (tmp_path / "code.txt").write_text(_pinned_code(n, size, weights, seed))
+    sweep = command[0] == "sweep"
+    rc, out, _ = run(capsys, command[0], "--code", "code.txt", *command[1:],
+                     *(("--out", "out.csv") if sweep else ()))
+    assert rc == 0
+    output = (tmp_path / "out.csv").read_bytes() if sweep else out.encode()
+    assert hashlib.sha256(output).hexdigest() == sha
+
+
 @pytest.mark.parametrize("name", ["sbibd:7, 3,1:+1", "sbibd:7,3,1:0_1", "sbibd:\u0667,3,1:1",
                                   "sbibd:7,3,1:\uff11", "sbibd:7,3,1:-1", "sbibd:7,3,1:"])
 def test_catalog_fields_are_ascii_digits(capsys, tmp_path, name):

@@ -1,19 +1,44 @@
+import math
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bidistance
 from bidistance import core
-from bidistance._bitops import BLOCK_CELLS, bit_matrix
+from bidistance import _bitops, channel, designs
+from bidistance._bitops import BLOCK_CELLS, MAX_LENGTH, AndCounts, CapExceeded, bit_matrix
 from bidistance.core import (BidistanceDistribution, BidistancePair, Code,
                              ParseError, Word, bidistance_distribution,
                              dir_distances, format_code_text, multiset_repr,
                              parse_code_text, solve_directional_system,
                              weights_from_bidistance)
 from helpers import (EDGE_LENGTHS, brute_distribution_counts, directional_pair,
-                     edge_code, random_generator_rows, reference_word_text, span_code)
+                     edge_code, random_generator_rows, reference_pair_table,
+                     reference_parse_code_text, reference_word_text, span_code)
+
+#: derandomized, with no example database, so every run draws the same cases
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+#: code-file lines: words, comments, blanks, Unicode spaces, a BOM, other digits
+LINE_PIECES = ["101", "011", "110", "0110", "1", "0" * 70, "1" * 70, "#", "# 101", "", "  ",
+               "\t101 ", "\u2003011", "\u3000110\u3000", "\xa0101", "\ufeff101",
+               "\uff11\uff10\uff11", "1\u200b01", "01x", "\u0661\u0660\u0661", "10 1"]
+LINE_ENDS = ["\n", "\r\n", "\r", "\x85", "\u2028", "\x0b"]
+
+
+@st.composite
+def code_texts(draw):
+    """A code file's text from LINE_PIECES and 3-bit words, each line ended by one
+    of LINE_ENDS, the last line maybe unended."""
+    lines = draw(st.lists(st.one_of(st.sampled_from(LINE_PIECES),
+                                    st.text(alphabet="01", min_size=3, max_size=3)),
+                          max_size=8))
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines), max_size=len(lines)))
+    return "".join(map(str.__add__, lines, ends)) + draw(st.sampled_from(["", "101", "0110"]))
 
 
 class TestWord:
@@ -141,6 +166,23 @@ class TestCodeFiles:
         assert parse_code_text(text).words == code.words
 
 
+    @PROPERTY
+    @given(code_texts())
+    def test_parser_matches_line_by_line_oracle(self, text):
+        # the same words, or the same error naming the same line
+        try:
+            want = reference_parse_code_text(text, "f")
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_code_text(text, "f")
+            assert str(got.value) == str(exc)
+            return
+        code = parse_code_text(text, "f")
+        assert (code.n, code.words) == (want.n, want.words)
+        kept = code.packed()
+        assert kept.dtype == want.packed().dtype and kept.tolist() == want.packed().tolist()
+
+
 class TestBidistanceDistribution:
     def test_example_multisets(self, c1, c2):
         assert multiset_repr(bidistance_distribution(c1)) == [
@@ -257,6 +299,50 @@ class TestBidistanceDistribution:
         words = [sum(1 << i for i in rng.sample(range(n), w)) for w in range(n + 1)]
         rng.shuffle(words)
         self.check_kernel(Code(n, words))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 200), st.integers(1, 200), st.booleans(),
+           st.sampled_from([BLOCK_CELLS, 1]), st.randoms(use_true_random=False))
+    def test_kernel_matches_per_class_oracle(self, n, size, one_class, budget, rng):
+        # one accumulator per pass equals one per weight class: the same keys in
+        # the same row order, the same counts and dtypes; a budget of 1 cell
+        # splits the classes over passes about the size of the largest class
+        weight = rng.randint(0, n)
+        size = min(size, math.comb(n, weight) if one_class else 1 << n)
+        words = set()
+        while len(words) < size:
+            words.add(sum(1 << i for i in rng.sample(range(n), weight)) if one_class
+                      else rng.getrandbits(n))
+        words = tuple(words)
+        want_keys, want_counts = reference_pair_table(n, words)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "BLOCK_CELLS", budget)
+            for source in (words, Code(n, words)):
+                keys, counts = core._pair_table(n, source)
+                assert (keys.dtype, counts.dtype) == (want_keys.dtype, want_counts.dtype)
+                assert keys.tolist() == want_keys.tolist()
+                assert counts.tolist() == want_counts.tolist()
+
+    def test_pair_kernels_unpack_the_kept_rows(self, monkeypatch, params_ex1):
+        # the pair table, the decoding kernel and the graph check read the code's
+        # kept packed rows; none packs the words again
+        code = parse_code_text("0110\n1010\n1111\n0000\n")
+        want = bit_matrix(code.words, code.n).tolist()
+        packs = []
+        packed_rows = _bitops.packed_rows
+        monkeypatch.setattr(_bitops, "packed_rows", lambda *a: packs.append(1) or packed_rows(*a))
+        assert AndCounts.of_words(code, code.n).bits.tolist() == want
+        code.pair_support()
+        channel._RankKernel(code, params_ex1)
+        with pytest.raises(ValueError, match="not strongly regular"):
+            designs.verify_srg(code, 2)
+        assert packs == []
+
+    def test_pair_kernel_refuses_long_codes_before_packing(self):
+        code = Code(MAX_LENGTH, [0, 1])
+        with pytest.raises(CapExceeded):
+            AndCounts.of_words(code, code.n)
+        assert code._packed is None
 
     def test_projection_sums_exactly_in_int64(self):
         # each count is 2^53 + 1, which a float64 sum would round
