@@ -18,7 +18,7 @@ is summed directly, never as 1 minus a retained mass.  Every threshold is
 an exact integer ceiling, with gamma taken as ChannelParams.bracket's u/v.
 
 Each bound is a many-channel call, and the one-channel functions are its one-element
-calls; a call builds one ``_TailPlan``, or reads the code's (README, Library layout).
+calls; each reads the ``_TailPlan`` its code or distribution keeps (README, Library layout).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class _TailPlan:
     def __init__(self, d1: np.ndarray, d2: np.ndarray):
         lengths, row = np.unique(np.concatenate([d1, d2]), return_inverse=True)
         self.q_row, self.p_row = row[:len(d1)], row[len(d1):]
-        self.k = np.arange(lengths.max() + 1)
+        self.k = np.arange(lengths.max(initial=0) + 1)  # no entries: a one-word code's AHB
         log_fact = np.array([math.lgamma(m + 1) for m in self.k.tolist()])
         self.rest = np.maximum(lengths[:, None] - self.k, 0)
         self.log_comb = np.where(self.k <= lengths[:, None], log_fact[lengths, None]
@@ -182,15 +182,12 @@ def _report(method: str, keys: list[str], terms: list[float]) -> BoundReport:
 
 def ahb_union_bounds(dist: BidistanceDistribution,
                      channels: list[ChannelParams]) -> list[BoundReport]:
-    """The union bound at each channel; the entries, their keys and the
-    tail plan are built once.  Thresholds use the bracket at the length n."""
-    pairs = np.fromiter(itertools.chain.from_iterable(dist.entries), np.int64).reshape(-1, 2)
-    order = np.lexsort(pairs.T[::-1])[1:]  # by pair; (0, 0), the least, is left out
-    if not len(order):
-        return [_report("ahb", [], []) for _ in channels]
-    (d10, d01), counts = pairs[order].T, np.fromiter(dist.entries.values(), np.int64)[order]
-    keys = list(map("{},{}".format, d10.tolist(), d01.tolist()))
-    tail = _TailPlan(d10, d01)
+    """The union bound at each channel over the off-diagonal rows, from the keys and tail
+    plan the distribution keeps from its first call; thresholds use the bracket at n."""
+    (d10, d01), counts = dist.pairs[1:].T, dist.counts[1:]
+    if getattr(dist, "_ahb", None) is None:
+        dist._ahb = list(map("{},{}".format, d10.tolist(), d01.tolist())), _TailPlan(d10, d01)
+    keys, tail = dist._ahb
     return [_report("ahb", keys, (counts * tail(region_threshold(d10, d01, params, dist.n),
                                                 params) / dist.size).tolist())
             for params in channels]

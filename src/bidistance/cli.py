@@ -86,7 +86,7 @@ def _cmd_bidist(args: argparse.Namespace) -> int:
         _emit(dist.to_json_dict())
     else:
         print(f"{'d10':>4} {'d01':>4} {'count':>12}")
-        for (a, b), c in sorted(dist.entries.items()):
+        for (a, b), c in zip(dist.pairs.tolist(), dist.counts.tolist()):
             print(f"{a:>4} {b:>4} {c:>12}")
     return 0
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from operator import index
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -23,6 +25,8 @@ from ._bitops import (BLOCK_CELLS, AndCounts, CapExceeded, packed_rows, popcount
 MAX_CODE_SIZE = 1 << 28
 
 _WORD_RE = re.compile(r"^[01]+$")
+#: a pair table as {(d10, d01): count}, or as ((d10, d01), count) rows
+_Rows = Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]]
 
 
 class ParseError(ValueError):
@@ -96,7 +100,21 @@ def dir_distances(x: Word, y: Word) -> BidistancePair:
     return BidistancePair((x.bits & ~y.bits).bit_count(), (y.bits & ~x.bits).bit_count())
 
 
-class Code:
+class _Frozen:
+    """Public attributes are set once and never deleted; ``_`` memo attributes stay writable."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name[0] != "_" and hasattr(self, name):
+            raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
+class Code(_Frozen):
     """Distinct equal-length binary words, kept in first-seen order.
 
     ``is_linear`` is metadata: asserting it triggers an actual subspace
@@ -254,84 +272,91 @@ def format_code_text(code: Code) -> str:
     return text.tobytes().decode("ascii")
 
 
-@dataclass(eq=True)
-class BidistanceDistribution:
-    """Frequencies A(d10, d01) over all ordered pairs of a code.
+class BidistanceDistribution(_Frozen):
+    """Frequencies A(d10, d01) over all ordered pairs of a code: read-only (K, 2) int64
+    ``pairs`` in lexicographic order, so the diagonal (0, 0), counted size times, is first,
+    and their (K,) int64 ``counts``; ``entries`` is the same table as a read-only mapping.
+    A caller passes a mapping or (pair, count) rows, repeated pairs summed, checked to be
+    integers, symmetric (A(i, j) = A(j, i)) and in range, with total mass size**2."""
 
-    The diagonal entry (0, 0) equals the code size and is stored here;
-    only the multiset view drops it.  Entries a caller passes are validated
-    to be symmetric (A(i, j) = A(j, i)) with total mass size**2.
-    """
-
-    n: int
-    size: int
-    entries: dict[tuple[int, int], int]
+    def __init__(self, n: int, size: int, entries: _Rows) -> None:
+        table: dict[tuple[int, int], int] = {}
+        for (a, b), c in entries.items() if hasattr(entries, "items") else entries:
+            key = (index(a), index(b))
+            table[key] = table.get(key, 0) + index(c)
+        entries = MappingProxyType({key: c for key, c in sorted(table.items()) if c})
+        rows = np.array([x for k, c in entries.items() for x in (*k, c)], np.int64).reshape(-1, 3)
+        rows.flags.writeable = False
+        vars(self).update(n=n, size=size, pairs=rows[:, :2], counts=rows[:, 2], entries=entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        cleaned = {(int(a), int(b)): int(c) for (a, b), c in self.entries.items() if c}
-        self.entries = cleaned
+        """The checks on a caller's table; the pair-table build skips them."""
+        entries = self.entries
         if self.size < 1:
             raise ValueError("distribution size must be positive")
-        if cleaned.get((0, 0)) != self.size:
+        if entries.get((0, 0)) != self.size:
             raise ValueError("entry (0, 0) must equal the code size")
-        total = 0
-        for (a, b), c in cleaned.items():
+        for (a, b), c in entries.items():
             if a < 0 or b < 0 or a + b > self.n:
                 raise ValueError(f"pair ({a}, {b}) out of range for length {self.n}")
             if c < 0:
                 raise ValueError("frequencies must be non-negative")
-            if cleaned.get((b, a)) != c:
+            if entries.get((b, a)) != c:
                 raise ValueError(f"asymmetric frequencies at ({a}, {b})")
-            total += c
+        total = sum(entries.values())
         if total != self.size * self.size:
             raise ValueError(f"total frequency {total} != size^2 = {self.size ** 2}")
 
     @classmethod
-    def from_off_diagonal(cls, n: int, size: int,
-                          entries: Mapping[tuple[int, int], int]) -> "BidistanceDistribution":
-        """Assemble a distribution from its off-diagonal part."""
-        full = {(int(a), int(b)): int(c) for (a, b), c in entries.items()}
-        if (0, 0) in full:
-            raise ValueError("off-diagonal entries must not contain (0, 0)")
-        full[(0, 0)] = size
-        return cls(n, size, full)
+    def from_off_diagonal(cls, n: int, size: int, entries: _Rows) -> "BidistanceDistribution":
+        """Assemble a distribution from its off-diagonal part, a mapping or rows; a (0, 0)
+        entry there would add to the diagonal, which the checks refuse."""
+        rows = entries.items() if hasattr(entries, "items") else entries
+        return cls(n, size, [((0, 0), size), *rows])
+
+    @cached_property
+    def entries(self) -> Mapping[tuple[int, int], int]:
+        """{(d10, d01): count} in ``pairs`` order, read-only."""
+        return MappingProxyType(dict(self._rows()))
+
+    def _rows(self, start: int = 0) -> Iterator[tuple[tuple[int, int], int]]:
+        return zip(map(tuple, self.pairs[start:].tolist()), self.counts[start:].tolist())
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BidistanceDistribution) and \
+            (self.n, self.size, self.entries) == (other.n, other.size, other.entries)
+
+    def __repr__(self) -> str:
+        return f"BidistanceDistribution(n={self.n}, size={self.size}, entries={dict(self.entries)})"
 
     def frequency(self, d10: int, d01: int) -> int:
         return self.entries.get((d10, d01), 0)
 
     def off_diagonal(self) -> dict[tuple[int, int], int]:
-        return {k: v for k, v in self.entries.items() if k != (0, 0)}
+        return dict(self._rows(1))
 
     def multiset(self) -> list[tuple[tuple[int, int], int]]:
         """Lexicographically sorted (pair, frequency) list, (0, 0) omitted."""
-        return sorted((k, v) for k, v in self.entries.items() if k != (0, 0))
+        return list(self._rows(1))
 
     def to_json_dict(self) -> dict:
-        ordered = sorted(self.entries.items())
-        return {
-            "n": self.n,
-            "size": self.size,
-            "entries": [{"d10": a, "d01": b, "count": c} for (a, b), c in ordered],
-        }
+        return {"n": self.n, "size": self.size,
+                "entries": [{"d10": a, "d01": b, "count": c} for (a, b), c in self._rows()]}
 
 
 def bidistance_distribution(code: Code) -> BidistanceDistribution:
-    """Frequency of every (d10, d01) over the |C|^2 ordered codeword pairs.  The
-    pair table makes it valid by construction, so __post_init__'s checks are skipped."""
+    """Frequency of every (d10, d01) over the |C|^2 ordered codeword pairs: the pair table's
+    counts summed in int64, exact past 2^53, and unchecked, as valid by construction."""
+    pairs = code.pair_support()[:, 1:]
+    key = pairs[:, 0] * (code.n + 1) + pairs[:, 1]  # ascends as (d10, d01) does
+    order = np.argsort(key)
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
     dist = object.__new__(BidistanceDistribution)
-    dist.n, dist.size = code.n, len(code)
-    dist.entries = _project(code.pair_support()[:, 1:], code.pair_counts())
+    vars(dist).update(n=code.n, size=len(code), pairs=pairs[order[first]],
+                      counts=np.add.reduceat(code.pair_counts()[order], first))
+    dist.pairs.flags.writeable = dist.counts.flags.writeable = False
     return dist
-
-
-def _project(pairs: np.ndarray, counts: np.ndarray) -> dict[tuple[int, int], int]:
-    """The int64 sum of ``counts`` over each distinct row of the non-negative
-    (K, 2) ``pairs``; exact where a float64 sum would round counts above 2^53."""
-    a, b = pairs.T
-    _, first, inverse = np.unique(a * (b.max() + 1) + b, return_index=True, return_inverse=True)
-    sums = np.zeros(len(first), dtype=np.int64)
-    np.add.at(sums, inverse, counts)
-    return dict(zip(map(tuple, pairs[first].tolist()), sums.tolist()))
 
 
 def _pair_table(n: int, words: tuple[int, ...] | Code) -> tuple[np.ndarray, np.ndarray]:
@@ -369,20 +394,16 @@ def multiset_repr(dist: BidistanceDistribution) -> list[tuple[tuple[int, int], i
 
 
 def weights_from_bidistance(dist: BidistanceDistribution) -> tuple[int, ...]:
-    """Weight distribution recovered by antidiagonal sums, linear codes only.
-
-    Each antidiagonal total must be a multiple of the code size; a
-    remainder proves the originating code was not linear.
-    """
-    sums = [0] * (dist.n + 1)
-    for (a, b), c in dist.entries.items():
-        sums[a + b] += c
-    for i, s in enumerate(sums):
+    """Weight distribution recovered by antidiagonal sums, linear codes only: each total
+    must be a multiple of the code size, and a remainder proves the code was not linear."""
+    sums = np.zeros(dist.n + 1, dtype=np.int64)
+    np.add.at(sums, dist.pairs.sum(axis=1), dist.counts)  # exact; a weighted bincount sums floats
+    for i, s in enumerate(sums.tolist()):
         if s % dist.size:
             raise ValueError(
                 f"antidiagonal {i} sums to {s}, not a multiple of {dist.size}; "
                 "the originating code cannot be linear")
-    return tuple(s // dist.size for s in sums)
+    return tuple((sums // dist.size).tolist())
 
 
 def solve_directional_system(wt_x: int, wt_y: int, wt_xy: int) -> BidistancePair:

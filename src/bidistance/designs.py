@@ -93,7 +93,7 @@ def _class_triple_ahb(n: int, weights: Sequence[int], valences: Sequence[int],
     classes, indexed from 0, form an association scheme: each ordered class
     triple (a, b, c), the classes of x, y and x + y, adds valences[a] * p[a][b][c]
     pairs at the offsets solve_directional_system gives for its three weights."""
-    entries: dict[tuple[int, int], int] = {}
+    rows = []
     for a, b, c in itertools.product(range(len(weights)), repeat=3):
         freq = valences[a] * p[a][b][c]
         if freq == 0:
@@ -106,9 +106,8 @@ def _class_triple_ahb(n: int, weights: Sequence[int], valences: Sequence[int],
             raise ValueError(
                 f"classes ({a + 1}, {b + 1}, {c + 1}) have positive frequency {freq} "
                 f"but no integer offsets: {exc}") from None
-        key = (pair.d10, pair.d01)
-        entries[key] = entries.get(key, 0) + freq
-    return BidistanceDistribution.from_off_diagonal(n, sum(valences), entries)
+        rows.append((pair, freq))
+    return BidistanceDistribution.from_off_diagonal(n, sum(valences), rows)
 
 
 def two_weight_ahb(n: int, k: int, w1: int, w2: int,
@@ -265,19 +264,11 @@ def three_weight_ahb(n: int, weights: Sequence[int],
     return _class_triple_ahb(n, w, scheme.valences, p)
 
 
-def with_zero_word(dist: BidistanceDistribution,
-                   weights: Sequence[int]) -> BidistanceDistribution:
-    """Distribution of a full linear code from that of its nonzero words.
-
-    Adding the zero word back contributes one ordered pair per nonzero
-    word on each axis, keyed by its weight.
-    """
-    entries = dict(dist.off_diagonal())
-    for w, count in enumerate(weights):
-        if w and count:
-            entries[(0, w)] = entries.get((0, w), 0) + count
-            entries[(w, 0)] = entries.get((w, 0), 0) + count
-    return BidistanceDistribution.from_off_diagonal(dist.n, dist.size + 1, entries)
+def with_zero_word(dist: BidistanceDistribution, weights: Sequence[int]) -> BidistanceDistribution:
+    """Distribution of a full linear code from that of its nonzero words: the zero word
+    adds one ordered pair per nonzero word on each axis, keyed by its weight."""
+    zero = [(pair, c) for w, c in enumerate(weights) if w and c for pair in ((0, w), (w, 0))]
+    return BidistanceDistribution.from_off_diagonal(dist.n, dist.size + 1, dist.multiset() + zero)
 
 
 @dataclass(frozen=True)
@@ -407,12 +398,10 @@ def sbibd_codes(design: IncidenceDesign, family: int,
 
 
 def sbibd_ahb(v: int, k: int, lam: int, family: int) -> BidistanceDistribution:
-    """Closed-form pair frequencies for the four design code families.
-
-    Block intersections are fixed by the design parameters, so each family
-    has a short fixed list of (offset, frequency) rows; coinciding offsets
-    are aggregated (they do coincide for small parameters).
-    """
+    """Closed-form pair frequencies for the four design code families: the design
+    parameters fix every block intersection, so each family has a short fixed list of
+    (offset, frequency) rows, whose coinciding offsets (at small parameters) the
+    constructor sums."""
     if lam < 1 or not 2 <= k < v:
         raise ValueError("invalid design parameters")
     if lam * (v - 1) != k * (k - 1):
@@ -424,23 +413,16 @@ def sbibd_ahb(v: int, k: int, lam: int, family: int) -> BidistanceDistribution:
     if family == 1:
         n, size = v, v
         rows = [((diff, diff), v * (v - 1))]
-    elif family == 2:
-        n, size = v, 2 * v
+    elif family in (2, 3):
+        e = family - 2  # family 3's new coordinate: a 1 -> 0 flip from a block to a complement
+        n, size = v + e, 2 * v
         rows = [((diff, diff), 2 * v * (v - 1)),
-                ((k, v - k), v), ((v - k, k), v),
-                ((lam, cross), v * (v - 1)), ((cross, lam), v * (v - 1))]
-    elif family == 3:
-        n, size = v + 1, 2 * v
-        rows = [((diff, diff), 2 * v * (v - 1)),
-                ((k + 1, v - k), v), ((v - k, k + 1), v),
-                ((lam + 1, cross), v * (v - 1)), ((cross, lam + 1), v * (v - 1))]
+                ((k + e, v - k), v), ((v - k, k + e), v),
+                ((lam + e, cross), v * (v - 1)), ((cross, lam + e), v * (v - 1))]
     elif family == 4:
         n, size = v - 1, v
         rows = [((diff, diff), k * (k - 1) + (v - k) * (v - k - 1)),
                 ((lam, cross), k * (v - k)), ((cross, lam), k * (v - k))]
     else:
         raise ValueError("family must be 1, 2, 3, or 4")
-    entries: dict[tuple[int, int], int] = {}
-    for pair, freq in rows:
-        entries[pair] = entries.get(pair, 0) + freq
-    return BidistanceDistribution.from_off_diagonal(n, size, entries)
+    return BidistanceDistribution.from_off_diagonal(n, size, rows)

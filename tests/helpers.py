@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import random
 import re
@@ -560,3 +561,63 @@ def reference_parse_code_text(text: str, source: str = "<text>") -> Code:
         return Code(n, masks)
     except ValueError as exc:
         raise ParseError(f"{source}: {exc}") from None
+
+
+# --- the dict form of the pair distribution that its sorted arrays replaced
+
+#: channels of the dict-form check, one of them at p = q
+DICT_FORM_CHANNELS = [ChannelParams.from_decimals("0.1", "0.1"),
+                      ChannelParams.from_decimals("0.05", "0.3"),
+                      ChannelParams.from_decimals("0.2", "0.45")]
+
+
+def reference_project(pairs: np.ndarray, counts: np.ndarray) -> dict[tuple[int, int], int]:
+    """The int64 sum of ``counts`` over each distinct row of the non-negative (K, 2)
+    ``pairs``, as a dict in ascending (d10, d01): ``np.unique`` of one combined key
+    with its first indices and inverse, then ``np.add.at``."""
+    a, b = pairs.T
+    _, first, inverse = np.unique(a * (b.max() + 1) + b, return_index=True, return_inverse=True)
+    sums = np.zeros(len(first), dtype=np.int64)
+    np.add.at(sums, inverse, counts)
+    return dict(zip(map(tuple, pairs[first].tolist()), sums.tolist()))
+
+
+def reference_json_dict(n: int, size: int, entries: dict[tuple[int, int], int]) -> dict:
+    """``BidistanceDistribution.to_json_dict`` of a dict of entries, sorted."""
+    return {"n": n, "size": size,
+            "entries": [{"d10": a, "d01": b, "count": c} for (a, b), c in sorted(entries.items())]}
+
+
+def reference_ahb_union_bounds(n: int, size: int, entries: dict[tuple[int, int], int],
+                               channels: list[ChannelParams]) -> list:
+    """``bounds.ahb_union_bounds`` from a dict of entries: int64 arrays by
+    ``np.fromiter``, sorted by one ``lexsort``, (0, 0) left out, and a new tail
+    plan for the call."""
+    pairs = np.fromiter(itertools.chain.from_iterable(entries), np.int64).reshape(-1, 2)
+    order = np.lexsort(pairs.T[::-1])[1:]
+    if not len(order):
+        return [bounds._report("ahb", [], []) for _ in channels]
+    (d10, d01), counts = pairs[order].T, np.fromiter(entries.values(), np.int64)[order]
+    keys = list(map("{},{}".format, d10.tolist(), d01.tolist()))
+    tail = bounds._TailPlan(d10, d01)
+    return [bounds._report("ahb", keys, (counts * tail(bounds.region_threshold(
+        d10, d01, params, n), params) / size).tolist()) for params in channels]
+
+
+def check_dict_form(dist: BidistanceDistribution, want: dict[tuple[int, int], int]) -> None:
+    """The distribution's arrays, ``entries``, views, JSON bytes and AHB reports
+    equal those of the dict ``want`` by the references above; the second AHB
+    call, over the channels reversed, reads the plan the first one kept."""
+    ordered = sorted(want.items())
+    assert dist.pairs.dtype == dist.counts.dtype == np.int64
+    assert dist.pairs.shape == (len(want), 2) and dist.counts.shape == (len(want),)
+    assert dist.pairs.tolist() == [list(pair) for pair, _ in ordered]
+    assert dist.counts.tolist() == [count for _, count in ordered]
+    assert not dist.pairs.flags.writeable and not dist.counts.flags.writeable
+    assert list(dist.entries.items()) == ordered
+    assert dist.multiset() == ordered[1:] and dist.off_diagonal() == dict(ordered[1:])
+    assert json.dumps(dist.to_json_dict(), indent=2) == \
+        json.dumps(reference_json_dict(dist.n, dist.size, want), indent=2)
+    reports = reference_ahb_union_bounds(dist.n, dist.size, want, DICT_FORM_CHANNELS)
+    assert bounds.ahb_union_bounds(dist, DICT_FORM_CHANNELS) == reports
+    assert bounds.ahb_union_bounds(dist, DICT_FORM_CHANNELS[::-1]) == reports[::-1]

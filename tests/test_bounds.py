@@ -402,6 +402,23 @@ class TestManyChannelCalls:
                             for params in grid]
         assert len(reads) == 1
 
+    def test_ahb_call_builds_its_plan_once(self, monkeypatch):
+        # the distribution keeps the keys and the tail plan of its first AHB call;
+        # later calls, at any channels, build no plan and give the same reports
+        dist = bidistance_distribution(random_code(random.Random(12), 9, 10))
+        grid = [ChannelParams.from_decimals(p, q) for p, q in
+                (("0.05", "0.05"), ("0.05", "0.3"), ("0.1", "0.2"))]
+        plans = []
+        plan = bounds._TailPlan
+        monkeypatch.setattr(bounds, "_TailPlan", lambda *a: plans.append(1) or plan(*a))
+        first = ahb_union_bounds(dist, grid)
+        assert len(plans) == 1
+        assert ahb_union_bounds(dist, grid[::-1]) == first[::-1]
+        assert [ahb_union_bound(dist, params) for params in grid] == first
+        assert len(plans) == 1
+        fresh = bidistance_distribution(random_code(random.Random(12), 9, 10))
+        assert ahb_union_bounds(fresh, grid) == first and len(plans) == 2
+
     @PROPERTY
     @given(grid_cases())
     def test_thresholds_at_code_length_equal_per_entry_thresholds(self, case):

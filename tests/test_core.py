@@ -11,14 +11,16 @@ import bidistance
 from bidistance import core
 from bidistance import _bitops, channel, designs
 from bidistance._bitops import BLOCK_CELLS, MAX_LENGTH, AndCounts, CapExceeded, bit_matrix
+from bidistance.bounds import discrepancy_bound
 from bidistance.core import (BidistanceDistribution, BidistancePair, Code,
                              ParseError, Word, bidistance_distribution,
                              dir_distances, format_code_text, multiset_repr,
                              parse_code_text, solve_directional_system,
                              weights_from_bidistance)
-from helpers import (EDGE_LENGTHS, brute_distribution_counts, directional_pair,
-                     edge_code, random_generator_rows, reference_pair_table,
-                     reference_parse_code_text, reference_word_text, span_code)
+from helpers import (EDGE_LENGTHS, brute_distribution_counts, check_dict_form,
+                     directional_pair, edge_code, random_generator_rows, reference_pair_table,
+                     reference_parse_code_text, reference_project, reference_word_text,
+                     span_code)
 
 #: derandomized, with no example database, so every run draws the same cases
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -117,6 +119,30 @@ class TestCode:
         code = Code.from_strings(["110", "000", "111"])
         first = code.weight_distribution()
         assert code.weight_distribution() is first
+
+    def test_refuses_assignment(self, monkeypatch, params_ex1):
+        # the public attributes are set once; the pair table the code keeps is
+        # still built once, and a bound reads the code it was built from
+        counted = []
+        count = core._pair_table
+        monkeypatch.setattr(core, "_pair_table",
+                            lambda n, words: counted.append(n) or count(n, words))
+        code = Code(4, [0b0001, 0b0110])
+        before = discrepancy_bound(code, params_ex1)
+        for name, value in (("n", 5), ("words", (1, 6, 15)), ("is_linear", True)):
+            with pytest.raises(AttributeError):
+                setattr(code, name, value)
+            with pytest.raises(AttributeError):
+                delattr(code, name)
+        with pytest.raises(AttributeError):
+            code.extra = 1
+        assert (code.n, code.words, code.is_linear, len(code)) == (4, (1, 6), None, 2)
+        assert discrepancy_bound(code, params_ex1) == before
+        assert bidistance_distribution(code).entries == brute_distribution_counts(code)
+        assert counted == [4]
+        spanned = span_code(4, [0b0011, 0b0101])
+        with pytest.raises(AttributeError):
+            spanned.words = (0,)
 
     def test_membership_and_eq(self):
         code = Code.from_strings(["10", "01"])
@@ -345,11 +371,16 @@ class TestBidistanceDistribution:
         assert code._packed is None
 
     def test_projection_sums_exactly_in_int64(self):
-        # each count is 2^53 + 1, which a float64 sum would round
+        # each count is 2^53 + 1, which a float64 sum would round; the code's
+        # kept pair table is replaced, as the projection reads only that
         big = (1 << 53) + 1
-        keys = np.array([[1, 2], [3, 4], [1, 2], [1, 2]], dtype=np.int64)
-        counts = np.full(4, big, dtype=np.int64)
-        assert core._project(keys, counts) == {(1, 2): 3 * big, (3, 4): big}
+        keys = np.array([[0, 1, 2], [1, 3, 4], [2, 1, 2], [3, 1, 2]], dtype=np.int64)
+        code = Code(7, [0])
+        code._pairs = keys, np.full(4, big, dtype=np.int64)
+        dist = bidistance_distribution(code)
+        assert dist.pairs.tolist() == [[1, 2], [3, 4]]
+        assert dist.counts.dtype == np.int64 and dist.counts.tolist() == [3 * big, big]
+        assert dist.entries == {(1, 2): 3 * big, (3, 4): big}
 
     def test_kernel_memory_stays_near_the_column_matrix(self):
         # the float32 column matrix and the 0/1 bit matrix, the keys and
@@ -389,6 +420,61 @@ class TestBidistanceDistribution:
             BidistanceDistribution(2, 2, {(0, 0): 2, (1, 0): 2})
         with pytest.raises(ValueError, match="size"):
             BidistanceDistribution(2, 2, {(0, 0): 1, (1, 1): 3})
+        # a count or a pair that is not an integer is refused, not truncated
+        with pytest.raises(TypeError):
+            BidistanceDistribution(1, 1, {(0, 0): 1.9})
+        with pytest.raises(TypeError):
+            BidistanceDistribution(1, 1, {(0.7, 0.2): 1})
+        with pytest.raises(TypeError):
+            BidistanceDistribution(2, 1, {(0, 0): 1, (1, 1): 0.5})
+        with pytest.raises(TypeError):
+            BidistanceDistribution.from_off_diagonal(2, 2, {(1, 1): np.float64(2)})
+        # numpy integers are integers
+        dist = BidistanceDistribution(2, 2, {(np.int64(0), np.int8(0)): np.uint16(2),
+                                             (np.int32(1), np.int64(1)): np.int64(2)})
+        assert dist.entries == {(0, 0): 2, (1, 1): 2}
+        assert all(type(x) is int for pair, c in dist.entries.items() for x in (*pair, c))
+
+    def test_rows_sum_repeated_pairs(self):
+        # a caller's rows may repeat a pair; zero sums are dropped, in any order
+        dist = BidistanceDistribution.from_off_diagonal(
+            3, 3, [((2, 1), 2), ((1, 2), 1), ((0, 3), 0), ((1, 2), 1), ((2, 1), 0), ((1, 1), 2)])
+        assert dist.pairs.tolist() == [[0, 0], [1, 1], [1, 2], [2, 1]]
+        assert dist.counts.tolist() == [3, 2, 2, 2]
+        assert dist == BidistanceDistribution(3, 3, {(2, 1): 2, (0, 0): 3, (1, 2): 2, (1, 1): 2})
+        # an off-diagonal (0, 0) row adds to the diagonal, which must equal the size
+        with pytest.raises(ValueError, match="must equal the code size"):
+            BidistanceDistribution.from_off_diagonal(3, 3, [((0, 0), 3)])
+        with pytest.raises(ValueError, match="must equal the code size"):
+            BidistanceDistribution.from_off_diagonal(1, 1, {(0, 0): 1})
+
+    def test_distribution_refuses_assignment(self, c1):
+        for dist in (bidistance_distribution(c1), BidistanceDistribution(1, 1, {(0, 0): 1})):
+            before = dist.to_json_dict()
+            for name in ("n", "size", "pairs", "counts", "entries"):
+                with pytest.raises(AttributeError):
+                    setattr(dist, name, getattr(dist, name))
+                with pytest.raises(AttributeError):
+                    delattr(dist, name)
+            with pytest.raises(ValueError):
+                dist.pairs[0, 0] = 1
+            with pytest.raises(ValueError):
+                dist.counts[0] = 5
+            with pytest.raises(TypeError):
+                dist.entries[(9, 9)] = 5
+            with pytest.raises(TypeError):
+                del dist.entries[(0, 0)]
+            assert dist.to_json_dict() == before
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.randoms(use_true_random=False))
+    def test_arrays_match_dict_form(self, n, size, rng):
+        # the projection straight to sorted arrays equals the dict projection it
+        # replaced, in arrays, entries, JSON bytes and AHB reports
+        code = Code(n, rng.sample(range(1 << n), min(size, 1 << n)))
+        dist = bidistance_distribution(code)
+        check_dict_form(dist, reference_project(code.pair_support()[:, 1:], code.pair_counts()))
+        assert BidistanceDistribution(n, len(code), dict(dist.entries)) == dist
 
     def test_pair_table_build_skips_the_checks(self, monkeypatch, c1):
         # the checks run on a distribution a caller builds, not on one built

@@ -13,10 +13,11 @@ from bidistance.designs import (DIFFERENCE_SETS, MEASURE_SIZE_CAP, IncidenceDesi
                                 dimension_from_weights, sbibd_ahb, sbibd_codes,
                                 sbibd_from_difference_set,
                                 scheme_from_three_weight, srg_from_two_weight,
-                                three_weight_ahb, two_weight_ahb, verify_srg)
-from helpers import (random_code, random_generator_rows, reference_sbibd_words,
-                     reference_scheme, reference_srg, reference_two_weight_ahb,
-                     rows_from_columns, span_code)
+                                three_weight_ahb, two_weight_ahb, verify_srg,
+                                with_zero_word)
+from helpers import (check_dict_form, random_code, random_generator_rows, reference_project,
+                     reference_sbibd_words, reference_scheme, reference_srg,
+                     reference_two_weight_ahb, rows_from_columns, span_code)
 
 # [4,3] projective two-weight code: columns are the vectors with first bit set
 AFFINE_COLUMNS = (0b001, 0b101, 0b011, 0b111)
@@ -567,3 +568,26 @@ class TestSbibdAhb:
             sbibd_ahb(7, 3, 2, 1)   # lam(v-1) != k(k-1)
         with pytest.raises(ValueError):
             sbibd_ahb(7, 4, 2, 1)   # v < 2k
+
+
+def test_closed_forms_match_dict_form():
+    # every closed form, built from its rows by the validating constructor, equals
+    # the dict projection of the code it describes in arrays, entries, JSON bytes
+    # and AHB reports: all four families of every catalog design, and the two- and
+    # three-weight forms with and without the zero word
+    cases = []
+    for (v, k, lam) in sorted(DIFFERENCE_SETS):
+        design = catalog_design(v, k, lam)
+        cases += [(sbibd_ahb(v, k, lam, family), sbibd_codes(design, family))
+                  for family in (1, 2, 3, 4)]
+    scheme_code = _column_code(SCHEME_COLUMNS, 3)
+    for code, closed in (
+            (_column_code(AFFINE_COLUMNS, 3), two_weight_ahb(4, 3, 2, 4, 6, 1)),
+            (trace_code_27_6(), two_weight_ahb(27, 6, 12, 16, 36, 27)),
+            (scheme_code, three_weight_ahb(5, (2, 3, 4), scheme_from_three_weight(scheme_code)))):
+        cases.append((closed, Code(code.n, [w for w in code.words if w])))
+        cases.append((with_zero_word(closed, code.weight_distribution()), code))
+    assert len(cases) == 26
+    for closed, code in cases:
+        check_dict_form(closed, reference_project(code.pair_support()[:, 1:], code.pair_counts()))
+        assert (closed.n, closed.size) == (code.n, len(code))
