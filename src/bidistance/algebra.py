@@ -232,6 +232,8 @@ class GeneratorMatrix:
 
     @classmethod
     def from_strings(cls, lines: Sequence[str]) -> "GeneratorMatrix":
+        if not lines:
+            raise ValueError("at least one row is required")
         words = [Word.from_string(s) for s in lines]
         return cls(words[0].n, tuple(w.bits for w in words))
 

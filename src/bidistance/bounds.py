@@ -185,9 +185,8 @@ def ahb_union_bounds(dist: BidistanceDistribution,
     """The union bound at each channel over the off-diagonal rows, from the keys and tail
     plan the distribution keeps from its first call; thresholds use the bracket at n."""
     (d10, d01), counts = dist.pairs[1:].T, dist.counts[1:]
-    if getattr(dist, "_ahb", None) is None:
-        dist._ahb = list(map("{},{}".format, d10.tolist(), d01.tolist())), _TailPlan(d10, d01)
-    keys, tail = dist._ahb
+    keys, tail = dist._keep("_ahb", lambda: (list(map("{},{}".format, d10.tolist(), d01.tolist())),
+                                             _TailPlan(d10, d01)))
     return [_report("ahb", keys, (counts * tail(region_threshold(d10, d01, params, dist.n),
                                                 params) / dist.size).tolist())
             for params in channels]
@@ -210,16 +209,19 @@ def _class_thresholds(code: Code, params: ChannelParams, symmetric: bool,
     return j, -(-(dmin + slope * j) // (u + v))
 
 
+def _class_plan(code: Code) -> tuple:
+    """The weight-class bounds' q-independent state: A_j, classes, report keys, tail plan."""
+    counts = np.array(code.weight_distribution(), dtype=np.int64)
+    j = np.flatnonzero(counts)
+    return (counts[j], (j, _distinct_pairs(code)), [f"error[w={w}]" for w in j.tolist()],
+            _TailPlan(j, code.n - j))
+
+
 def weight_class_bounds(code: Code, channels: list[ChannelParams],
                         symmetric: bool) -> list[BoundReport]:
     """'cr_symmetric' or 'cr_discrepancy' at each channel: over weight classes j, the
     sum of A_j / M times the tail at (j, n - j, t_j), from the class plan the code keeps."""
-    if code._bounds is None:
-        counts = np.array(code.weight_distribution(), dtype=np.int64)
-        j = np.flatnonzero(counts)
-        code._bounds = (counts[j], (j, _distinct_pairs(code)),
-                            [f"error[w={w}]" for w in j.tolist()], _TailPlan(j, code.n - j))
-    counts, classes, keys, tail = code._bounds
+    counts, classes, keys, tail = code._keep("_bounds", lambda: _class_plan(code))
     return [_report("cr_symmetric" if symmetric else "cr_discrepancy", keys,
                     (counts * tail(_class_thresholds(code, params, symmetric, classes)[1],
                                    params) / len(code)).tolist())

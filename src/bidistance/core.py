@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from operator import index
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from ._bitops import (BLOCK_CELLS, AndCounts, CapExceeded, packed_rows, popcount
 #: pair frequencies are held in 64-bit-sized counters; |C|^2 must fit
 MAX_CODE_SIZE = 1 << 28
 
-_WORD_RE = re.compile(r"^[01]+$")
+_WORD_RE = re.compile(r"[01]+")
 #: a pair table as {(d10, d01): count}, or as ((d10, d01), count) rows
 _Rows = Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]]
 
@@ -55,7 +54,7 @@ class Word:
 
     @classmethod
     def from_string(cls, text: str) -> "Word":
-        if not _WORD_RE.match(text):
+        if not _WORD_RE.fullmatch(text):
             raise ValueError(f"not a 0/1 string: {text!r}")
         return cls(len(text), int(text[::-1], 2))
 
@@ -101,17 +100,22 @@ def dir_distances(x: Word, y: Word) -> BidistancePair:
 
 
 class _Frozen:
-    """Public attributes are set once and never deleted; ``_`` memo attributes stay writable."""
+    """Only the constructors write attributes, through ``vars``, and then only ``_keep``."""
 
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        if name[0] != "_" and hasattr(self, name):
-            raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name: str) -> None:
+    def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _keep(self, name: str, build: Callable[[], Any]) -> Any:
+        """The value kept under ``name``, built by ``build()`` on first use only."""
+        kept = vars(self)
+        return kept[name] if name in kept else kept.setdefault(name, build())
+
+
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` on an immutable ``bytes`` buffer, so no flag makes it writeable."""
+    return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
 
 
 class Code(_Frozen):
@@ -124,7 +128,7 @@ class Code(_Frozen):
     and kept.  A code built as the span of rows keeps them in ``_basis``.
     """
 
-    __slots__ = ("n", "words", "is_linear", "_pairs", "_weights", "_basis", "_packed", "_bounds")
+    _basis: tuple[int, ...] | None = None
 
     def __init__(self, n: int, words: Iterable[int], is_linear: bool | None = None):
         masks = tuple(map(int, words))
@@ -140,12 +144,9 @@ class Code(_Frozen):
             raise ValueError(f"word {bad} out of range for length {n}")
         if len(set(masks)) != len(masks):
             raise ValueError("duplicate codewords")
-        self.n = n
-        self.words = masks
-        self._pairs = self._weights = self._basis = self._packed = self._bounds = None
+        vars(self).update(n=n, words=masks, is_linear=is_linear)
         if is_linear:
             self._check_linear()
-        self.is_linear = is_linear
 
     def _check_linear(self) -> None:
         """Distinct words form a subspace iff there are 2^rank of them."""
@@ -157,17 +158,17 @@ class Code(_Frozen):
     def of_span(cls, n: int, span: np.ndarray, basis: tuple[int, ...]) -> "Code":
         """The code of the packed rows of the whole span of independent ``basis`` rows, in
         ascending order; they are distinct and in range by construction, so unchecked."""
-        code = object.__new__(cls)
-        code.n, code._packed, code.is_linear, code._basis = n, span[np.lexsort(span.T)], True, basis
-        code.words, code._pairs = tuple(row_ints(code._packed)), None
-        code._weights = code._bounds = None
+        code, packed = object.__new__(cls), span[np.lexsort(span.T)]
+        vars(code).update(n=n, words=tuple(row_ints(packed)), is_linear=True, _basis=basis,
+                          _packed=packed)
         return code
+
+    def __reduce__(self) -> tuple:
+        return Code, (self.n, self.words, self.is_linear)
 
     def packed(self) -> np.ndarray:
         """The (M, ceil(n/64)) packed rows of the words, built on first use only."""
-        if self._packed is None:
-            self._packed = packed_rows(self.words, self.n)
-        return self._packed
+        return self._keep("_packed", lambda: packed_rows(self.words, self.n))
 
     @classmethod
     def from_words(cls, words: Iterable[Word], is_linear: bool | None = None) -> "Code":
@@ -202,14 +203,11 @@ class Code(_Frozen):
 
     def pair_support(self) -> np.ndarray:
         """The read-only (K, 3) int64 keys of ``pair_table()``, counted on first use only."""
-        if self._pairs is None:
-            self._pairs = _pair_table(self.n, self)
-        return self._pairs[0]
+        return self._keep("_pairs", lambda: _pair_table(self.n, self))[0]
 
     def pair_counts(self) -> np.ndarray:
         """The read-only (K,) int64 count of each ``pair_support()`` row."""
-        self.pair_support()
-        return self._pairs[1]
+        return self._keep("_pairs", lambda: _pair_table(self.n, self))[1]
 
     def word(self, index: int) -> Word:
         return Word(self.n, self.words[index])
@@ -221,8 +219,9 @@ class Code(_Frozen):
         return (Word(self.n, w) for w in self.words)
 
     def __contains__(self, item: Word | int) -> bool:
-        bits = item.bits if isinstance(item, Word) else int(item)
-        return bits in set(self.words)
+        if isinstance(item, Word):
+            return item.n == self.n and item.bits in set(self.words)
+        return int(item) in set(self.words)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Code):
@@ -234,10 +233,8 @@ class Code(_Frozen):
 
     def weight_distribution(self) -> tuple[int, ...]:
         """Number of codewords of each weight 0..n, counted on first use only."""
-        if self._weights is None:
-            weights = popcount(self.packed()).sum(axis=1)
-            self._weights = tuple(np.bincount(weights, minlength=self.n + 1).tolist())
-        return self._weights
+        return self._keep("_weights", lambda: tuple(np.bincount(
+            popcount(self.packed()).sum(axis=1), minlength=self.n + 1).tolist()))
 
 
 def parse_code_text(text: str, source: str = "<text>") -> Code:
@@ -251,7 +248,7 @@ def parse_code_text(text: str, source: str = "<text>") -> Code:
         for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
             if not line or line[0] == "#":
                 continue
-            if not _WORD_RE.match(line):
+            if not _WORD_RE.fullmatch(line):
                 raise ParseError(f"{source}:{lineno}: expected a 0/1 word, got {line!r}")
             if len(line) != n:
                 raise ParseError(f"{source}:{lineno}: word length {len(line)} differs from {n}")
@@ -262,7 +259,7 @@ def parse_code_text(text: str, source: str = "<text>") -> Code:
         code = Code(n, row_ints(packed))
     except ValueError as exc:
         raise ParseError(f"{source}: {exc}") from None
-    code._packed = packed
+    vars(code)["_packed"] = packed
     return code
 
 
@@ -285,8 +282,7 @@ class BidistanceDistribution(_Frozen):
             key = (index(a), index(b))
             table[key] = table.get(key, 0) + index(c)
         entries = MappingProxyType({key: c for key, c in sorted(table.items()) if c})
-        rows = np.array([x for k, c in entries.items() for x in (*k, c)], np.int64).reshape(-1, 3)
-        rows.flags.writeable = False
+        rows = _sealed(np.array([(*k, c) for k, c in entries.items()], np.int64).reshape(-1, 3))
         vars(self).update(n=n, size=size, pairs=rows[:, :2], counts=rows[:, 2], entries=entries)
         self.__post_init__()
 
@@ -315,10 +311,13 @@ class BidistanceDistribution(_Frozen):
         rows = entries.items() if hasattr(entries, "items") else entries
         return cls(n, size, [((0, 0), size), *rows])
 
-    @cached_property
+    def __reduce__(self) -> tuple:
+        return BidistanceDistribution, (self.n, self.size, list(self._rows()))
+
+    @property
     def entries(self) -> Mapping[tuple[int, int], int]:
-        """{(d10, d01): count} in ``pairs`` order, read-only."""
-        return MappingProxyType(dict(self._rows()))
+        """{(d10, d01): count} in ``pairs`` order, read-only, built on first read only."""
+        return self._keep("entries", lambda: MappingProxyType(dict(self._rows())))
 
     def _rows(self, start: int = 0) -> Iterator[tuple[tuple[int, int], int]]:
         return zip(map(tuple, self.pairs[start:].tolist()), self.counts[start:].tolist())
@@ -353,9 +352,8 @@ def bidistance_distribution(code: Code) -> BidistanceDistribution:
     order = np.argsort(key)
     first = np.flatnonzero(np.diff(key[order], prepend=-1))
     dist = object.__new__(BidistanceDistribution)
-    vars(dist).update(n=code.n, size=len(code), pairs=pairs[order[first]],
-                      counts=np.add.reduceat(code.pair_counts()[order], first))
-    dist.pairs.flags.writeable = dist.counts.flags.writeable = False
+    vars(dist).update(n=code.n, size=len(code), pairs=_sealed(pairs[order[first]]),
+                      counts=_sealed(np.add.reduceat(code.pair_counts()[order], first)))
     return dist
 
 
@@ -384,8 +382,7 @@ def _pair_table(n: int, words: tuple[int, ...] | Code) -> tuple[np.ndarray, np.n
         y, c = np.divmod(cell - start[k], wts[k] + 1)
         parts.append((np.column_stack([wts[k], wts[k] - c, wts[y] - c]), acc[cell - lo]))
     keys, counts = map(np.concatenate, zip(*parts))
-    keys.flags.writeable = counts.flags.writeable = False
-    return keys, counts
+    return _sealed(keys), _sealed(counts)
 
 
 def multiset_repr(dist: BidistanceDistribution) -> list[tuple[tuple[int, int], int]]:

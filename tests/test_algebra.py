@@ -185,6 +185,13 @@ class TestGeneratorMatrix:
         assert g.row_strings() == ["1100", "0011"]
         assert g.k == 2
 
+    def test_strings_are_whole_rows(self):
+        # a final newline is not a symbol of the row, and no rows is no generator
+        with pytest.raises(ValueError, match="not a 0/1 string"):
+            GeneratorMatrix.from_strings(["011\n"])
+        with pytest.raises(ValueError, match="at least one row"):
+            GeneratorMatrix.from_strings([])
+
     def test_codewords(self):
         g = GeneratorMatrix(3, (0b011, 0b100))
         assert sorted(g.codewords().words) == [0, 0b011, 0b100, 0b111]

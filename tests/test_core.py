@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -9,9 +11,9 @@ from hypothesis import strategies as st
 
 import bidistance
 from bidistance import core
-from bidistance import _bitops, channel, designs
+from bidistance import _bitops, bounds, channel, designs
 from bidistance._bitops import BLOCK_CELLS, MAX_LENGTH, AndCounts, CapExceeded, bit_matrix
-from bidistance.bounds import discrepancy_bound
+from bidistance.bounds import ahb_union_bound, discrepancy_bound, symmetric_discrepancy_bound
 from bidistance.core import (BidistanceDistribution, BidistancePair, Code,
                              ParseError, Word, bidistance_distribution,
                              dir_distances, format_code_text, multiset_repr,
@@ -61,6 +63,12 @@ class TestWord:
             Word(0, 0)
         with pytest.raises(ValueError):
             Word(2, 4)
+
+    def test_trailing_newline_refused(self):
+        # the whole string must be 0/1 symbols; a final newline is not one
+        for text in ("01\n", "01\r\n", "\n01"):
+            with pytest.raises(ValueError, match="not a 0/1 string"):
+                Word.from_string(text)
 
     def test_xor(self):
         assert Word.from_string("110") ^ Word.from_string("011") == Word.from_string("101")
@@ -143,11 +151,88 @@ class TestCode:
         spanned = span_code(4, [0b0011, 0b0101])
         with pytest.raises(AttributeError):
             spanned.words = (0,)
+        # so are the private ones: only the code itself writes the state it keeps
+        pairs = code.pair_support(), code.pair_counts()
+        for name in ("_pairs", "_packed", "_weights", "_bounds", "_basis"):
+            with pytest.raises(AttributeError):
+                setattr(code, name, None)
+            with pytest.raises(AttributeError):
+                delattr(code, name)
+        with pytest.raises(AttributeError):
+            code._pairs = pairs[0][:1], pairs[1][:1]
+        assert code.pair_support() is pairs[0] and code.pair_counts() is pairs[1]
+        assert code._basis is None
+
+    def test_kept_state_is_built_once(self, monkeypatch, params_ex1):
+        # the packed rows, the pair table, the weights, the entries, and the CR and
+        # AHB plans are each built on first use; later calls read the kept value
+        builds = []
+        for module, name in ((core, "packed_rows"), (core, "_pair_table"), (core, "popcount"),
+                             (core, "MappingProxyType"), (bounds, "_class_plan"),
+                             (bounds, "_TailPlan")):
+            build = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, name=name, build=build: builds.append(name) or build(*a))
+        code = Code(4, [0b0001, 0b0110, 0b1111])
+        dist = bidistance_distribution(code)
+        first = None
+        for _ in range(3):
+            kept = (code.packed(), code.pair_support(), code.pair_counts(),
+                    code.weight_distribution(), dist.entries,
+                    discrepancy_bound(code, params_ex1),
+                    symmetric_discrepancy_bound(code, params_ex1),
+                    ahb_union_bound(dist, params_ex1))
+            first = first or kept
+            assert all(a is b for a, b in zip(kept[:5], first)) and kept[5:] == first[5:]
+        assert sorted(builds) == ["MappingProxyType", "_TailPlan", "_TailPlan", "_class_plan",
+                                  "_pair_table", "packed_rows", "popcount"]
+
+    def test_kept_arrays_cannot_be_made_writeable(self, c1):
+        # each array sits on an immutable buffer, and so does any array it views
+        arrays = [c1.pair_support(), c1.pair_counts()]
+        for dist in (bidistance_distribution(c1), designs.sbibd_ahb(7, 3, 1, 4),
+                     BidistanceDistribution(1, 1, {(0, 0): 1})):
+            arrays += [dist.pairs, dist.counts]
+        for a in arrays:
+            for owner in (a, a.base):
+                if isinstance(owner, np.ndarray):
+                    with pytest.raises(ValueError):
+                        owner.flags.writeable = True
+        assert all(not a.flags.writeable for a in arrays)
+
+    def test_copies_rebuild_through_the_constructor(self, c1):
+        # a copy or a pickle is built again by the constructor: equal, with no kept
+        # state carried over, and arrays that still refuse to be made writeable
+        spanned = span_code(4, [0b0011, 0b0101])
+        dists = [bidistance_distribution(c1), designs.sbibd_ahb(7, 3, 1, 4)]
+        for obj in (c1, spanned, *dists):
+            if isinstance(obj, Code):
+                obj.pair_support(), obj.weight_distribution()
+            else:
+                obj.entries
+            for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+                assert twin == obj and twin is not obj and type(twin) is type(obj)
+                if isinstance(obj, Code):
+                    assert not {"_pairs", "_weights"} & set(vars(twin))
+                    assert (twin.n, twin.words, twin.is_linear) == (obj.n, obj.words, obj.is_linear)
+                    arrays = twin.pair_support(), twin.pair_counts()
+                else:
+                    assert twin.to_json_dict() == obj.to_json_dict()
+                    arrays = twin.pairs, twin.counts
+                for a in arrays:
+                    with pytest.raises(ValueError):
+                        a.flags.writeable = True
 
     def test_membership_and_eq(self):
         code = Code.from_strings(["10", "01"])
         assert Word.from_string("10") in code
         assert code == Code.from_strings(["01", "10"])
+
+    def test_membership_checks_the_word_length(self):
+        # a word of another length is not in the code, whatever its bits
+        code = Code(4, [1, 2])
+        assert Word(4, 1) in code and 1 in code
+        assert Word(5, 1) not in code and Word(3, 2) not in code
 
 
 class TestCodeFiles:
@@ -368,7 +453,7 @@ class TestBidistanceDistribution:
         code = Code(MAX_LENGTH, [0, 1])
         with pytest.raises(CapExceeded):
             AndCounts.of_words(code, code.n)
-        assert code._packed is None
+        assert "_packed" not in vars(code)
 
     def test_projection_sums_exactly_in_int64(self):
         # each count is 2^53 + 1, which a float64 sum would round; the code's
@@ -376,7 +461,7 @@ class TestBidistanceDistribution:
         big = (1 << 53) + 1
         keys = np.array([[0, 1, 2], [1, 3, 4], [2, 1, 2], [3, 1, 2]], dtype=np.int64)
         code = Code(7, [0])
-        code._pairs = keys, np.full(4, big, dtype=np.int64)
+        vars(code)["_pairs"] = keys, np.full(4, big, dtype=np.int64)
         dist = bidistance_distribution(code)
         assert dist.pairs.tolist() == [[1, 2], [3, 4]]
         assert dist.counts.dtype == np.int64 and dist.counts.tolist() == [3 * big, big]
