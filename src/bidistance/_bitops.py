@@ -39,6 +39,14 @@ def row_ints(packed: np.ndarray) -> list[int]:
     return out
 
 
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """(M, ceil(n/64)) packed rows of an (M, n) 0/1 matrix, padded to whole lanes."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    lanes = np.zeros((len(bits), 8 * -(-bits.shape[1] // 64)), dtype=np.uint8)
+    lanes[:, :packed.shape[1]] = packed
+    return lanes.view("<u8")
+
+
 def bit_matrix(words: Sequence[int], n: int) -> np.ndarray:
     """(M, n) uint8 0/1 matrix of bitmask ints of any length n; column k
     holds bit k of each word."""
@@ -54,7 +62,7 @@ class AndCounts:
     """int32 c = wt(x & y) of 0/1 rows x against the M rows y of a fixed
     (M, n) 0/1 matrix ``bits``, from one float32 product.  Every term is 0 or
     1 and every partial sum an integer at most n, so float32 is exact for
-    n < MAX_LENGTH in any BLAS summation order; ``of_words`` refuses a longer
+    n < MAX_LENGTH in any BLAS summation order; ``of_code`` refuses a longer
     n before the bit matrix exists.  A block of ``rows`` rows, or a tile,
     holds at most BLOCK_CELLS cells."""
 
@@ -65,12 +73,11 @@ class AndCounts:
         self.rows = max(1, BLOCK_CELLS // len(bits))
 
     @classmethod
-    def of_words(cls, words, n: int) -> "AndCounts":
-        """Counts against the bitmask ints ``words``, or a ``Code``'s kept packed rows."""
-        if n >= MAX_LENGTH:
-            raise CapExceeded(f"exact bit products need n < {MAX_LENGTH}, got {n}")
-        return cls(unpack_rows(words.packed() if hasattr(words, "packed")
-                               else packed_rows(words, n), n))
+    def of_code(cls, code) -> "AndCounts":
+        """Counts against the kept packed rows of a ``Code``."""
+        if code.n >= MAX_LENGTH:
+            raise CapExceeded(f"exact bit products need n < {MAX_LENGTH}, got {code.n}")
+        return cls(unpack_rows(code.packed(), code.n))
 
     def word_major(self, rows: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
         """int32 c of each word, or of the words in ``cols``, against each 0/1 row:
@@ -86,11 +93,6 @@ class AndCounts:
         for start, col in combinations_with_replacement(range(0, len(self.bits), side), 2):
             rows, cols = slice(start, start + side), slice(col, col + side)
             yield rows, cols, self.word_major(self.bits[rows], cols).T
-
-
-def matrix_ints(bits: np.ndarray) -> list[int]:
-    """The bitmask int of each row of a 0/1 bit matrix; the inverse of bit_matrix."""
-    return [int.from_bytes(row, "little") for row in np.packbits(bits, 1, bitorder="little")]
 
 
 def span_words(rows: Sequence[int], n: int) -> np.ndarray:

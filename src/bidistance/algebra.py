@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._bitops import bit_matrix, matrix_ints, packed_rows, row_ints, row_reduce, span_words
+from ._bitops import bit_matrix, pack_bits, packed_rows, row_ints, row_reduce, span_words
 from .core import CapExceeded, Code, Word
 
 #: one of the two degree-11 factors of x^23 + 1 over F_2
@@ -169,7 +169,8 @@ def defining_set_code(field: BinaryField, defining_set: Sequence[int]) -> Code:
         bits[j] = np.bitwise_count(prods & field.trace_mask) & 1
         prods <<= 1
         prods ^= (prods >> field.m) * field.modulus
-    return GeneratorMatrix.of_basis(len(elems), _rref(matrix_ints(bits), len(elems))[0]).codewords()
+    basis = _rref(row_ints(pack_bits(bits)), len(elems))[0]
+    return GeneratorMatrix.of_basis(len(elems), basis).codewords()
 
 
 def trace_code_27_6() -> Code:
@@ -194,7 +195,7 @@ def _null_space_rows(rows: Sequence[int], n: int) -> list[int]:
     null = np.zeros((len(free), n), dtype=np.uint8)
     null[:, free] = np.eye(len(free), dtype=np.uint8)
     null[:, pivots] = bit_matrix(reduced, n)[:, free].T
-    return matrix_ints(null)
+    return row_ints(pack_bits(null))
 
 
 @dataclass(frozen=True)

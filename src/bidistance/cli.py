@@ -71,10 +71,6 @@ def _json(value, pad: str = "\n") -> str:
     return f"{ends[0]}{inner}{(',' + inner).join(items)}{pad}{ends[1]}" if items else ends
 
 
-def _emit(payload: dict) -> None:
-    print(_json(payload))
-
-
 def _weight_pairs(dist: tuple[int, ...]) -> list[list[int]]:
     return [[w, c] for w, c in enumerate(dist) if c]
 
@@ -83,7 +79,7 @@ def _cmd_bidist(args: argparse.Namespace) -> int:
     code = Code.from_file(args.code)
     dist = bidistance_distribution(code)
     if args.format == "json":
-        _emit(dist.to_json_dict())
+        print(_json(dist.to_json_dict()))
     else:
         print(f"{'d10':>4} {'d01':>4} {'count':>12}")
         for (a, b), c in zip(dist.pairs.tolist(), dist.counts.tolist()):
@@ -123,7 +119,7 @@ def _cmd_pe(args: argparse.Namespace) -> int:
             "trials": args.trials,
             "seed": args.seed,
         })
-    _emit(payload)
+    print(_json(payload))
     return 0
 
 
@@ -133,12 +129,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     methods = _parse_method_list(args.methods, BOUNDS)
     dist = bidistance_distribution(code)
     reports = [BOUNDS[method](code, dist, [params])[0] for method in methods]
-    _emit({
+    print(_json({
         "code": str(args.code),
         "p": _fraction_json(params.p),
         "q": _fraction_json(params.q),
         "bounds": [r.to_json_dict() for r in reports],
-    })
+    }))
     return 0
 
 
@@ -224,8 +220,8 @@ def _construct_catalog(name: str) -> tuple[Code, dict]:
 def _cmd_construct(args: argparse.Namespace) -> int:
     code, metadata = _construct_catalog(args.name)
     code.to_file(args.out)
-    _emit({"name": args.name, "out": str(args.out), "length": code.n, "size": len(code),
-           **metadata})
+    print(_json({"name": args.name, "out": str(args.out), "length": code.n, "size": len(code),
+                 **metadata}))
     return 0
 
 
@@ -233,11 +229,11 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
     code = Code.from_file(args.code)
     scheme = scheme_from_three_weight(code)
     dist = code.weight_distribution()
-    _emit({
+    print(_json({
         "code": str(args.code),
         "weights": [w for w in range(1, code.n + 1) if dist[w]],
         **scheme.to_json_dict(),
-    })
+    }))
     return 0
 
 

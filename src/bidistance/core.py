@@ -17,8 +17,8 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from ._bitops import (BLOCK_CELLS, AndCounts, CapExceeded, packed_rows, popcount, row_ints,
-                      row_reduce, unpack_rows)
+from ._bitops import (BLOCK_CELLS, AndCounts, CapExceeded, pack_bits, packed_rows, popcount,
+                      row_ints, row_reduce, unpack_rows)
 
 #: pair frequencies are held in 64-bit-sized counters; |C|^2 must fit
 MAX_CODE_SIZE = 1 << 28
@@ -124,8 +124,8 @@ class Code(_Frozen):
     ``is_linear`` is metadata: asserting it triggers an actual subspace
     check (power-of-two size and XOR closure via a rank computation).
     A code is immutable, so its pair table, the table's support, the weight
-    distribution, the packed rows and its weight-class bound plan are computed once
-    and kept.  A code built as the span of rows keeps them in ``_basis``.
+    distribution, the read-only packed rows, the member set and its weight-class bound
+    plan are computed once and kept.  A code built as the span of rows keeps them in ``_basis``.
     """
 
     _basis: tuple[int, ...] | None = None
@@ -158,7 +158,7 @@ class Code(_Frozen):
     def of_span(cls, n: int, span: np.ndarray, basis: tuple[int, ...]) -> "Code":
         """The code of the packed rows of the whole span of independent ``basis`` rows, in
         ascending order; they are distinct and in range by construction, so unchecked."""
-        code, packed = object.__new__(cls), span[np.lexsort(span.T)]
+        code, packed = object.__new__(cls), _sealed(span[np.lexsort(span.T)])
         vars(code).update(n=n, words=tuple(row_ints(packed)), is_linear=True, _basis=basis,
                           _packed=packed)
         return code
@@ -203,11 +203,11 @@ class Code(_Frozen):
 
     def pair_support(self) -> np.ndarray:
         """The read-only (K, 3) int64 keys of ``pair_table()``, counted on first use only."""
-        return self._keep("_pairs", lambda: _pair_table(self.n, self))[0]
+        return self._keep("_pairs", lambda: _pair_table(self))[0]
 
     def pair_counts(self) -> np.ndarray:
         """The read-only (K,) int64 count of each ``pair_support()`` row."""
-        return self._keep("_pairs", lambda: _pair_table(self.n, self))[1]
+        return self._keep("_pairs", lambda: _pair_table(self))[1]
 
     def word(self, index: int) -> Word:
         return Word(self.n, self.words[index])
@@ -219,9 +219,10 @@ class Code(_Frozen):
         return (Word(self.n, w) for w in self.words)
 
     def __contains__(self, item: Word | int) -> bool:
+        members = self._keep("_members", lambda: frozenset(self.words))
         if isinstance(item, Word):
-            return item.n == self.n and item.bits in set(self.words)
-        return int(item) in set(self.words)
+            return item.n == self.n and item.bits in members
+        return int(item) in members
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Code):
@@ -252,9 +253,7 @@ def parse_code_text(text: str, source: str = "<text>") -> Code:
                 raise ParseError(f"{source}:{lineno}: expected a 0/1 word, got {line!r}")
             if len(line) != n:
                 raise ParseError(f"{source}:{lineno}: word length {len(line)} differs from {n}")
-    bits = np.zeros((len(lines), 64 * -(-n // 64)), dtype=np.uint8)  # whole lanes
-    bits[:, :n] = np.frombuffer(flat, dtype=np.uint8).reshape(len(lines), n) & 1
-    packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    packed = _sealed(pack_bits(np.frombuffer(flat, dtype=np.uint8).reshape(len(lines), n) & 1))
     try:
         code = Code(n, row_ints(packed))
     except ValueError as exc:
@@ -357,12 +356,12 @@ def bidistance_distribution(code: Code) -> BidistanceDistribution:
     return dist
 
 
-def _pair_table(n: int, words: tuple[int, ...] | Code) -> tuple[np.ndarray, np.ndarray]:
+def _pair_table(code: Code) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (K, 3) int64 (wt(x), d10, d01) keys and (K,) int64 counts over all ordered
-    pairs of ``words``, bitmask ints or a ``Code`` (README, Library layout)."""
-    if n >= 1 << 21:
-        raise ValueError(f"pair tables support lengths below 2^21, got {n}")
-    pairs = AndCounts.of_words(words, n)
+    pairs of the words of ``code`` (README, Library layout)."""
+    if code.n >= 1 << 21:
+        raise ValueError(f"pair tables support lengths below 2^21, got {code.n}")
+    pairs = AndCounts.of_code(code)
     wts, col_class = np.unique(pairs.weights.astype(np.int64), return_inverse=True)
     # class k's W (wts[k] + 1) cells start at start[k]; one accumulator under twice the budget
     start = np.concatenate([[0], np.cumsum(len(wts) * (wts + 1))])

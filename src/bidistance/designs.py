@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._bitops import AndCounts, matrix_ints, popcount, span_words
+from ._bitops import AndCounts, pack_bits, popcount, row_ints, span_words
 from .algebra import distinct_row_count, generator_from_code
 from .core import BidistanceDistribution, Code, solve_directional_system
 
@@ -142,7 +142,7 @@ def verify_srg(code: Code, w1: int) -> SrgParams:
     v = len(code)
     if v > MEASURE_SIZE_CAP:
         raise ValueError(f"graph verification capped at {MEASURE_SIZE_CAP} vertices")
-    words = AndCounts.of_words(code, code.n)
+    words = AndCounts.of_code(code)
     adjacency = np.empty((v, v), dtype=np.uint8)
     for rows, cols, common in words.upper_tiles():
         near = words.weights[rows, None] + words.weights[cols] - 2 * common == w1
@@ -391,10 +391,7 @@ def sbibd_codes(design: IncidenceDesign, family: int,
         bits = np.delete(np.concatenate([blocks[through], 1 - blocks[~through]]), anchor - 1, 1)
     else:
         raise ValueError("family must be 1, 2, 3, or 4")
-    words = matrix_ints(bits)
-    if len(set(words)) != len(words):
-        raise ValueError("support sets collide; the construction needs distinct words")
-    return Code(bits.shape[1], words)
+    return Code(bits.shape[1], row_ints(pack_bits(bits)))
 
 
 def sbibd_ahb(v: int, k: int, lam: int, family: int) -> BidistanceDistribution:

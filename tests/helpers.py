@@ -358,7 +358,7 @@ def reference_scheme(code: Code, sample: int = 50) -> SchemeParams:
         raise ValueError(
             f"not an association scheme: the dual coset matrix has {rows} distinct "
             "rows instead of 4")
-    words = AndCounts.of_words(code.words, code.n)
+    words = AndCounts.of_code(code)
     wts = words.weights
     class_of = np.zeros(code.n + 1, dtype=np.intp)
     class_of[weights] = (1, 2, 3)
@@ -519,11 +519,11 @@ def reference_tail_gather(plan, t: np.ndarray, params: ChannelParams) -> np.ndar
     return out
 
 
-def reference_pair_table(n: int, words: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def reference_pair_table(code: Code) -> tuple[np.ndarray, np.ndarray]:
     """``core._pair_table`` one weight class at a time: per class wx, an int64
     accumulator of (class of y, c) cells, decoded into its own keys, and the
     classes' keys and counts joined in ascending wx."""
-    pairs = AndCounts.of_words(words, n)
+    pairs = AndCounts.of_code(code)
     wts, col_class = np.unique(pairs.weights, return_inverse=True)
     parts = []
     for k, wx in enumerate(wts.tolist()):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from bidistance import _bitops, channel
 from bidistance.bounds import region_threshold
-from bidistance._bitops import MAX_LENGTH, AndCounts, matrix_ints
+from bidistance._bitops import MAX_LENGTH, AndCounts, pack_bits, row_ints
 from bidistance.channel import (ChannelParams, RegimeError,
                                 _RankKernel, _score_table,
                                 exact_error_probabilities, exact_error_probability,
@@ -437,7 +437,7 @@ class TestRankKernel:
         sent = np.random.default_rng(seed).integers(0, len(code), size=trials)
         flags = tie | (key[sent, np.arange(trials)] != top)
         assert flags.tolist() == [brute_mld(code, Word(65, bits), params) != code.word(i)
-                                  for bits, i in zip(matrix_ints(block), sent.tolist())]
+                                  for bits, i in zip(row_ints(pack_bits(block)), sent.tolist())]
         assert flags.any() and flags.sum() / trials == estimate
 
     def test_no_score_table_outside_exhaustive_sweep(self, monkeypatch, c1, params_ex1):
@@ -506,7 +506,7 @@ class TestExactErrorProbabilities:
         code, channels = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_bitops, "BLOCK_CELLS", 16)
-            assert 2 * AndCounts.of_words(code.words, code.n).rows <= 1 << code.n
+            assert 2 * AndCounts.of_code(code).rows <= 1 << code.n
             assert exact_error_probabilities(code, channels) == \
                 [brute_error_probability(code, c) for c in channels]
 
@@ -543,9 +543,9 @@ class TestExactErrorProbabilities:
 
     def test_one_bit_matrix_per_call(self, monkeypatch, c1):
         built = []
-        of_words = AndCounts.of_words
-        monkeypatch.setattr(AndCounts, "of_words", classmethod(
-            lambda cls, *args: built.append(1) or of_words(*args)))
+        of_code = AndCounts.of_code
+        monkeypatch.setattr(AndCounts, "of_code", classmethod(
+            lambda cls, code: built.append(1) or of_code(code)))
         grid = [_channel("0.05", f"0.{q:02d}") for q in range(5, 45, 4)]
         assert len(exact_error_probabilities(c1, grid)) == 10
         assert len(built) == 1

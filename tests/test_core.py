@@ -1,3 +1,4 @@
+import builtins
 import copy
 import math
 import pickle
@@ -134,7 +135,7 @@ class TestCode:
         counted = []
         count = core._pair_table
         monkeypatch.setattr(core, "_pair_table",
-                            lambda n, words: counted.append(n) or count(n, words))
+                            lambda code: counted.append(code.n) or count(code))
         code = Code(4, [0b0001, 0b0110])
         before = discrepancy_bound(code, params_ex1)
         for name, value in (("n", 5), ("words", (1, 6, 15)), ("is_linear", True)):
@@ -153,7 +154,7 @@ class TestCode:
             spanned.words = (0,)
         # so are the private ones: only the code itself writes the state it keeps
         pairs = code.pair_support(), code.pair_counts()
-        for name in ("_pairs", "_packed", "_weights", "_bounds", "_basis"):
+        for name in ("_pairs", "_packed", "_weights", "_members", "_bounds", "_basis"):
             with pytest.raises(AttributeError):
                 setattr(code, name, None)
             with pytest.raises(AttributeError):
@@ -164,28 +165,45 @@ class TestCode:
         assert code._basis is None
 
     def test_kept_state_is_built_once(self, monkeypatch, params_ex1):
-        # the packed rows, the pair table, the weights, the entries, and the CR and
-        # AHB plans are each built on first use; later calls read the kept value
+        # the packed rows, the pair table, the weights, the member set, the entries,
+        # and the CR and AHB plans are each built on first use; later calls read the
+        # kept value
         builds = []
         for module, name in ((core, "packed_rows"), (core, "_pair_table"), (core, "popcount"),
-                             (core, "MappingProxyType"), (bounds, "_class_plan"),
-                             (bounds, "_TailPlan")):
-            build = getattr(module, name)
+                             (core, "frozenset"), (core, "MappingProxyType"),
+                             (bounds, "_class_plan"), (bounds, "_TailPlan")):
+            build = getattr(module, name, None) or getattr(builtins, name)
             monkeypatch.setattr(module, name,
-                                lambda *a, name=name, build=build: builds.append(name) or build(*a))
+                                lambda *a, name=name, build=build: builds.append(name) or build(*a),
+                                raising=False)
         code = Code(4, [0b0001, 0b0110, 0b1111])
         dist = bidistance_distribution(code)
         first = None
         for _ in range(3):
             kept = (code.packed(), code.pair_support(), code.pair_counts(),
-                    code.weight_distribution(), dist.entries,
+                    code.weight_distribution(), dist.entries, Word(4, 6) in code,
                     discrepancy_bound(code, params_ex1),
                     symmetric_discrepancy_bound(code, params_ex1),
                     ahb_union_bound(dist, params_ex1))
             first = first or kept
             assert all(a is b for a, b in zip(kept[:5], first)) and kept[5:] == first[5:]
+        assert kept[5] and 0b0110 in code and 0b0111 not in code
         assert sorted(builds) == ["MappingProxyType", "_TailPlan", "_TailPlan", "_class_plan",
-                                  "_pair_table", "packed_rows", "popcount"]
+                                  "_pair_table", "frozenset", "packed_rows", "popcount"]
+
+    def test_packed_rows_refuse_writes(self):
+        # parsed, spanned and plain codes alike: a write to the kept rows would leave
+        # the kept weights or pair table disagreeing with ``words``
+        for code in (parse_code_text("0110\n1010\n1111\n"),
+                     bidistance.GeneratorMatrix(4, (0b0011, 0b0101)).codewords(),
+                     Code(4, [6, 5, 15])):
+            p = code.packed()
+            with pytest.raises(ValueError):
+                p[0, 0] ^= 1
+            with pytest.raises(ValueError):
+                p.flags.writeable = True
+            assert code.packed() is p and code.weight_distribution() == \
+                tuple(np.bincount([w.bit_count() for w in code.words], minlength=5).tolist())
 
     def test_kept_arrays_cannot_be_made_writeable(self, c1):
         # each array sits on an immutable buffer, and so does any array it views
@@ -360,7 +378,7 @@ class TestBidistanceDistribution:
         calls = []
         count = core._pair_table
         monkeypatch.setattr(core, "_pair_table",
-                            lambda n, words: calls.append(n) or count(n, words))
+                            lambda code: calls.append(code.n) or count(code))
         first = c1.pair_table()
         assert bidistance_distribution(c1).entries == brute_distribution_counts(c1)
         assert c1.pair_table() == first and calls == [6]
@@ -390,7 +408,7 @@ class TestBidistanceDistribution:
         return triples
 
     def check_kernel(self, code):
-        keys, counts = core._pair_table(code.n, code.words)
+        keys, counts = core._pair_table(code)
         assert keys.dtype == counts.dtype == np.int64 and keys.shape == (len(counts), 3)
         assert not keys.flags.writeable and not counts.flags.writeable
         assert len({tuple(k) for k in keys.tolist()}) == len(keys)
@@ -424,15 +442,14 @@ class TestBidistanceDistribution:
         while len(words) < size:
             words.add(sum(1 << i for i in rng.sample(range(n), weight)) if one_class
                       else rng.getrandbits(n))
-        words = tuple(words)
-        want_keys, want_counts = reference_pair_table(n, words)
+        code = Code(n, words)
+        want_keys, want_counts = reference_pair_table(code)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "BLOCK_CELLS", budget)
-            for source in (words, Code(n, words)):
-                keys, counts = core._pair_table(n, source)
-                assert (keys.dtype, counts.dtype) == (want_keys.dtype, want_counts.dtype)
-                assert keys.tolist() == want_keys.tolist()
-                assert counts.tolist() == want_counts.tolist()
+            keys, counts = core._pair_table(code)
+        assert (keys.dtype, counts.dtype) == (want_keys.dtype, want_counts.dtype)
+        assert keys.tolist() == want_keys.tolist()
+        assert counts.tolist() == want_counts.tolist()
 
     def test_pair_kernels_unpack_the_kept_rows(self, monkeypatch, params_ex1):
         # the pair table, the decoding kernel and the graph check read the code's
@@ -442,7 +459,7 @@ class TestBidistanceDistribution:
         packs = []
         packed_rows = _bitops.packed_rows
         monkeypatch.setattr(_bitops, "packed_rows", lambda *a: packs.append(1) or packed_rows(*a))
-        assert AndCounts.of_words(code, code.n).bits.tolist() == want
+        assert AndCounts.of_code(code).bits.tolist() == want
         code.pair_support()
         channel._RankKernel(code, params_ex1)
         with pytest.raises(ValueError, match="not strongly regular"):
@@ -452,7 +469,7 @@ class TestBidistanceDistribution:
     def test_pair_kernel_refuses_long_codes_before_packing(self):
         code = Code(MAX_LENGTH, [0, 1])
         with pytest.raises(CapExceeded):
-            AndCounts.of_words(code, code.n)
+            AndCounts.of_code(code)
         assert "_packed" not in vars(code)
 
     def test_projection_sums_exactly_in_int64(self):
@@ -478,12 +495,12 @@ class TestBidistanceDistribution:
         words = set()
         while len(words) < size:
             words.add(rng.getrandbits(n))
-        words = tuple(words)
-        keys, _ = core._pair_table(n, words)
+        code = Code(n, words)
+        keys, _ = core._pair_table(code)
         bound = 5 * n * size + 2 * 32 * len(keys) + 8 * (n + 1) ** 2 + 32 * BLOCK_CELLS
         tracemalloc.start()
         try:
-            core._pair_table(n, words)
+            core._pair_table(code)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
