@@ -50,8 +50,9 @@ def region_threshold(d10: int | np.ndarray, d01: int | np.ndarray,
 class _TailPlan:
     """P(Bin(d1, q) + Bin(d2, p) >= t) for fixed int arrays d1, d2, called with
     (t, params) per channel (README, Library layout): the log-binomial grid, -inf
-    past each length, is built once, log x is taken from x's integers, the p-tail
-    window is kept until p changes, and entries are summed BLOCK_CELLS cells at a time."""
+    past each length, is built once, log x is taken from x's integers, the latest
+    (p, p-tail window) pair is read once a call and replaced whole, so no other call
+    can swap a call's window, and entries are summed BLOCK_CELLS cells at a time."""
 
     def __init__(self, d1: np.ndarray, d2: np.ndarray):
         lengths, row = np.unique(np.concatenate([d1, d2]), return_inverse=True)
@@ -61,7 +62,7 @@ class _TailPlan:
         self.rest = np.maximum(lengths[:, None] - self.k, 0)
         self.log_comb = np.where(self.k <= lengths[:, None], log_fact[lengths, None]
                                  - log_fact[self.k] - log_fact[self.rest], -np.inf)
-        self.p, self.window = None, None
+        self.window = None, None
 
     def _pmf(self, x: Fraction) -> np.ndarray:
         log_x = math.log(x.numerator) - math.log(x.denominator)
@@ -69,19 +70,21 @@ class _TailPlan:
 
     def __call__(self, t: np.ndarray, params: ChannelParams) -> np.ndarray:
         size, last = len(self.k), 2 * len(self.k) - 1
-        if params.p != self.p:
+        p, window = self.window
+        if params.p != p:
             pmf_p = self._pmf(params.p)
             # column m is the p-tail at j = last - m: 0 for j >= size, the whole sum for j <= 0
             tail = np.cumsum(pmf_p[:, ::-1], axis=1)
             padded = np.hstack([np.zeros_like(pmf_p), tail, tail[:, -1:].repeat(size - 1, axis=1)])
-            self.window, self.p = sliding_window_view(padded, size, axis=1), params.p
+            window = sliding_window_view(padded, size, axis=1)
+            self.window = params.p, window
         pmf_q, start = self._pmf(params.q), last - np.minimum(np.maximum(t, 0), last)
         out = np.empty(len(self.q_row))
         step = max(1, BLOCK_CELLS // size)
         for lo in range(0, len(out), step):
             block = slice(lo, lo + step)
             out[block] = (pmf_q[self.q_row[block]]
-                          * self.window[self.p_row[block], start[block]]).sum(axis=1)
+                          * window[self.p_row[block], start[block]]).sum(axis=1)
         return out
 
 

@@ -14,12 +14,11 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from ._bitops import AndCounts, bit_matrix, packed_rows
-from .core import CapExceeded, Code, ParseError, Word, dir_distances
+from .core import CapExceeded, Code, ParseError, Word, _Frozen, dir_distances
 
 DEFAULT_EXHAUSTIVE_CAP = 24
 
@@ -47,7 +46,7 @@ def parse_probability(text: str) -> Fraction:
 
 
 @dataclass(frozen=True)
-class ChannelParams:
+class ChannelParams(_Frozen):
     """Crossover probabilities: p flips 0 to 1, q flips 1 to 0."""
 
     p: Fraction
@@ -63,27 +62,27 @@ class ChannelParams:
     def from_decimals(cls, p: str, q: str) -> "ChannelParams":
         return cls(parse_probability(p), parse_probability(q))
 
-    @cached_property
-    def _logs(self) -> tuple[tuple[Fraction, float, float], ...]:
-        """(X, log X, its error) for X = A = p/(1-q) <= B = q/(1-p) < 1: log X from
-        X's integers, or near 1, where their difference cancels, log1p of the
-        exact X - 1; the error 2**-42 times their logs, far above either rounding."""
+    def _log_terms(self) -> tuple:
+        """(X, log X, its error) for X = A = p/(1-q) <= B = q/(1-p) < 1, then gamma, kept
+        as ``_logs``: log X from X's integers, or near 1, where their difference cancels,
+        log1p of the exact X - 1; the error 2**-42 times their logs, far above either
+        rounding; gamma 1 exactly iff p = q, else log A / log B."""
         out = []
         for x in (self.p / (1 - self.q), self.q / (1 - self.p)):
             top, bottom = math.log(x.numerator), math.log(x.denominator)
             log_x = math.log1p(x - 1) if x > Fraction(15, 16) else top - bottom
             out.append((x, log_x, 2.0 ** -42 * (abs(top) + abs(bottom))))
-        return tuple(out)
+        return (*out, 1.0 if self.p == self.q else out[0][1] / out[1][1])
 
-    @cached_property
+    @property
     def gamma(self) -> float:
         """The exponent g solving (q/(1-p))**g = p/(1-q); 1 exactly iff p = q."""
-        return 1.0 if self.p == self.q else self._logs[0][1] / self._logs[1][1]
+        return self._keep("_logs", self._log_terms)[2]
 
     def _order(self, a: int, b: int) -> int:
         """Sign of gamma - a/b, that is of B**a - A**b: floats, then 50-digit
         decimals, outside margins far above their rounding, else integers."""
-        (big_a, log_a, err_a), (big_b, log_b, err_b) = self._logs
+        (big_a, log_a, err_a), (big_b, log_b, err_b), _ = self._keep("_logs", self._log_terms)
         x, margin = a * log_b - b * log_a, a * err_b + b * err_a
         if abs(x) > margin:
             return 1 if x > 0 else -1
@@ -101,8 +100,10 @@ class ChannelParams:
         of denominator at most 2n + 2, and equal to gamma if gamma is one, by a
         Stern-Brocot descent in runs, kept per n (README, Library layout); raises
         CapExceeded where callers' keys, below 4n(u + v), would pass int64."""
-        if n in self._brackets:
-            return self._brackets[n]
+        return self._keep(f"_bracket{n}", lambda: self._descend(n))
+
+    def _descend(self, n: int) -> tuple[int, int]:
+        """``bracket(n)`` by the descent, which ``bracket`` runs once per n."""
         limit = 2 * n + 2
         (a, b), (c, d) = (1, 1), (1, 0)
         while b + d <= limit:
@@ -114,12 +115,7 @@ class ChannelParams:
         u, v = (a, b) if self._order(a, b) == 0 else (a + c, b + d)
         if 4 * n * (u + v) >= 1 << 63:
             raise CapExceeded(f"gamma ~ {u}/{v} at n={n} overflows int64 keys")
-        self._brackets[n] = u, v
         return u, v
-
-    @cached_property
-    def _brackets(self) -> dict[int, tuple[int, int]]:
-        return {}
 
 
 def _last(keep, most: float) -> int:

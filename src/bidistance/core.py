@@ -100,7 +100,7 @@ def dir_distances(x: Word, y: Word) -> BidistancePair:
 
 
 class _Frozen:
-    """Only the constructors write attributes, through ``vars``, and then only ``_keep``."""
+    """Only the constructors write attributes, past this refusal, and then only ``_keep``."""
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")
@@ -258,7 +258,7 @@ def parse_code_text(text: str, source: str = "<text>") -> Code:
         code = Code(n, row_ints(packed))
     except ValueError as exc:
         raise ParseError(f"{source}: {exc}") from None
-    vars(code)["_packed"] = packed
+    code._keep("_packed", lambda: packed)
     return code
 
 

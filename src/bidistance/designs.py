@@ -242,15 +242,16 @@ def scheme_from_three_weight(code: Code) -> SchemeParams:
         raise ValueError(
             f"not an association scheme: the dual coset matrix has {rows} distinct "
             "rows instead of 4")
-    tables = _walsh_hadamard((spectra[:, :, None] * spectra[:, None]).reshape(-1, 16))
-    measured = []
+    i, j = np.triu_indices(4)  # F_i F_j = F_j F_i: 10 products, each 4 x 4 table by symmetry
+    tables = _walsh_hadamard(spectra[:, i] * spectra[:, j])
+    measured = np.empty((4, 4, 4), dtype=np.int64)
     for k in range(4):
         found = tables[classes == k] >> generator.k
         if (found != found[0]).any():
             raise ValueError(
                 f"not an association scheme: counts vary across class-{k} pairs")
-        measured.append(found[0].reshape(4, 4).tolist())
-    return SchemeParams(tuple(dist[w] for w in weights), tuple(measured))
+        measured[k, i, j] = measured[k, j, i] = found[0]
+    return SchemeParams(tuple(dist[w] for w in weights), measured.tolist())
 
 
 def three_weight_ahb(n: int, weights: Sequence[int],

@@ -79,6 +79,18 @@ class TestFieldArithmetic:
             f.mul(8, 1)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GeneratorMatrix(0, (1,)), ValueError, "length must be at least 1"),
+    (lambda: GeneratorMatrix(3, ()), ValueError, "at least one row is required"),
+    (lambda: GeneratorMatrix(3, (0b011, 0b1000)), ValueError, "row out of range"),
+    (lambda: BinaryField(4).pow(3, -1), ValueError, "negative exponents are not supported"),
+    (lambda: BinaryField(4).inverse(0), ZeroDivisionError, "0 has no inverse"),
+], ids=["n < 1", "no rows", "row past 2^n", "negative exponent", "inverse of 0"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestTraces:
     def test_zero(self):
         assert BinaryField(4).trace(0) == 0

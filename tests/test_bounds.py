@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -168,6 +170,65 @@ class TestTailWindow:
         plan(t, ChannelParams.from_decimals("0.07", "0.3"))
         assert plan.window is not window
         assert plan(t, first).tobytes() == reference_tail_gather(plan, t, first).tobytes()
+
+
+#: n = 12 words on which AHB at REENTRY_A reads 0.39408, not 0.04098, when the
+#: kept window is swapped for REENTRY_B's between its build and its use
+REENTRY_WORDS = [0, 0b111111, 0b111111000000, 0b101010101010, 0b010101010101, 0b110011001100]
+REENTRY_A, REENTRY_B = ("0.01", "0.2"), ("0.15", "0.3")
+
+
+#: each bound with what keeps its plan: the distribution for AHB, the code for CR
+KEPT_PLANS = {"ahb": (bidistance_distribution, ahb_union_bound),
+              "cr_discrepancy": (lambda code: code, discrepancy_bound),
+              "cr_symmetric": (lambda code: code, symmetric_discrepancy_bound)}
+
+
+@pytest.mark.parametrize("keeper, bound", KEPT_PLANS.values(), ids=list(KEPT_PLANS))
+def test_kept_plan_survives_a_reentrant_call(monkeypatch, keeper, bound):
+    # channel A's q-pmf first evaluates the same kept plan at channel B, another p:
+    # A's report still equals a fresh distribution's or code's, and so does B's
+    a, b = ChannelParams.from_decimals(*REENTRY_A), ChannelParams.from_decimals(*REENTRY_B)
+    fresh = [bound(keeper(Code(12, REENTRY_WORDS)), params) for params in (a, b)]
+    kept, nested, pmf = keeper(Code(12, REENTRY_WORDS)), [], _TailPlan._pmf
+
+    def pmf_after_reentry(plan, x):
+        if x == a.q and not nested:
+            nested.append(bound(kept, b))
+        return pmf(plan, x)
+
+    monkeypatch.setattr(_TailPlan, "_pmf", pmf_after_reentry)
+    assert [bound(kept, a)] + nested == fresh
+
+
+def test_kept_plans_shared_across_threads():
+    # more threads than cores, switching every microsecond, alternate two channels on
+    # one kept distribution and code: every report equals a fresh one at its channel
+    channels = [ChannelParams.from_decimals(*pq) for pq in (REENTRY_A, REENTRY_B)]
+    fresh = {(name, params): bound(keeper(Code(12, REENTRY_WORDS)), params)
+             for name, (keeper, bound) in KEPT_PLANS.items() for params in channels}
+    code = Code(12, REENTRY_WORDS)
+    kept = {name: (keeper(code), bound) for name, (keeper, bound) in KEPT_PLANS.items()}
+    wrong, done = [], []
+
+    def run(params):
+        for _ in range(300):
+            wrong.extend(name for name, (holder, bound) in kept.items()
+                         if bound(holder, params) != fresh[name, params])
+        done.append(params)
+
+    threads = [threading.Thread(target=run, args=(channels[i % 2],)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(done) == 4 and wrong == []
 
 
 class TestRegionThreshold:
@@ -516,6 +577,14 @@ class TestLatticeWordCount:
 
     def test_mismatched_weight_is_zero(self):
         assert lattice_word_count(6, 2, 3, LatticePoint(0, 0)) == 0
+
+    @pytest.mark.parametrize("n, i, j, point", [
+        (6, 7, 3, (0, 0)), (6, -1, 3, (0, 0)), (6, 3, 7, (0, 0)), (6, 3, -1, (0, 0)),
+        (6, 3, 3, (-1, 0)), (6, 3, 3, (0, -1)),
+    ])
+    def test_out_of_range_refused(self, n, i, j, point):
+        with pytest.raises(ValueError, match="arguments out of range"):
+            lattice_word_count(n, i, j, LatticePoint(*point))
 
 
 class TestWeightClassBounds:

@@ -153,6 +153,13 @@ class TestChannelParams:
         params.bracket(41)
         assert len(orders) > 2 * descent
 
+    def test_bracket_refuses_keys_past_int64(self):
+        # keys stay below 4n(u + v): at (0.1, 0.2) that fits int64 at n = 2^28, not at 2^30
+        params = _channel("0.1", "0.2")
+        assert params.bracket(2 ** 28) == (854253228, 617888479)
+        with pytest.raises(CapExceeded, match="overflows int64 keys"):
+            params.bracket(2 ** 30)
+
 
 class TestLikelihood:
     def test_no_flips(self, params_ex1):

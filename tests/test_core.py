@@ -649,6 +649,25 @@ class TestSolveDirectionalSystem:
             assert got == dir_distances(x, y)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Code(0, [0]), "code length must be at least 1"),
+    (lambda: Code(3, []), "a code needs at least one word"),
+    (lambda: Code.from_words([]), "a code needs at least one word"),
+    (lambda: Code.from_words([Word(2, 1), Word(3, 1)]), "all words must share one length"),
+    (lambda: BidistanceDistribution(2, 0, {}), "distribution size must be positive"),
+    (lambda: BidistanceDistribution(2, 2, {(0, 0): 2, (2, 1): 1, (1, 2): 1}),
+     r"pair \(1, 2\) out of range for length 2"),
+    (lambda: BidistanceDistribution(2, 2, {(0, 0): 2, (0, 1): -1, (1, 0): -1}),
+     "frequencies must be non-negative"),
+    (lambda: BidistanceDistribution(2, 2, {(0, 0): 2, (0, 1): 3, (1, 0): 3}),
+     r"total frequency 8 != size\^2 = 4"),
+], ids=["n < 1", "no words", "from no words", "mixed lengths", "size < 1",
+        "pair past n", "negative count", "total not size^2"])
+def test_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_bidistance_pair_helpers():
     pair = BidistancePair(2, 5)
     assert pair.swapped() == (5, 2)

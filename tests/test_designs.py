@@ -570,6 +570,53 @@ class TestSbibdAhb:
             sbibd_ahb(7, 4, 2, 1)   # v < 2k
 
 
+#: the SCHEME_COLUMNS code's scheme, valences (2, 4, 1), with its planes as lists
+_SCHEME_P = [[[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 4, 0], [0, 0, 0, 1]],
+             [[0, 1, 0, 0], [1, 0, 0, 1], [0, 0, 4, 0], [0, 1, 0, 0]],
+             [[0, 0, 1, 0], [0, 0, 2, 0], [1, 2, 0, 1], [0, 0, 1, 0]],
+             [[0, 0, 0, 1], [0, 2, 0, 0], [0, 0, 4, 0], [1, 0, 0, 0]]]
+
+
+def _scheme_with(k, i, row):
+    p = [[list(r) for r in plane] for plane in _SCHEME_P]
+    p[k][i] = row
+    return p
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SchemeParams((2, 4, 1), _scheme_with(0, 0, [1, 1, 0, 0])),
+     r"row-sum identity fails at k=0, i=0"),
+    (lambda: SchemeParams((2, 4, 1), _scheme_with(1, 0, [1, 0, 0, 0])),
+     "intersection numbers are not symmetric"),
+    (lambda: SchemeParams((2, 4, 1), [[[1, 0, 0, 0], [0, 0, 2, 0], [0, 2, 2, 0], [0, 0, 0, 1]],
+                                      *_SCHEME_P[1:]]),
+     r"p\[0\]\[i\]\[i\] must equal the valence"),
+    (lambda: three_weight_ahb(5, (2, 3), SchemeParams((2, 4, 1), _SCHEME_P)),
+     "weights must be three increasing values"),
+    (lambda: three_weight_ahb(5, (3, 2, 4), SchemeParams((2, 4, 1), _SCHEME_P)),
+     "weights must be three increasing values"),
+    (lambda: three_weight_ahb(5, (2, 3, 6), SchemeParams((2, 4, 1), _SCHEME_P)),
+     "weights must be three increasing values"),
+    (lambda: IncidenceDesign(3, 1, 0, ((1,), (2,), (3,))), "need 2 <= k < v"),
+    (lambda: IncidenceDesign(3, 3, 3, ((1, 2, 3),) * 3), "need 2 <= k < v"),
+    (lambda: sbibd_from_difference_set(8, (0, 1, 2)),
+     r"not a difference set: k\(k-1\) = 6 is not divisible by v - 1 = 7"),
+    (lambda: sbibd_codes(catalog_design(7, 3, 1), 4, puncture_point=0),
+     r"puncture point must lie in 1\.\.7"),
+    (lambda: sbibd_codes(catalog_design(7, 3, 1), 4, puncture_point=8),
+     r"puncture point must lie in 1\.\.7"),
+    (lambda: sbibd_ahb(7, 3, 0, 1), "invalid design parameters"),
+    (lambda: sbibd_ahb(7, 1, 1, 1), "invalid design parameters"),
+    (lambda: sbibd_ahb(7, 3, 1, 5), "family must be 1, 2, 3, or 4"),
+], ids=["scheme row sum", "scheme asymmetric", "scheme p0ii", "two weights",
+        "weights unordered", "weight past n", "design k < 2", "design k = v",
+        "k(k-1) not divisible", "puncture 0", "puncture past v", "sbibd lam < 1",
+        "sbibd k < 2", "sbibd family 5"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_closed_forms_match_dict_form():
     # every closed form, built from its rows by the validating constructor, equals
     # the dict projection of the code it describes in arrays, entries, JSON bytes

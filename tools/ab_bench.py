@@ -7,10 +7,14 @@ Runs ``bench/run.py`` of each checkout in its own directory, ``--pairs``
 times each, alternating which side goes first (the parent in even pairs).
 Each run's last line of standard output is its JSON result.  Prints every
 run, then per end-to-end metric each side's median and quartiles, the pairs
-the change won (ties count for neither side) and the gain test: the change
+the change won (ties count for neither side), the gain test (the change
 wins at least nine tenths of the pairs and the medians differ by more than
-the parent's interquartile range.  Metric names and directions come from
-the parent's ``BENCHMARK.json``.  Standard library only.
+the parent's interquartile range) and the no-regression test: ``worse`` when
+the change's median is worse than the parent's by more than the metric's
+bound, a fraction of the parent's median; ``unresolved`` when the parent's
+interquartile range is wider than that bound, unless every change run beats
+every parent run.  Metric names, directions and bounds come from the
+parent's ``BENCHMARK.json``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 2")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -72,10 +77,18 @@ def main(argv: list[str] | None = None) -> int:
         wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
         (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
         gain = wins * 10 >= 9 * args.pairs and sign * (bm - am) > a3 - a1
+        limit = bound[name] * abs(am)
+        if min(sign * y for y in b) > max(sign * x for x in a):
+            verdict = "not worse (every change run beats every parent run)"
+        elif a3 - a1 > limit:
+            verdict = f"unresolved (parent IQR {a3 - a1:.6g} > bound {limit:.6g})"
+        else:
+            verdict = "worse" if sign * (am - bm) > limit else "not worse"
         print(f"{name}: parent median {am:.6g} [Q1 {a1:.6g}, Q3 {a3:.6g}], "
               f"change median {bm:.6g} [Q1 {b1:.6g}, Q3 {b3:.6g}], "
               f"ratio {bm / am:.4f}, change won {wins}/{args.pairs}, "
-              f"gain test {'met' if gain else 'not met'}")
+              f"gain test {'met' if gain else 'not met'}, "
+              f"no-regression test at bound {bound[name]:g}: {verdict}")
     failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
     wrong = {side: sum(not r["correct"] for r in rs) for side, rs in runs.items()}
     print(f"failed operations: {failed}; runs with wrong output: {wrong}")
