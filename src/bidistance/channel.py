@@ -324,10 +324,8 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
         flips = u < fq
         flips &= sent.view(bool)
         flips |= u < fp
-        key = kernel.keys(kernel.common.word_major(sent ^ flips))
-        # the sent word reaches its own key, so a tie or a better rival is a second one
-        reach = (key >= key[idx, np.arange(len(idx))]).sum(axis=0, dtype=np.int32)
-        errors += int(np.count_nonzero(reach > 1))
+        key, top, tie = kernel.decide(kernel.common.word_major(sent ^ flips))
+        errors += int(np.count_nonzero(tie | (key[idx, np.arange(len(idx))] < top)))
     estimate = errors / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return estimate, stderr

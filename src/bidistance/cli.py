@@ -38,6 +38,8 @@ BOUNDS = {
     "cr_discrepancy": lambda code, dist, grid: weight_class_bounds(code, grid, False),
     "cr_symmetric": lambda code, dist, grid: weight_class_bounds(code, grid, True),
 }
+#: most q steps a sweep takes, which bounds the memory its grid and columns hold
+MAX_STEPS = 1 << 16
 #: sweep column -> its values at each channel of a list, from (code, pair distribution,
 #: channels, arguments): the bounds from BOUNDS, Monte Carlo per channel by its contract
 SWEEP_COLUMNS = {
@@ -154,8 +156,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     code = Code.from_file(args.code)
     p, q_from, q_to = (parse_probability(t) for t in (args.p, args.q_from, args.q_to))
     methods = _parse_method_list(args.methods, SWEEP_COLUMNS)
-    if args.steps < 2:
-        raise ParseError("steps must be at least 2")
+    if not 2 <= args.steps <= MAX_STEPS:
+        raise ParseError(f"steps must be between 2 and {MAX_STEPS}")
     if not p <= q_from < q_to < Fraction(1, 2):
         raise RegimeError(f"sweep needs p <= q_from < q_to < 1/2, got p={p}, "
                           f"q_from={q_from}, q_to={q_to}")

@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from ._bitops import (BLOCK_CELLS, AndCounts, CapExceeded, pack_bits, packed_rows, popcount,
+from ._bitops import (AndCounts, CapExceeded, pack_bits, packed_rows, popcount,
                       row_ints, row_reduce, unpack_rows)
 
 #: pair frequencies are held in 64-bit-sized counters; |C|^2 must fit
@@ -363,25 +363,18 @@ def _pair_table(code: Code) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"pair tables support lengths below 2^21, got {code.n}")
     pairs = AndCounts.of_code(code)
     wts, col_class = np.unique(pairs.weights.astype(np.int64), return_inverse=True)
-    # class k's W (wts[k] + 1) cells start at start[k]; one accumulator under twice the budget
-    start = np.concatenate([[0], np.cumsum(len(wts) * (wts + 1))])
-    passes = start[:-1] // max(BLOCK_CELLS, start[-1] - start[-2])  # the largest class
-    parts = []
-    for group in np.split(np.arange(len(wts)), np.flatnonzero(np.diff(passes)) + 1):
-        lo = start[group[0]]
-        acc = np.zeros(start[group[-1] + 1] - lo, dtype=np.int64)
-        for k in group.tolist():
-            rows, cells = np.flatnonzero(col_class == k), col_class[:, None] * (wts[k] + 1)
-            part = acc[start[k] - lo:start[k + 1] - lo]
-            for at in range(0, len(rows), pairs.rows):
-                common = pairs.word_major(pairs.bits[rows[at:at + pairs.rows]])
-                part += np.bincount((cells + common).ravel(), minlength=len(part))
-        cell = np.flatnonzero(acc) + lo
-        k = np.searchsorted(start, cell, side="right") - 1
-        y, c = np.divmod(cell - start[k], wts[k] + 1)
-        parts.append((np.column_stack([wts[k], wts[k] - c, wts[y] - c]), acc[cell - lo]))
-    keys, counts = map(np.concatenate, zip(*parts))
-    return _sealed(keys), _sealed(counts)
+    cells, counts = [], []
+    for k, w in enumerate(wts.tolist()):  # class k: W (w + 1) cells of (class of y, c)
+        rows, base = np.flatnonzero(col_class == k), col_class[:, None] * (w + 1)
+        acc = np.zeros(len(wts) * (w + 1), dtype=np.int64)
+        for at in range(0, len(rows), pairs.rows):
+            common = pairs.word_major(pairs.bits[rows[at:at + pairs.rows]])
+            acc += np.bincount((base + common).ravel(), minlength=len(acc))
+        cells.append(np.flatnonzero(acc))
+        counts.append(acc[cells[-1]])
+    wx = np.repeat(wts, list(map(len, cells)))
+    y, c = np.divmod(np.concatenate(cells), wx + 1)
+    return _sealed(np.column_stack([wx, wx - c, wts[y] - c])), _sealed(np.concatenate(counts))
 
 
 def multiset_repr(dist: BidistanceDistribution) -> list[tuple[tuple[int, int], int]]:

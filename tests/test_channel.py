@@ -430,8 +430,8 @@ class TestRankKernel:
         received, keyed = [], []
         product, keys = AndCounts.word_major, _RankKernel.keys
 
-        def keep_keys(self, common):
-            key = keys(self, common)
+        def keep_keys(self, common, *args):
+            key = keys(self, common, *args)
             keyed.append(key.copy())
             return key
         monkeypatch.setattr(AndCounts, "word_major",

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidistance import cli
+from bidistance import cli, core
 from bidistance.bounds import (ahb_union_bound, discrepancy_bound,
                                symmetric_discrepancy_bound)
 from bidistance.channel import ChannelParams, monte_carlo_error_probability
@@ -389,6 +389,25 @@ class TestSweep:
                          "--q-from", "0.1", "--q-to", "0.2", "--steps", "1",
                          "--out", str(tmp_path / "x.csv"))
         assert rc == 2 and "steps" in err
+
+    @pytest.mark.parametrize("steps, code, tables", [(cli.MAX_STEPS, 3, 1),
+                                                      (cli.MAX_STEPS + 1, 2, 0)])
+    def test_steps_capped_before_the_pair_table(self, capsys, ex5_file, tmp_path,
+                                                monkeypatch, steps, code, tables):
+        # the largest grid passes the check and reaches the pair table, here
+        # refused as a domain error; one step more is a parse error before it
+        built = []
+
+        def refuse(*args):
+            built.append(args)
+            raise cli.CapExceeded("pair table refused")
+        monkeypatch.setattr(core, "_pair_table", refuse)
+        out_path = tmp_path / "x.csv"
+        rc, out, err = run(capsys, "sweep", "--code", str(ex5_file), "-p", "0.1",
+                           "--q-from", "0.1", "--q-to", "0.2", "--steps", str(steps),
+                           "--out", str(out_path))
+        assert rc == code and out == "" and not out_path.exists()
+        assert len(built) == tables and ("steps" in err) == (code == 2)
 
     def test_monte_carlo_column(self, capsys, ex5_file, tmp_path):
         out_path = tmp_path / "mc.csv"

@@ -431,11 +431,10 @@ class TestBidistanceDistribution:
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 200), st.integers(1, 200), st.booleans(),
-           st.sampled_from([BLOCK_CELLS, 1]), st.randoms(use_true_random=False))
-    def test_kernel_matches_per_class_oracle(self, n, size, one_class, budget, rng):
-        # one accumulator per pass equals one per weight class: the same keys in
-        # the same row order, the same counts and dtypes; a budget of 1 cell
-        # splits the classes over passes about the size of the largest class
+           st.randoms(use_true_random=False))
+    def test_kernel_matches_per_class_oracle(self, n, size, one_class, rng):
+        # one decode of every class's cells equals a decode per class: the same
+        # keys in the same row order, the same counts and dtypes
         weight = rng.randint(0, n)
         size = min(size, math.comb(n, weight) if one_class else 1 << n)
         words = set()
@@ -444,9 +443,7 @@ class TestBidistanceDistribution:
                       else rng.getrandbits(n))
         code = Code(n, words)
         want_keys, want_counts = reference_pair_table(code)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "BLOCK_CELLS", budget)
-            keys, counts = core._pair_table(code)
+        keys, counts = core._pair_table(code)
         assert (keys.dtype, counts.dtype) == (want_keys.dtype, want_counts.dtype)
         assert keys.tolist() == want_keys.tolist()
         assert counts.tolist() == want_counts.tolist()
