@@ -17,13 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._bitops import AndCounts, bit_matrix, packed_rows
+from ._bitops import BLOCK_CELLS, AndCounts, bit_matrix
 from .core import CapExceeded, Code, ParseError, Word, _Frozen, dir_distances
 
 DEFAULT_EXHAUSTIVE_CAP = 24
-
-#: int64 (class, c, wt(y)) counts held at once by exact_error_probabilities, 8 MiB
-EXACT_CELLS = 1 << 20
 
 _DECIMAL_RE = re.compile(r"^[0-9]+(\.[0-9]+)?$")
 
@@ -209,21 +206,18 @@ class _RankKernel:
             width = np.int32 if 4 * n * (u + v) < 1 << 31 else np.int64
             self.channels.append((width(u + v), self.common.weights.astype(width) * width(v)))
 
-    def keys(self, common: np.ndarray, channel: int = 0, high=0) -> np.ndarray:
-        """The (M, rows) keys of a block's codeword-major c = wt(x & y), plus the
-        per-codeword count ``high`` of ones the block's words share, if any."""
+    def keys(self, common: np.ndarray, channel: int = 0) -> np.ndarray:
+        """The (M, rows) keys of a block's codeword-major c = wt(x & y)."""
         slope, offset = self.channels[channel]
         key = np.multiply(common, slope, dtype=slope.dtype)
-        key += (high * slope - offset).astype(slope.dtype)[:, None]
+        key -= offset[:, None]
         return key
 
-    def decide(self, common: np.ndarray, channel: int = 0,
-               high=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The keys, as keys(); each column's top key; and whether the top is held
-        at least twice, an exact tie."""
-        key = self.keys(common, channel, high)
+    def decide(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each column's top key, and whether the top is held at least twice, an
+        exact tie."""
         top = key.max(axis=0)
-        return key, top, (key == top).sum(axis=0, dtype=np.int32) > 1
+        return top, (key == top).sum(axis=0, dtype=np.int32) > 1
 
 
 def mld_decode(code: Code, y: Word, params: ChannelParams) -> DecodeResult:
@@ -231,7 +225,8 @@ def mld_decode(code: Code, y: Word, params: ChannelParams) -> DecodeResult:
     if code.n != y.n:
         raise ValueError(f"length mismatch: code n={code.n}, word n={y.n}")
     kernel = _RankKernel(code, params)
-    key, _, tie = kernel.decide(kernel.common.word_major(bit_matrix([y.bits], code.n)))
+    key = kernel.keys(kernel.common.word_major(bit_matrix([y.bits], code.n)))
+    _, tie = kernel.decide(key)
     return FAILURE if tie[0] else DecodeResult(code.word(int(key[:, 0].argmax())))
 
 
@@ -244,49 +239,42 @@ def exact_error_probability(code: Code, params: ChannelParams,
 def exact_error_probabilities(code: Code, channels: list[ChannelParams],
                               cap: int = DEFAULT_EXHAUSTIVE_CAP) -> list[Fraction]:
     """Average decoder error probability at each channel, by one sweep of the 2^n
-    received words per group of channels whose counts fit in EXACT_CELLS, each untied
-    top key scored exactly through the channel's sorted distinct keys (README, Library
-    layout).  Exact ties count as errors.  Guarded by the cap."""
+    received words per channel, each untied top key scored exactly through the
+    channel's sorted distinct keys (README, Library layout).  Exact ties count as
+    errors.  Guarded by the cap."""
     n = code.n
     if n > cap:
         raise CapExceeded(f"exhaustive sweep needs 2**{n} received words; cap is n <= {cap}")
-    if not channels:
-        return []
     kernel = _RankKernel(code, *channels)
     weights = kernel.weights.tolist()
     cells = np.concatenate([k * (n + 1) + np.arange(w + 1) for k, w in enumerate(weights)])
-    ranked = []
-    for u, v in (params.bracket(n) for params in channels):
-        cell_key = np.concatenate([np.arange(w + 1) * (u + v) - w * v for w in weights])
-        distinct, first = np.unique(cell_key, return_index=True)
-        ranked.append((distinct, cells[first]))
     shape = (len(weights), n + 1, n + 1)
-    group = max(1, EXACT_CELLS // math.prod(shape))
-    rows = min(1 << n, 1 << (kernel.common.rows.bit_length() - 1))
-    low = np.unpackbits(np.arange(rows, dtype="<u8").view(np.uint8).reshape(rows, 8),
+    b = min(n, kernel.common.rows.bit_length() - 1)
+    low = np.unpackbits(np.arange(1 << b, dtype="<u8").view(np.uint8).reshape(-1, 8),
                         1, n, "little")
     low_common, low_weight = kernel.common.word_major(low), low.sum(1, dtype=np.int64)
-    words = code.packed()
-    counts = np.empty((min(group, len(channels)), *shape), dtype=np.int64)
+    high = kernel.common.bits[:, b:].T.astype(np.int32)
     out = []
-    for first in range(0, len(channels), group):
-        part = range(first, min(first + group, len(channels)))
-        counts[:] = 0
-        for start in range(0, 1 << n, rows):
-            high = start and np.bitwise_count(words & packed_rows([start], n)).sum(1, dtype=int)
-            weight = low_weight + start.bit_count()
-            for channel, tally in zip(part, counts):
-                _, top, tie = kernel.decide(low_common, channel, high)
-                distinct, reps = ranked[channel]
-                cell = reps[np.searchsorted(distinct, top)] * (n + 1) + weight
-                tally += np.bincount(cell[~tie], minlength=tally.size).reshape(shape)
-        for channel, tally in zip(part, counts):
-            table = _score_table(n, channels[channel])
-            cls, common, weight = np.nonzero(tally)
-            success = sum(k * table.score(w, w - c, v - c) for k, w, c, v in zip(
-                tally[cls, common, weight].tolist(), kernel.weights[cls].tolist(),
-                common.tolist(), weight.tolist()))
-            out.append(1 - Fraction(success, len(code) * table.denominator))
+    for channel, params in enumerate(channels):
+        u, v = params.bracket(n)
+        cell_key = np.concatenate([np.arange(w + 1) * (u + v) - w * v for w in weights])
+        distinct, first = np.unique(cell_key, return_index=True)
+        reps = cells[first] * (n + 1)
+        slope = kernel.channels[channel][0]
+        low_key, tally = kernel.keys(low_common, channel), np.zeros(shape, dtype=np.int64)
+        # from block k - 1 to k, hi gains bit b + j, j the lowest one of k, and loses those below
+        jump, shift = (2 * high - high.cumsum(0)) * slope, np.zeros(len(code), slope.dtype)
+        for k in range(1 << n - b):
+            shift += jump[(k & -k).bit_length() - 1] if k else 0
+            top, tie = kernel.decide(low_key + shift[:, None])
+            cell = reps[np.searchsorted(distinct, top)] + low_weight + k.bit_count()
+            tally += np.bincount(cell[~tie], minlength=tally.size).reshape(shape)
+        table = _score_table(n, params)
+        cls, common, weight = np.nonzero(tally)
+        success = sum(k * table.score(w, w - c, v - c) for k, w, c, v in zip(
+            tally[cls, common, weight].tolist(), kernel.weights[cls].tolist(),
+            common.tolist(), weight.tolist()))
+        out.append(1 - Fraction(success, len(code) * table.denominator))
     return out
 
 
@@ -315,7 +303,7 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
     tx = rng.integers(0, len(code), size=trials)
     errors = 0
     fp, fq = float(params.p), float(params.q)
-    rows = kernel.common.rows
+    rows = max(1, BLOCK_CELLS // max(len(code), code.n))
     for start in range(0, trials, rows):
         idx = tx[start:start + rows]
         sent = kernel.common.bits[idx]
@@ -324,7 +312,8 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
         flips = u < fq
         flips &= sent.view(bool)
         flips |= u < fp
-        key, top, tie = kernel.decide(kernel.common.word_major(sent ^ flips))
+        key = kernel.keys(kernel.common.word_major(sent ^ flips))
+        top, tie = kernel.decide(key)
         errors += int(np.count_nonzero(tie | (key[idx, np.arange(len(idx))] < top)))
     estimate = errors / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)

@@ -40,6 +40,8 @@ BOUNDS = {
 }
 #: most q steps a sweep takes, which bounds the memory its grid and columns hold
 MAX_STEPS = 1 << 16
+#: most Monte Carlo trials a command takes: its up-front draw of 2**27 int64 indices is 1 GiB
+MAX_TRIALS = 1 << 27
 #: sweep column -> its values at each channel of a list, from (code, pair distribution,
 #: channels, arguments): the bounds from BOUNDS, Monte Carlo per channel by its contract
 SWEEP_COLUMNS = {
@@ -90,8 +92,8 @@ def _cmd_bidist(args: argparse.Namespace) -> int:
 
 
 def _check_sampling(args: argparse.Namespace) -> None:
-    if args.trials < 1:
-        raise ParseError("--trials must be at least 1")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise ParseError(f"--trials must be between 1 and {MAX_TRIALS}")
     if args.seed < 0:
         raise ParseError("--seed must be non-negative")
 

@@ -364,13 +364,13 @@ class TestRankKernel:
 
     @pytest.mark.parametrize("params", KEY_CHANNELS, ids=KEY_IDS)
     def test_int64_keys_compare_as_scores(self, params):
-        # the keys decide computes for every (w, c), against every received
-        # weight v at which two cells both occur, compare as their exact
-        # scores do, so equal keys mean equal likelihoods
+        # the keys of every (w, c), against every received weight v at which
+        # two cells both occur, compare as their exact scores do, so equal
+        # keys mean equal likelihoods
         n = 9
         kernel = _RankKernel(Code(n, [(1 << w) - 1 for w in range(n + 1)]), params)
         # row c of the block holds min(c, w) for the weight-w codeword
-        key = kernel.decide(np.minimum.outer(np.arange(n + 1), np.arange(n + 1)))[0]
+        key = kernel.keys(np.minimum.outer(np.arange(n + 1), np.arange(n + 1)))
         assert key.dtype == (np.int32 if 4 * n * sum(params.bracket(n)) < 1 << 31 else np.int64)
         keys = [(w, c, int(key[w, c])) for w in range(n + 1) for c in range(w + 1)]
         table = _score_table(n, params)
@@ -421,7 +421,7 @@ class TestRankKernel:
 
     @pytest.mark.parametrize("params", KEY_CHANNELS, ids=KEY_IDS)
     def test_monte_carlo_block_flags_match_brute_force(self, monkeypatch, params):
-        # one Monte Carlo block at n = 65, two 64-bit lanes: a trial errs
+        # Monte Carlo blocks at n = 65, two 64-bit lanes: a trial errs
         # exactly when brute_mld does not decode its received word to the
         # word sent, ties included
         rng = random.Random(67)
@@ -438,7 +438,7 @@ class TestRankKernel:
                             lambda self, rows: received.append(rows) or product(self, rows))
         monkeypatch.setattr(_RankKernel, "keys", keep_keys)
         estimate, _ = monte_carlo_error_probability(code, params, trials, seed)
-        [block], [key] = received, keyed
+        block, key = np.concatenate(received), np.concatenate(keyed, axis=1)
         top = key.max(axis=0)
         tie = (key == top).sum(axis=0) > 1
         sent = np.random.default_rng(seed).integers(0, len(code), size=trials)
@@ -536,17 +536,33 @@ class TestExactErrorProbabilities:
         assert exact_error_probabilities(c1, []) == []
 
     def test_groups_under_the_cell_budget(self, monkeypatch, c1):
-        # c1 has two weight classes at n = 6: 2 * 7 * 7 count cells a channel
+        # every channel's pass reads the one low product of the call, and each
+        # gives the Fraction of its own one-channel call
         channels = [_channel("0.1", q) for q in ("0.1", "0.15", "0.2", "0.25", "0.3")]
-        whole = exact_error_probabilities(c1, channels)
+        alone = [exact_error_probability(c1, params) for params in channels]
         sweeps = []
         product = AndCounts.word_major
         monkeypatch.setattr(AndCounts, "word_major",
                             lambda self, *args: sweeps.append(1) or product(self, *args))
-        monkeypatch.setattr(channel, "EXACT_CELLS", 2 * 2 * 7 * 7)
-        assert exact_error_probabilities(c1, channels) == whole
-        # three groups of at most two channels share the one product of the call
+        assert exact_error_probabilities(c1, channels) == alone
         assert len(sweeps) == 1
+
+    def test_memory_does_not_grow_with_the_grid_past_per_channel_state(self):
+        # at n = 10, M = 64, a channel adds its slope and M offsets, its kept
+        # bracket and its Fraction, well under 2 KiB; a count array or a low
+        # key table per channel held across the call would exceed it
+        code = random_code(random.Random(29), 10, 64)
+        peaks = []
+        for count in (10, 2000):
+            channels = [ChannelParams(Fraction(1, 20), Fraction(1, 20) + Fraction(k, 10000))
+                        for k in range(count)]
+            tracemalloc.start()
+            try:
+                exact_error_probabilities(code, channels)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2000 * 2048
 
     def test_one_bit_matrix_per_call(self, monkeypatch, c1):
         built = []
@@ -618,6 +634,31 @@ class TestMonteCarlo:
         # the draws and the decisions are a contract: these must never change
         got = monte_carlo_error_probability(code, params, trials, seed)
         assert got == expected and all(type(v) is float for v in got)
+
+    @pytest.mark.parametrize("n, size, trials, p, q, expected", [
+        (24, 8, 3000, "0.05", "0.2", (0.276, 0.008161372433604534)),
+        (64, 10, 3000, "0.03", "0.15", (0.24466666666666667, 0.0078486705644733)),
+        (20_000, 2, 500, "0.1", "0.3", (0.068, 0.011258419071965654)),
+    ])
+    def test_estimates_do_not_depend_on_the_block(self, n, size, trials, p, q, expected):
+        # codes longer than they are large, so a block holds BLOCK_CELLS // n
+        # trials; these estimates were taken with blocks of BLOCK_CELLS // M
+        # trials, and the stream does not depend on the block
+        code = padded_code(random.Random(n), random_code(random.Random(n + 1), 6, size), n)
+        assert monte_carlo_error_probability(code, _channel(p, q), trials, n) == expected
+
+    def test_long_code_blocks_count_the_length(self):
+        # at n = 20 000, M = 2 a block of BLOCK_CELLS // M trials would hold
+        # about 15 bytes a cell, 143 MiB; BLOCK_CELLS // n is 0, so one holds a trial
+        code = padded_code(random.Random(7), Code(6, [0b000111, 0b001111]), 20_000)
+        code.packed()
+        tracemalloc.start()
+        try:
+            estimate, _ = monte_carlo_error_probability(code, _channel("0.1", "0.3"), 500, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert estimate > 0 and peak < 2 << 20
 
     def test_beyond_64_tracks_core(self):
         # a padded code decodes as its core, so its estimate tracks the

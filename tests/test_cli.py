@@ -157,15 +157,22 @@ class TestSamplingFlags:
 
 
     @pytest.mark.parametrize("command", ["pe", "sweep"])
-    def test_unallocatable_trials_is_domain_error(self, capsys, c1_file, tmp_path, command):
-        # 2**59 trials: the single draw of codeword indices needs 4 EiB, more
-        # than any x86-64 address space, so it fails before touching memory
+    def test_trials_past_the_cap_rejected_before_any_work(self, capsys, c1_file, tmp_path,
+                                                          monkeypatch, command):
+        # one trial past MAX_TRIALS is a usage error before the code file is
+        # read; a failed allocation after the check is still a domain error
         out_path = tmp_path / "x.csv"
         args = {"pe": ["pe", "--mode", "mc", "-p", "0.1", "-q", "0.15"],
                 "sweep": ["sweep", "--methods", "monte_carlo", "-p", "0.1", "--q-from", "0.1",
                           "--q-to", "0.2", "--steps", "3", "--out", str(out_path)]}
-        rc, out, err = run(capsys, *args[command], "--code", str(c1_file),
-                           "--trials", str(1 << 59))
+        rc, out, err = run(capsys, *args[command], "--code", str(tmp_path / "missing.code"),
+                           "--trials", str(cli.MAX_TRIALS + 1))
+        assert (rc, out) == (2, "") and "--trials" in err and str(cli.MAX_TRIALS) in err
+
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+        monkeypatch.setattr(cli, "monte_carlo_error_probability", refuse)
+        rc, out, err = run(capsys, *args[command], "--code", str(c1_file), "--trials", "10")
         assert (rc, out) == (3, "") and err.startswith("error:")
         assert "Traceback" not in err and not out_path.exists()
 
