@@ -2,9 +2,9 @@
 
 Crossover probabilities are exact rationals parsed from decimal strings;
 the supported regime is 0 < p <= q < 1/2, where p is the 0->1 and q the
-1->0 flip probability.  Every decoder here is one exact block kernel of
-integer likelihood keys, _RankKernel; the README's "One exact decoding
-kernel" paragraph derives them.
+1->0 flip probability.  Every decoder here ranks the pair kernel's blocks by
+the same integer likelihood keys, through _channel_keys, _keys and _decide;
+the README's "One exact decoding kernel" paragraph derives them.
 """
 
 from __future__ import annotations
@@ -190,43 +190,36 @@ class DecodeResult:
 FAILURE = DecodeResult(None)
 
 
-class _RankKernel:
-    """Exact maximum-likelihood decoding of blocks of received words by the integer keys
-    c(u + v) - w*v of (w, c) = (wt(x), wt(x & y)), (u, v) = params.bracket(n), which rank
-    as the likelihoods do (README, Library layout).  Per channel: u + v and each
-    codeword's w*v, in int32 when 4n(u + v) < 2**31 and in int64 otherwise."""
+def _channel_keys(pairs: AndCounts, u: int, v: int) -> tuple[np.integer, np.ndarray]:
+    """A channel's slope u + v and each codeword's offset w*v, for the keys c(u + v) - w*v
+    of (w, c) = (wt(x), wt(x & y)) and (u, v) = params.bracket(n), which rank as the
+    likelihoods do (README, Library layout): int32 when 4n(u + v) < 2**31, else int64."""
+    width = np.int32 if 4 * pairs.bits.shape[1] * (u + v) < 1 << 31 else np.int64
+    return width(u + v), pairs.weights.astype(width) * width(v)
 
-    def __init__(self, code: Code, *channels: ChannelParams):
-        n = code.n
-        self.common = AndCounts.of_code(code)
-        self.weights = np.flatnonzero(code.weight_distribution())
-        self.channels = []
-        for params in channels:
-            u, v = params.bracket(n)
-            width = np.int32 if 4 * n * (u + v) < 1 << 31 else np.int64
-            self.channels.append((width(u + v), self.common.weights.astype(width) * width(v)))
 
-    def keys(self, common: np.ndarray, channel: int = 0) -> np.ndarray:
-        """The (M, rows) keys of a block's codeword-major c = wt(x & y)."""
-        slope, offset = self.channels[channel]
-        key = np.multiply(common, slope, dtype=slope.dtype)
-        key -= offset[:, None]
-        return key
+def _keys(common: np.ndarray, channel: tuple[np.integer, np.ndarray]) -> np.ndarray:
+    """The (M, rows) keys of a block's codeword-major c = wt(x & y)."""
+    slope, offset = channel
+    key = np.multiply(common, slope, dtype=slope.dtype)
+    key -= offset[:, None]
+    return key
 
-    def decide(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each column's top key, and whether the top is held at least twice, an
-        exact tie."""
-        top = key.max(axis=0)
-        return top, (key == top).sum(axis=0, dtype=np.int32) > 1
+
+def _decide(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's top key, and whether the top is held at least twice, an exact tie."""
+    top = key.max(axis=0)
+    return top, (key == top).sum(axis=0, dtype=np.int32) > 1
 
 
 def mld_decode(code: Code, y: Word, params: ChannelParams) -> DecodeResult:
     """Decode y to the unique likelihood maximizer; any exact tie fails."""
     if code.n != y.n:
         raise ValueError(f"length mismatch: code n={code.n}, word n={y.n}")
-    kernel = _RankKernel(code, params)
-    key = kernel.keys(kernel.common.word_major(bit_matrix([y.bits], code.n)))
-    _, tie = kernel.decide(key)
+    pairs = AndCounts.of_code(code)
+    key = _keys(pairs.word_major(bit_matrix([y.bits], code.n)),
+                _channel_keys(pairs, *params.bracket(code.n)))
+    _, tie = _decide(key)
     return FAILURE if tie[0] else DecodeResult(code.word(int(key[:, 0].argmax())))
 
 
@@ -245,34 +238,34 @@ def exact_error_probabilities(code: Code, channels: list[ChannelParams],
     n = code.n
     if n > cap:
         raise CapExceeded(f"exhaustive sweep needs 2**{n} received words; cap is n <= {cap}")
-    kernel = _RankKernel(code, *channels)
-    weights = kernel.weights.tolist()
+    pairs = AndCounts.of_code(code)
+    weights = np.flatnonzero(code.weight_distribution()).tolist()
     cells = np.concatenate([k * (n + 1) + np.arange(w + 1) for k, w in enumerate(weights)])
     shape = (len(weights), n + 1, n + 1)
-    b = min(n, kernel.common.rows.bit_length() - 1)
+    b = min(n, pairs.rows.bit_length() - 1)
     low = np.unpackbits(np.arange(1 << b, dtype="<u8").view(np.uint8).reshape(-1, 8),
                         1, n, "little")
-    low_common, low_weight = kernel.common.word_major(low), low.sum(1, dtype=np.int64)
-    high = kernel.common.bits[:, b:].T.astype(np.int32)
+    low_common, low_weight = pairs.word_major(low), low.sum(1, dtype=np.int64)
+    high = pairs.bits[:, b:].T.astype(np.int32)
     out = []
-    for channel, params in enumerate(channels):
+    for params in channels:
         u, v = params.bracket(n)
         cell_key = np.concatenate([np.arange(w + 1) * (u + v) - w * v for w in weights])
         distinct, first = np.unique(cell_key, return_index=True)
         reps = cells[first] * (n + 1)
-        slope = kernel.channels[channel][0]
-        low_key, tally = kernel.keys(low_common, channel), np.zeros(shape, dtype=np.int64)
+        slope, _ = channel = _channel_keys(pairs, u, v)
+        low_key, tally = _keys(low_common, channel), np.zeros(shape, dtype=np.int64)
         # from block k - 1 to k, hi gains bit b + j, j the lowest one of k, and loses those below
         jump, shift = (2 * high - high.cumsum(0)) * slope, np.zeros(len(code), slope.dtype)
         for k in range(1 << n - b):
             shift += jump[(k & -k).bit_length() - 1] if k else 0
-            top, tie = kernel.decide(low_key + shift[:, None])
+            top, tie = _decide(low_key + shift[:, None])
             cell = reps[np.searchsorted(distinct, top)] + low_weight + k.bit_count()
             tally += np.bincount(cell[~tie], minlength=tally.size).reshape(shape)
         table = _score_table(n, params)
         cls, common, weight = np.nonzero(tally)
         success = sum(k * table.score(w, w - c, v - c) for k, w, c, v in zip(
-            tally[cls, common, weight].tolist(), kernel.weights[cls].tolist(),
+            tally[cls, common, weight].tolist(), np.take(weights, cls).tolist(),
             common.tolist(), weight.tolist()))
         out.append(1 - Fraction(success, len(code) * table.denominator))
     return out
@@ -299,21 +292,22 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
     if seed < 0:
         raise ValueError("seed must be non-negative")
     rng = np.random.default_rng(seed)
-    kernel = _RankKernel(code, params)
+    pairs = AndCounts.of_code(code)
+    channel = _channel_keys(pairs, *params.bracket(code.n))
     tx = rng.integers(0, len(code), size=trials)
     errors = 0
     fp, fq = float(params.p), float(params.q)
     rows = max(1, BLOCK_CELLS // max(len(code), code.n))
     for start in range(0, trials, rows):
         idx = tx[start:start + rows]
-        sent = kernel.common.bits[idx]
+        sent = pairs.bits[idx]
         u = rng.random((len(idx), code.n))
         # u < q on ones, u < p on zeros: with p <= q, (u < q & one) | (u < p)
         flips = u < fq
         flips &= sent.view(bool)
         flips |= u < fp
-        key = kernel.keys(kernel.common.word_major(sent ^ flips))
-        top, tie = kernel.decide(key)
+        key = _keys(pairs.word_major(sent ^ flips), channel)
+        top, tie = _decide(key)
         errors += int(np.count_nonzero(tie | (key[idx, np.arange(len(idx))] < top)))
     estimate = errors / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)

@@ -359,8 +359,6 @@ def bidistance_distribution(code: Code) -> BidistanceDistribution:
 def _pair_table(code: Code) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (K, 3) int64 (wt(x), d10, d01) keys and (K,) int64 counts over all ordered
     pairs of the words of ``code`` (README, Library layout)."""
-    if code.n >= 1 << 21:
-        raise ValueError(f"pair tables support lengths below 2^21, got {code.n}")
     pairs = AndCounts.of_code(code)
     wts, col_class = np.unique(pairs.weights.astype(np.int64), return_inverse=True)
     cells, counts = [], []

@@ -19,7 +19,7 @@ from bidistance.algebra import (BinaryField, GeneratorMatrix, _null_space_rows,
                                 coset_distribution_matrix, distinct_row_count, dual_code,
                                 generator_from_code)
 from bidistance.bounds import pairwise_error_probability
-from bidistance.channel import ChannelParams, _score_table, likelihood
+from bidistance.channel import ChannelParams, _channel_keys, _keys, _score_table, likelihood
 from bidistance.core import BidistanceDistribution, Code, ParseError, Word
 from bidistance.designs import (MEASURE_SIZE_CAP, SchemeParams, SrgParams,
                                srg_from_two_weight)
@@ -56,12 +56,14 @@ def brute_mld(code: Code, y: Word, params: ChannelParams) -> Word | None:
     return winners[0] if len(winners) == 1 else None
 
 
-def kernel_ranks(kernel, n: int) -> list[int]:
+def kernel_ranks(code: Code, params: ChannelParams) -> list[int]:
     """The dense rank of the decoder's key of every (weight, c) cell, in cell
-    order, for a kernel of one word per weight in ascending order: in the block
+    order, for a code of one word per weight in ascending order: in the block
     min(w_k, c), row k's first w_k + 1 columns are its cells c <= w_k."""
-    weights = kernel.common.weights
-    key = kernel.keys(np.minimum.outer(weights, np.arange(n + 1)))
+    pairs = AndCounts.of_code(code)
+    weights = pairs.weights
+    key = _keys(np.minimum.outer(weights, np.arange(code.n + 1)),
+                _channel_keys(pairs, *params.bracket(code.n)))
     cells = np.concatenate([row[:w + 1] for row, w in zip(key, weights.tolist())])
     return np.unique(cells, return_inverse=True)[1].tolist()
 

@@ -13,7 +13,7 @@ from bidistance import _bitops, channel
 from bidistance.bounds import region_threshold
 from bidistance._bitops import MAX_LENGTH, AndCounts, pack_bits, row_ints
 from bidistance.channel import (ChannelParams, RegimeError,
-                                _RankKernel, _score_table,
+                                _channel_keys, _keys, _score_table,
                                 exact_error_probabilities, exact_error_probability,
                                 likelihood, llr, mld_decode,
                                 monte_carlo_error_probability, parse_probability)
@@ -308,10 +308,9 @@ class TestRankKernel:
         # near p = q, distinct likelihoods have levels closer than the slack
         n = 9
         code = Code(n, [(1 << w) - 1 for w in range(n + 1)])
-        kernel = _RankKernel(code, params)
         table = _score_table(n, params)
-        keys = [(w, c) for w in kernel.weights.tolist() for c in range(w + 1)]
-        rank = kernel_ranks(kernel, n)
+        keys = [(w, c) for w in range(n + 1) for c in range(w + 1)]
+        rank = kernel_ranks(code, params)
         assert len(rank) == len(keys)
         for (w, c), r in zip(keys, rank):
             for (w2, c2), r2 in zip(keys, rank):
@@ -327,7 +326,6 @@ class TestRankKernel:
         # denominator
         n = 3000
         code = Code(n, [(1 << w) - 1 for w in (700, 1501, 2999)])
-        kernel = _RankKernel(code, params)
         x = params.q / (1 - params.p)
         y = (1 - params.q) * (1 - params.p) / (params.p * params.q)
         top = 2999
@@ -336,7 +334,7 @@ class TestRankKernel:
                  for w in (700, 1501, 2999) for c in range(w + 1)]
         distinct = sorted(set(exact))
         dense = {value: i for i, value in enumerate(distinct)}
-        assert kernel_ranks(kernel, n) == [dense[value] for value in exact]
+        assert kernel_ranks(code, params) == [dense[value] for value in exact]
         if params.p == params.q:
             # X**w * Y**c = X**(w - 2c) at p = q, so only w - 2c decides
             assert len(distinct) == len({w - 2 * c for w in (700, 1501, 2999)
@@ -351,7 +349,7 @@ class TestRankKernel:
         n, weights = 3000, (1, 1501, 2999)
         u, v = params.bracket(n)
         assert 10 * v < u < 11 * v and 4 * n * (u + v) < 1 << 40
-        kernel = _RankKernel(Code(n, [(1 << w) - 1 for w in weights]), params)
+        code = Code(n, [(1 << w) - 1 for w in weights])
         x = params.q / (1 - params.p)
         y = (1 - params.q) * (1 - params.p) / (params.p * params.q)
         y_pow = [y.denominator ** n]  # y_pow[c] = yn**c * yd**(n - c)
@@ -360,7 +358,7 @@ class TestRankKernel:
         x_pow = {w: x.numerator ** w * x.denominator ** (n - w) for w in weights}
         exact = [x_pow[w] * y_pow[c] for w in weights for c in range(w + 1)]
         dense = {value: i for i, value in enumerate(sorted(set(exact)))}
-        assert kernel_ranks(kernel, n) == [dense[value] for value in exact]
+        assert kernel_ranks(code, params) == [dense[value] for value in exact]
 
     @pytest.mark.parametrize("params", KEY_CHANNELS, ids=KEY_IDS)
     def test_int64_keys_compare_as_scores(self, params):
@@ -368,9 +366,10 @@ class TestRankKernel:
         # two cells both occur, compare as their exact scores do, so equal
         # keys mean equal likelihoods
         n = 9
-        kernel = _RankKernel(Code(n, [(1 << w) - 1 for w in range(n + 1)]), params)
+        pairs = AndCounts.of_code(Code(n, [(1 << w) - 1 for w in range(n + 1)]))
         # row c of the block holds min(c, w) for the weight-w codeword
-        key = kernel.keys(np.minimum.outer(np.arange(n + 1), np.arange(n + 1)))
+        key = _keys(np.minimum.outer(np.arange(n + 1), np.arange(n + 1)),
+                    _channel_keys(pairs, *params.bracket(n)))
         assert key.dtype == (np.int32 if 4 * n * sum(params.bracket(n)) < 1 << 31 else np.int64)
         keys = [(w, c, int(key[w, c])) for w in range(n + 1) for c in range(w + 1)]
         table = _score_table(n, params)
@@ -403,8 +402,8 @@ class TestRankKernel:
         assert (1 << 30 < edge < 1 << 31) if n == 1315 else (1 << 31 <= edge < 1 << 32)
         rng = random.Random(n)
         code = Code(n, [rng.getrandbits(n) for _ in range(4)])
-        kernel = _RankKernel(code, params)
-        key = kernel.keys(kernel.common.word_major(kernel.common.bits))
+        pairs = AndCounts.of_code(code)
+        key = _keys(pairs.word_major(pairs.bits), _channel_keys(pairs, *params.bracket(n)))
         assert key.dtype == (np.int32 if edge < 1 << 31 else np.int64)
         for x in code.words:
             for flips in (0, 1, 3, 40):
@@ -428,15 +427,15 @@ class TestRankKernel:
         code = padded_code(rng, random_code(rng, 8, 10), 65)
         trials, seed = 400, 11
         received, keyed = [], []
-        product, keys = AndCounts.word_major, _RankKernel.keys
+        product, keys = AndCounts.word_major, channel._keys
 
-        def keep_keys(self, common, *args):
-            key = keys(self, common, *args)
+        def keep_keys(common, *args):
+            key = keys(common, *args)
             keyed.append(key.copy())
             return key
         monkeypatch.setattr(AndCounts, "word_major",
                             lambda self, rows: received.append(rows) or product(self, rows))
-        monkeypatch.setattr(_RankKernel, "keys", keep_keys)
+        monkeypatch.setattr(channel, "_keys", keep_keys)
         estimate, _ = monte_carlo_error_probability(code, params, trials, seed)
         block, key = np.concatenate(received), np.concatenate(keyed, axis=1)
         top = key.max(axis=0)
@@ -548,21 +547,23 @@ class TestExactErrorProbabilities:
         assert len(sweeps) == 1
 
     def test_memory_does_not_grow_with_the_grid_past_per_channel_state(self):
-        # at n = 10, M = 64, a channel adds its slope and M offsets, its kept
-        # bracket and its Fraction, well under 2 KiB; a count array or a low
-        # key table per channel held across the call would exceed it
+        # at n = 10, M = 64, with the brackets kept beforehand, a channel adds
+        # only its Fraction, well under 256 B; its slope and M offsets, a count
+        # array or a low key table held across the call would exceed it
         code = random_code(random.Random(29), 10, 64)
         peaks = []
         for count in (10, 2000):
             channels = [ChannelParams(Fraction(1, 20), Fraction(1, 20) + Fraction(k, 10000))
                         for k in range(count)]
+            for params in channels:
+                params.bracket(code.n)
             tracemalloc.start()
             try:
                 exact_error_probabilities(code, channels)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] < peaks[0] + 2000 * 2048
+        assert peaks[1] < peaks[0] + 2000 * 256
 
     def test_one_bit_matrix_per_call(self, monkeypatch, c1):
         built = []

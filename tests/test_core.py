@@ -391,11 +391,10 @@ class TestBidistanceDistribution:
         with pytest.raises(ValueError):
             support[0, 0] = 1
 
-    def test_length_beyond_table_keys_rejected(self):
-        code = Code(1 << 21, [0, 1])
-        with pytest.raises(ValueError, match="below 2"):
-            bidistance_distribution(code)
-        assert bidistance_distribution(Code((1 << 21) - 1, [0, 1])).entries == \
+    def test_length_two_to_the_21_counted(self):
+        # the pair table's indices stay below (n + 1)**2, so AndCounts' MAX_LENGTH
+        # is its only length limit
+        assert bidistance_distribution(Code(1 << 21, [0, 1])).entries == \
             {(0, 0): 2, (0, 1): 1, (1, 0): 1}
 
     @staticmethod
@@ -458,7 +457,7 @@ class TestBidistanceDistribution:
         monkeypatch.setattr(_bitops, "packed_rows", lambda *a: packs.append(1) or packed_rows(*a))
         assert AndCounts.of_code(code).bits.tolist() == want
         code.pair_support()
-        channel._RankKernel(code, params_ex1)
+        channel.exact_error_probability(code, params_ex1)
         with pytest.raises(ValueError, match="not strongly regular"):
             designs.verify_srg(code, 2)
         assert packs == []

@@ -14,23 +14,28 @@ the change's median is worse than the parent's by more than the metric's
 bound, a fraction of the parent's median; ``unresolved`` when the parent's
 interquartile range is wider than that bound, unless every change run beats
 every parent run.  Metric names, directions and bounds come from the
-parent's ``BENCHMARK.json``.  Standard library only.
+parent's ``BENCHMARK.json``.  Every run gets ``PYTHONDONTWRITEBYTECODE=1``
+and a ``PYTHONPYCACHEPREFIX`` of one fresh, empty temporary directory, so
+neither checkout reads a ``__pycache__`` it holds and both compile each
+fresh import, as a new checkout does.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, env: dict) -> dict:
     """One benchmark run in ``checkout``; its JSON result."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                           "--seed", str(seed)], cwd=checkout, capture_output=True,
+                           "--seed", str(seed)], cwd=checkout, env=env, capture_output=True,
                           text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
@@ -59,15 +64,18 @@ def main(argv: list[str] | None = None) -> int:
 
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            result = run_once(sides[side], args.workload, args.seed)
-            runs[side].append(result)
-            values = " ".join(f"{name}={result['metrics'][name]['value']:.6g}"
-                              for name in better if name in result["metrics"])
-            print(f"pair {i + 1} {side}: correct={result['correct']} "
-                  f"failed={result['failed']}/{result['attempted']} {values}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="ab_bench_pycache_") as cache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+        print(f"every run: PYTHONDONTWRITEBYTECODE=1 PYTHONPYCACHEPREFIX={cache} (empty)")
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_once(sides[side], args.workload, args.seed, env)
+                runs[side].append(result)
+                values = " ".join(f"{name}={result['metrics'][name]['value']:.6g}"
+                                  for name in better if name in result["metrics"])
+                print(f"pair {i + 1} {side}: correct={result['correct']} "
+                      f"failed={result['failed']}/{result['attempted']} {values}", flush=True)
 
     print(f"\nworkload {args.workload}, seed {args.seed}, {args.pairs} pairs")
     for name, direction in better.items():
