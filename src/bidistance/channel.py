@@ -127,28 +127,19 @@ def _last(keep, most: float) -> int:
     return lo
 
 
-class _ScoreTable:
-    """Integer likelihood scores over the common denominator (dp*dq)**n.
+def _score_table(n: int, params: ChannelParams) -> tuple:
+    """(score, denominator (dp*dq)**n): score(w, a, b) / denominator is the probability of
+    receiving a word at flip offsets (a 1->0, b 0->1) from a sent word of weight w, so
+    integer score comparison is exact likelihood comparison."""
+    (pn, pd), (qn, qd) = params.p.as_integer_ratio(), params.q.as_integer_ratio()
+    q_flip, q_keep, p_flip, p_keep, pd_pow, qd_pow = (
+        [base ** i for i in range(n + 1)] for base in (qn, qd - qn, pn, pd - pn, pd, qd))
 
-    score(w, a, b) / denominator equals the probability of receiving a
-    word at flip offsets (a 1->0, b 0->1) from a transmitted word of
-    weight w, so integer score comparison is exact likelihood comparison.
-    """
+    def score(w: int, a: int, b: int) -> int:
+        return (q_flip[a] * q_keep[w - a] * p_flip[b] * p_keep[n - w - b]
+                * pd_pow[w] * qd_pow[n - w])
 
-    def __init__(self, n: int, params: ChannelParams):
-        self.n = n
-        (pn, pd), (qn, qd) = params.p.as_integer_ratio(), params.q.as_integer_ratio()
-        self._powers = [[base ** i for i in range(n + 1)]
-                        for base in (qn, qd - qn, pn, pd - pn, pd, qd)]
-        self.denominator = (pd * qd) ** n
-
-    def score(self, w: int, a: int, b: int) -> int:
-        q_flip, q_keep, p_flip, p_keep, pd_pow, qd_pow = self._powers
-        return (q_flip[a] * q_keep[w - a] * p_flip[b] * p_keep[self.n - w - b]
-                * pd_pow[w] * qd_pow[self.n - w])
-
-
-_score_table = _ScoreTable
+    return score, (pd * qd) ** n
 
 
 def likelihood(y: Word, x: Word, params: ChannelParams) -> Fraction:
@@ -232,16 +223,15 @@ def exact_error_probability(code: Code, params: ChannelParams,
 def exact_error_probabilities(code: Code, channels: list[ChannelParams],
                               cap: int = DEFAULT_EXHAUSTIVE_CAP) -> list[Fraction]:
     """Average decoder error probability at each channel, by one sweep of the 2^n
-    received words per channel, each untied top key scored exactly through the
-    channel's sorted distinct keys (README, Library layout).  Exact ties count as
-    errors.  Guarded by the cap."""
+    received words per channel: untied winners are counted by (index among the channel's
+    sorted distinct keys, wt(y)) and scored exactly from each key's first (w, c) (README,
+    Library layout).  Exact ties count as errors.  Guarded by the cap."""
     n = code.n
     if n > cap:
         raise CapExceeded(f"exhaustive sweep needs 2**{n} received words; cap is n <= {cap}")
     pairs = AndCounts.of_code(code)
-    weights = np.flatnonzero(code.weight_distribution()).tolist()
-    cells = np.concatenate([k * (n + 1) + np.arange(w + 1) for k, w in enumerate(weights)])
-    shape = (len(weights), n + 1, n + 1)
+    weight, common = np.array([(w, c) for w in np.flatnonzero(code.weight_distribution())
+                               for c in range(w + 1)], dtype=np.int64).T
     b = min(n, pairs.rows.bit_length() - 1)
     low = np.unpackbits(np.arange(1 << b, dtype="<u8").view(np.uint8).reshape(-1, 8),
                         1, n, "little")
@@ -250,24 +240,22 @@ def exact_error_probabilities(code: Code, channels: list[ChannelParams],
     out = []
     for params in channels:
         u, v = params.bracket(n)
-        cell_key = np.concatenate([np.arange(w + 1) * (u + v) - w * v for w in weights])
-        distinct, first = np.unique(cell_key, return_index=True)
-        reps = cells[first] * (n + 1)
+        distinct, first = np.unique(common * (u + v) - weight * v, return_index=True)
         slope, _ = channel = _channel_keys(pairs, u, v)
-        low_key, tally = _keys(low_common, channel), np.zeros(shape, dtype=np.int64)
+        low_key, tally = _keys(low_common, channel), np.zeros(len(distinct) * (n + 1), np.int64)
         # from block k - 1 to k, hi gains bit b + j, j the lowest one of k, and loses those below
         jump, shift = (2 * high - high.cumsum(0)) * slope, np.zeros(len(code), slope.dtype)
         for k in range(1 << n - b):
             shift += jump[(k & -k).bit_length() - 1] if k else 0
             top, tie = _decide(low_key + shift[:, None])
-            cell = reps[np.searchsorted(distinct, top)] + low_weight + k.bit_count()
-            tally += np.bincount(cell[~tie], minlength=tally.size).reshape(shape)
-        table = _score_table(n, params)
-        cls, common, weight = np.nonzero(tally)
-        success = sum(k * table.score(w, w - c, v - c) for k, w, c, v in zip(
-            tally[cls, common, weight].tolist(), np.take(weights, cls).tolist(),
-            common.tolist(), weight.tolist()))
-        out.append(1 - Fraction(success, len(code) * table.denominator))
+            cell = np.searchsorted(distinct, top) * (n + 1) + low_weight + k.bit_count()
+            tally += np.bincount(cell[~tie], minlength=tally.size)
+        score, denominator = _score_table(n, params)
+        cell = np.flatnonzero(tally)
+        rep, received = first[cell // (n + 1)], cell % (n + 1)
+        success = sum(t * score(w, w - c, y - c) for t, w, c, y in zip(
+            tally[cell].tolist(), weight[rep].tolist(), common[rep].tolist(), received.tolist()))
+        out.append(1 - Fraction(success, len(code) * denominator))
     return out
 
 

@@ -19,7 +19,7 @@ from bidistance.algebra import (BinaryField, GeneratorMatrix, _null_space_rows,
                                 coset_distribution_matrix, distinct_row_count, dual_code,
                                 generator_from_code)
 from bidistance.bounds import pairwise_error_probability
-from bidistance.channel import ChannelParams, _channel_keys, _keys, _score_table, likelihood
+from bidistance.channel import ChannelParams, _channel_keys, _keys, likelihood
 from bidistance.core import BidistanceDistribution, Code, ParseError, Word
 from bidistance.designs import (MEASURE_SIZE_CAP, SchemeParams, SrgParams,
                                srg_from_two_weight)
@@ -30,21 +30,31 @@ def eq3_pairwise_oracle(d10: int, d01: int, params: ChannelParams) -> Fraction:
 
     Builds an explicit word pair realizing the offsets (all coordinates
     differ), sums Pr(y | x) over every y whose likelihood under the rival
-    is at least as large, comparing exact integer scores.
+    is at least as large, comparing exact integer scores over the common
+    denominator (dp*dq)**n.  The scores use powers of its own, so the oracle
+    shares no code with the decoder's score function.
     """
     if d10 == 0 and d01 == 0:
         return Fraction(1)
     n = d10 + d01
     x = (1 << d10) - 1
     x_alt = ((1 << d01) - 1) << d10
-    table = _score_table(n, params)
+    (pn, pd), (qn, qd) = params.p.as_integer_ratio(), params.q.as_integer_ratio()
+    q_flip, q_keep, p_flip, p_keep, pd_pow, qd_pow = (
+        [base ** i for i in range(n + 1)] for base in (qn, qd - qn, pn, pd - pn, pd, qd))
+
+    def score(w: int, a: int, b: int) -> int:
+        # a 1->0 and b 0->1 flips of a word of weight w, times (dp*dq)**n
+        return (q_flip[a] * q_keep[w - a] * p_flip[b] * p_keep[n - w - b]
+                * pd_pow[w] * qd_pow[n - w])
+
     numerator = 0
     for y in range(1 << n):
-        s_x = table.score(d10, (x & ~y).bit_count(), (y & ~x).bit_count())
-        s_alt = table.score(d01, (x_alt & ~y).bit_count(), (y & ~x_alt).bit_count())
+        s_x = score(d10, (x & ~y).bit_count(), (y & ~x).bit_count())
+        s_alt = score(d01, (x_alt & ~y).bit_count(), (y & ~x_alt).bit_count())
         if s_alt >= s_x:
             numerator += s_x
-    return Fraction(numerator, table.denominator)
+    return Fraction(numerator, (pd * qd) ** n)
 
 
 def brute_mld(code: Code, y: Word, params: ChannelParams) -> Word | None:

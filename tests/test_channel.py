@@ -177,12 +177,12 @@ class TestLikelihood:
     def test_sums_to_one_exactly(self, params_ex1):
         # over every received word, in integer-score space (n = 16)
         n = 16
-        table = _score_table(n, params_ex1)
+        score, denominator = _score_table(n, params_ex1)
         x = Word(n, 0b1011001110001011)
         w = x.weight
-        total = sum(table.score(w, (x.bits & ~y).bit_count(), (y & ~x.bits).bit_count())
+        total = sum(score(w, (x.bits & ~y).bit_count(), (y & ~x.bits).bit_count())
                     for y in range(1 << n))
-        assert total == table.denominator
+        assert total == denominator
 
 
 class TestLlr:
@@ -308,14 +308,14 @@ class TestRankKernel:
         # near p = q, distinct likelihoods have levels closer than the slack
         n = 9
         code = Code(n, [(1 << w) - 1 for w in range(n + 1)])
-        table = _score_table(n, params)
+        score, denominator = _score_table(n, params)
         keys = [(w, c) for w in range(n + 1) for c in range(w + 1)]
         rank = kernel_ranks(code, params)
         assert len(rank) == len(keys)
         for (w, c), r in zip(keys, rank):
             for (w2, c2), r2 in zip(keys, rank):
                 for v in range(max(c, c2), min(c + n - w, c2 + n - w2) + 1):
-                    s, s2 = table.score(w, w - c, v - c), table.score(w2, w2 - c2, v - c2)
+                    s, s2 = score(w, w - c, v - c), score(w2, w2 - c2, v - c2)
                     assert (r > r2) - (r < r2) == (s > s2) - (s < s2)
 
     @pytest.mark.parametrize("params", [_channel("0.05", "0.05"), _channel("0.05", "0.3")],
@@ -372,11 +372,11 @@ class TestRankKernel:
                     _channel_keys(pairs, *params.bracket(n)))
         assert key.dtype == (np.int32 if 4 * n * sum(params.bracket(n)) < 1 << 31 else np.int64)
         keys = [(w, c, int(key[w, c])) for w in range(n + 1) for c in range(w + 1)]
-        table = _score_table(n, params)
+        score, denominator = _score_table(n, params)
         for w, c, k in keys:
             for w2, c2, k2 in keys:
                 for v in range(max(c, c2), min(c + n - w, c2 + n - w2) + 1):
-                    s, s2 = table.score(w, w - c, v - c), table.score(w2, w2 - c2, v - c2)
+                    s, s2 = score(w, w - c, v - c), score(w2, w2 - c2, v - c2)
                     assert (k > k2) - (k < k2) == (s > s2) - (s < s2)
 
     def test_keys_past_int32_decode_as_brute_force(self):

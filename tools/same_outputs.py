@@ -7,10 +7,14 @@ Builds one corpus from ``random.Random(seed)``: 24 random codes with n 3-14
 and M 2-40, 8 with n 40-130, and the two worked-example codes, each at a
 channel of its own (every third one at p = q).  On each code it runs
 ``bidist`` (JSON and ``--format table``), ``bounds``, a 5-step ``sweep`` of
-all five columns, ``pe --mode exact`` where n <= 14 and ``pe --mode mc``.  It
-also runs ``construct`` on every catalog name, ``scheme`` on the
-``golay-dual`` code that ``construct`` wrote, and four refused inputs: p > q,
-``--steps 1``, a file that is not 0/1, and n over ``--cap``.
+all five columns, ``pe --mode exact`` where n <= 14 and ``pe --mode mc``.
+Where n <= 14 it also runs ``pe --mode exact`` and a 5-step five-column
+``sweep`` from q = p to q at each of two fixed channels (p, q): (0.025, 0.325),
+where gamma is 3 exactly and keys of different weight classes coincide, and
+(0.0001, 0.45), where gamma is about 10.8.  It also runs ``construct`` on
+every catalog name, ``scheme`` on the ``golay-dual`` code that ``construct``
+wrote, and four refused inputs: p > q, ``--steps 1``, a file that is not
+0/1, and n over ``--cap``.
 
 Each side runs every call in one child process that calls
 ``bidistance.cli.main`` with its standard output and error captured, from
@@ -40,6 +44,9 @@ CATALOG = ["golay", "golay-dual", "trace-27-6"] + [
 WORKED_EXAMPLES = {"c1": ["111000", "011100", "110000"], "c2": ["111000", "000111", "110000"]}
 PROBABILITIES = ["0.01", "0.05", "0.1", "0.15", "0.2", "0.25", "0.3"]
 TRIALS = "2000"
+#: (p, q): gamma is 3 exactly at (0.025, 0.325) and about 10.8 at (0.0001, 0.45)
+FIXED_CHANNELS = [("0.025", "0.325"), ("0.0001", "0.45")]
+FIVE_COLUMNS = "ahb,cr_discrepancy,cr_symmetric,exact,monte_carlo"
 
 #: run in each side's working directory: every call of calls.json through cli.main,
 #: then one JSON list of [exit code, stdout, stderr] on the real standard output
@@ -81,12 +88,16 @@ def corpus(seed: int) -> tuple[dict[str, str], list[list[str]]]:
         calls += [["bidist", "--code", path], ["bidist", "--code", path, "--format", "table"],
                   ["bounds", *pq],
                   ["sweep", "--code", path, "-p", p, "--q-from", q, "--q-to", "0.45",
-                   "--steps", "5", "--methods",
-                   "ahb,cr_discrepancy,cr_symmetric,exact,monte_carlo",
-                   "--out", f"out/{name}.csv", *seed_args],
+                   "--steps", "5", "--methods", FIVE_COLUMNS, "--out", f"out/{name}.csv",
+                   *seed_args],
                   ["pe", *pq, "--mode", "mc", *seed_args]]
         if n <= 14:
             calls.append(["pe", *pq, "--mode", "exact"])
+            for j, (fixed_p, fixed_q) in enumerate(FIXED_CHANNELS):
+                calls += [["pe", "--code", path, "-p", fixed_p, "-q", fixed_q, "--mode", "exact"],
+                          ["sweep", "--code", path, "-p", fixed_p, "--q-from", fixed_p,
+                           "--q-to", fixed_q, "--steps", "5", "--methods", FIVE_COLUMNS,
+                           "--out", f"out/{name}-fixed{j}.csv", *seed_args]]
     for i, name in enumerate(CATALOG):
         calls.append(["construct", name, "--out", f"out/catalog-{i:02d}.code"])
     calls.append(["scheme", "--code", f"out/catalog-{CATALOG.index('golay-dual'):02d}.code"])
