@@ -177,6 +177,9 @@ class BoundReport:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
+    def __float__(self) -> float:
+        return self.value
+
 
 def _report(method: str, keys: list[str], terms: list[float]) -> BoundReport:
     raw = sum(terms, 0.0)
@@ -200,23 +203,23 @@ def ahb_union_bound(dist: BidistanceDistribution, params: ChannelParams) -> Boun
     return ahb_union_bounds(dist, [params])[0]
 
 
-def _class_thresholds(code: Code, params: ChannelParams, symmetric: bool,
-                      classes: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The code's weights j and t_j = ceil((dmin + slope j) / (1 + gamma)), dmin =
-    min(gamma a + b - slope wt) over the distinct pairs, slope gamma - 1 or 0: at
-    gamma = u/v, exact integers.  ``classes`` is j and ``_distinct_pairs``."""
-    j, (wt, a, b) = classes
-    u, v = params.bracket(code.n)
+def _class_thresholds(n: int, j: np.ndarray, pairs: tuple, params: ChannelParams,
+                      symmetric: bool) -> np.ndarray:
+    """t_j = ceil((dmin + slope j) / (1 + gamma)) at the weights j, dmin = min(gamma a + b
+    - slope wt) over the distinct pairs ``(wt, a, b)``, slope gamma - 1 or 0: at
+    gamma = u/v, exact integers."""
+    wt, a, b = pairs
+    u, v = params.bracket(n)
     slope = u - v if symmetric else 0
     dmin = int((u * a + v * b - slope * wt).min())
-    return j, -(-(dmin + slope * j) // (u + v))
+    return -(-(dmin + slope * j) // (u + v))
 
 
 def _class_plan(code: Code) -> tuple:
-    """The weight-class bounds' q-independent state: A_j, classes, report keys, tail plan."""
+    """The weight-class bounds' q-independent state: A_j, j, distinct pairs, keys, tail plan."""
     counts = np.array(code.weight_distribution(), dtype=np.int64)
     j = np.flatnonzero(counts)
-    return (counts[j], (j, _distinct_pairs(code)), [f"error[w={w}]" for w in j.tolist()],
+    return (counts[j], j, _distinct_pairs(code), [f"error[w={w}]" for w in j.tolist()],
             _TailPlan(j, code.n - j))
 
 
@@ -224,9 +227,9 @@ def weight_class_bounds(code: Code, channels: list[ChannelParams],
                         symmetric: bool) -> list[BoundReport]:
     """'cr_symmetric' or 'cr_discrepancy' at each channel: over weight classes j, the
     sum of A_j / M times the tail at (j, n - j, t_j), from the class plan the code keeps."""
-    counts, classes, keys, tail = code._keep("_bounds", lambda: _class_plan(code))
+    counts, j, pairs, keys, tail = code._keep("_bounds", lambda: _class_plan(code))
     return [_report("cr_symmetric" if symmetric else "cr_discrepancy", keys,
-                    (counts * tail(_class_thresholds(code, params, symmetric, classes)[1],
+                    (counts * tail(_class_thresholds(code.n, j, pairs, params, symmetric),
                                    params) / len(code)).tolist())
             for params in channels]
 

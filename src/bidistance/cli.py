@@ -31,27 +31,23 @@ from .designs import (catalog_design, sbibd_ahb, sbibd_codes,
                       scheme_from_three_weight, three_weight_ahb, two_weight_ahb,
                       with_zero_word)
 
-#: bound name -> its reports at each channel of a list, from (code, pair distribution,
-#: channels); looked up at call time, so a rebound module global takes effect
-BOUNDS = {
-    "ahb": lambda code, dist, grid: ahb_union_bounds(dist, grid),
-    "cr_discrepancy": lambda code, dist, grid: weight_class_bounds(code, grid, False),
-    "cr_symmetric": lambda code, dist, grid: weight_class_bounds(code, grid, True),
-}
 #: most q steps a sweep takes, which bounds the memory its grid and columns hold
 MAX_STEPS = 1 << 16
 #: most Monte Carlo trials a command takes: its up-front draw of 2**27 int64 indices is 1 GiB
 MAX_TRIALS = 1 << 27
-#: sweep column -> its values at each channel of a list, from (code, pair distribution,
-#: channels, arguments): the bounds from BOUNDS, Monte Carlo per channel by its contract
-SWEEP_COLUMNS = {
-    **{m: lambda code, dist, grid, args, m=m: [r.value for r in BOUNDS[m](code, dist, grid)]
-       for m in BOUNDS},
-    "exact": lambda code, dist, grid, args:
-        [float(v) for v in exact_error_probabilities(code, grid, args.cap)],
-    "monte_carlo": lambda code, dist, grid, args: [monte_carlo_error_probability(
+#: method -> its values at each channel of a list, from (code, channels, arguments): the
+#: bounds' reports, the exact Fractions, and Monte Carlo per channel by its contract;
+#: looked up at call time, so a rebound module global takes effect
+COLUMNS = {
+    "ahb": lambda code, grid, args: ahb_union_bounds(bidistance_distribution(code), grid),
+    "cr_discrepancy": lambda code, grid, args: weight_class_bounds(code, grid, False),
+    "cr_symmetric": lambda code, grid, args: weight_class_bounds(code, grid, True),
+    "exact": lambda code, grid, args: exact_error_probabilities(code, grid, args.cap),
+    "monte_carlo": lambda code, grid, args: [monte_carlo_error_probability(
         code, params, trials=args.trials, seed=args.seed)[0] for params in grid],
 }
+#: the columns that are bounds, which the bounds command offers
+BOUNDS = ("ahb", "cr_discrepancy", "cr_symmetric")
 
 
 def _fraction_json(value: Fraction) -> dict:
@@ -131,8 +127,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     code = Code.from_file(args.code)
     params = ChannelParams.from_decimals(args.p, args.q)
     methods = _parse_method_list(args.methods, BOUNDS)
-    dist = bidistance_distribution(code)
-    reports = [BOUNDS[method](code, dist, [params])[0] for method in methods]
+    reports = [COLUMNS[method](code, [params], args)[0] for method in methods]
     print(_json({
         "code": str(args.code),
         "p": _fraction_json(params.p),
@@ -142,7 +137,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_method_list(text: str, allowed: dict) -> list[str]:
+def _parse_method_list(text: str, allowed: tuple[str, ...]) -> list[str]:
     methods = [m.strip() for m in text.split(",") if m.strip()]
     if not methods:
         raise ParseError("no methods requested")
@@ -157,7 +152,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _check_sampling(args)
     code = Code.from_file(args.code)
     p, q_from, q_to = (parse_probability(t) for t in (args.p, args.q_from, args.q_to))
-    methods = _parse_method_list(args.methods, SWEEP_COLUMNS)
+    methods = _parse_method_list(args.methods, tuple(COLUMNS))
     if not 2 <= args.steps <= MAX_STEPS:
         raise ParseError(f"steps must be between 2 and {MAX_STEPS}")
     if not p <= q_from < q_to < Fraction(1, 2):
@@ -167,11 +162,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"warning: dropping exact column, n={code.n} exceeds cap {args.cap}",
               file=sys.stderr)
         methods.remove("exact")
-    dist = bidistance_distribution(code)
     grid = [ChannelParams(p, q_from + (q_to - q_from) * Fraction(i, args.steps - 1))
             for i in range(args.steps)]
     rows = zip([float(params.q) for params in grid],
-               *(SWEEP_COLUMNS[m](code, dist, grid, args) for m in methods))
+               *(map(float, COLUMNS[m](code, grid, args)) for m in methods))
     lines = [",".join(["q"] + methods)] + [",".join(f"{x:.10g}" for x in row) for row in rows]
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"wrote {args.out} ({len(lines) - 1} rows)", file=sys.stderr)
@@ -288,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--q-from", required=True)
     p_sweep.add_argument("--q-to", required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--methods", default="ahb,cr_discrepancy,cr_symmetric,exact")
+    p_sweep.add_argument("--methods", default=",".join([*BOUNDS, "exact"]))
     p_sweep.add_argument("--out", required=True)
     add_decoding(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -279,10 +279,10 @@ class TestRegionThreshold:
         n, words = case
         code = Code(n, words)
         pairs = [key for key in code.pair_table() if key[1] or key[2]]
-        classes = np.flatnonzero(code.weight_distribution()), _distinct_pairs(code)
+        j = np.flatnonzero(code.weight_distribution())
         for symmetric in (False, True):
             s = int(symmetric)
-            j, t = _class_thresholds(code, params, symmetric, classes)
+            t = _class_thresholds(n, j, _distinct_pairs(code), params, symmetric)
             brute = {w: min(next(k for k in range(-2 * n, 3 * n + 2) if gamma_at_least(
                              k - a - s * (w - wt), b - s * (w - wt) - k, params))
                             for wt, a, b in pairs)
@@ -308,11 +308,12 @@ class TestAhbUnionBound:
         params = ChannelParams.from_decimals("0.4", "0.45")
         code = Code(4, list(range(16)))
         report = ahb_union_bound(bidistance_distribution(code), params)
-        assert report.value == 1.0 and report.raw_value > 1.0
+        assert report.value == float(report) == 1.0 and report.raw_value > 1.0
 
     def test_components_sum_to_raw(self, c1, params_ex1):
         report = ahb_union_bound(bidistance_distribution(c1), params_ex1)
         assert math.isclose(sum(report.components.values()), report.raw_value)
+        assert float(report) == report.value == report.raw_value
 
     def test_json_round_trip_fields(self, c1, params_ex1):
         doc = ahb_union_bound(bidistance_distribution(c1), params_ex1).to_json_dict()

@@ -416,6 +416,25 @@ class TestSweep:
         assert rc == code and out == "" and not out_path.exists()
         assert len(built) == tables and ("steps" in err) == (code == 2)
 
+    @pytest.mark.parametrize("error", [OverflowError, MemoryError])
+    @pytest.mark.parametrize("column, name", [
+        ("ahb", "ahb_union_bounds"), ("cr_discrepancy", "weight_class_bounds"),
+        ("cr_symmetric", "weight_class_bounds"), ("exact", "exact_error_probabilities"),
+        ("monte_carlo", "monte_carlo_error_probability")])
+    def test_every_column_failure_is_domain_error(self, capsys, ex5_file, tmp_path,
+                                                  monkeypatch, column, name, error):
+        # every column looks its library function up at call time: a rebound one that
+        # fails to compute or to allocate is a domain error, and no CSV is written
+        def fail(*args, **kwargs):
+            raise error("refused")
+        monkeypatch.setattr(cli, name, fail)
+        out_path = tmp_path / "sweep.csv"
+        rc, out, err = run(capsys, "sweep", "--code", str(ex5_file), "-p", "0.1",
+                           "--q-from", "0.15", "--q-to", "0.2", "--steps", "2",
+                           "--methods", column, "--trials", "10", "--out", str(out_path))
+        assert (rc, out) == (3, "") and err.startswith("error: ") and "Traceback" not in err
+        assert not out_path.exists()
+
     def test_monte_carlo_column(self, capsys, ex5_file, tmp_path):
         out_path = tmp_path / "mc.csv"
         rc, _, _ = run(capsys, "sweep", "--code", str(ex5_file), "-p", "0.1",
@@ -428,6 +447,35 @@ class TestSweep:
         for line in lines[1:]:
             _, exact, estimate = (float(x) for x in line.split(","))
             assert abs(exact - estimate) < 0.05
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["sweep", "--methods", "exact,monte_carlo", "-p", "0.1", "--q-from", "0.1",
+      "--q-to", "0.2", "--steps", "3", "--trials", "2000", "--out", "sweep.csv"],
+     core, "_pair_table"),
+    (["bounds", "--methods", "cr_discrepancy,cr_symmetric", "-p", "0.1", "-q", "0.15"],
+     cli, "bidistance_distribution"),
+], ids=["sweep_decoders", "bounds_cr"])
+def test_columns_build_no_distribution_they_do_not_read(capsys, ex5_file, tmp_path,
+                                                        monkeypatch, argv, module, name):
+    # only the ahb column builds a pair distribution: with it refused, the other
+    # columns give the same exit code, output and CSV bytes as without
+    monkeypatch.chdir(tmp_path)
+    csv = tmp_path / "sweep.csv"
+
+    def outputs():
+        result = run(capsys, *argv, "--code", str(ex5_file))
+        written = csv.read_bytes() if csv.exists() else None
+        csv.unlink(missing_ok=True)
+        return result, written
+
+    expected = outputs()
+
+    def refuse(*args):
+        raise cli.CapExceeded("pair distribution refused")
+    monkeypatch.setattr(module, name, refuse)
+    assert outputs() == expected and expected[0][0] == 0
+    assert (expected[1] is None) == (argv[0] == "bounds")
 
 
 class TestConstruct:

@@ -6,15 +6,18 @@
 Builds one corpus from ``random.Random(seed)``: 24 random codes with n 3-14
 and M 2-40, 8 with n 40-130, and the two worked-example codes, each at a
 channel of its own (every third one at p = q).  On each code it runs
-``bidist`` (JSON and ``--format table``), ``bounds``, a 5-step ``sweep`` of
-all five columns, ``pe --mode exact`` where n <= 14 and ``pe --mode mc``.
+``bidist`` (JSON and ``--format table``), ``bounds`` with every bound and
+with the subsets in ``BOUND_SUBSETS``, a 5-step ``sweep`` of all five
+columns and of each subset in ``SWEEP_SUBSETS``, ``pe --mode exact`` where
+n <= 14 and ``pe --mode mc``.
 Where n <= 14 it also runs ``pe --mode exact`` and a 5-step five-column
 ``sweep`` from q = p to q at each of two fixed channels (p, q): (0.025, 0.325),
 where gamma is 3 exactly and keys of different weight classes coincide, and
 (0.0001, 0.45), where gamma is about 10.8.  It also runs ``construct`` on
 every catalog name, ``scheme`` on the ``golay-dual`` code that ``construct``
 wrote, and four refused inputs: p > q, ``--steps 1``, a file that is not
-0/1, and n over ``--cap``.
+0/1, and n over ``--cap``; and an ``exact`` sweep of a code over ``--cap``,
+which writes the q column alone.
 
 Each side runs every call in one child process that calls
 ``bidistance.cli.main`` with its standard output and error captured, from
@@ -47,6 +50,9 @@ TRIALS = "2000"
 #: (p, q): gamma is 3 exactly at (0.025, 0.325) and about 10.8 at (0.0001, 0.45)
 FIXED_CHANNELS = [("0.025", "0.325"), ("0.0001", "0.45")]
 FIVE_COLUMNS = "ahb,cr_discrepancy,cr_symmetric,exact,monte_carlo"
+#: method subsets, out of order and with a duplicate, besides each command's full set
+BOUND_SUBSETS = ["cr_symmetric,ahb", "cr_discrepancy"]
+SWEEP_SUBSETS = ["monte_carlo,exact,exact", "cr_discrepancy"]
 
 #: run in each side's working directory: every call of calls.json through cli.main,
 #: then one JSON list of [exit code, stdout, stderr] on the real standard output
@@ -91,6 +97,10 @@ def corpus(seed: int) -> tuple[dict[str, str], list[list[str]]]:
                    "--steps", "5", "--methods", FIVE_COLUMNS, "--out", f"out/{name}.csv",
                    *seed_args],
                   ["pe", *pq, "--mode", "mc", *seed_args]]
+        calls += [["bounds", *pq, "--methods", methods] for methods in BOUND_SUBSETS]
+        calls += [["sweep", "--code", path, "-p", p, "--q-from", q, "--q-to", "0.45",
+                   "--steps", "5", "--methods", methods, "--out", f"out/{name}-subset{j}.csv",
+                   *seed_args] for j, methods in enumerate(SWEEP_SUBSETS)]
         if n <= 14:
             calls.append(["pe", *pq, "--mode", "exact"])
             for j, (fixed_p, fixed_q) in enumerate(FIXED_CHANNELS):
@@ -106,7 +116,10 @@ def corpus(seed: int) -> tuple[dict[str, str], list[list[str]]]:
               ["sweep", "--code", "codes/c1.code", "-p", "0.1", "--q-from", "0.15",
                "--q-to", "0.4", "--steps", "1", "--out", "out/one-step.csv"],
               ["bidist", "--code", "codes/not-binary.code"],
-              ["pe", "--code", "codes/c1.code", "-p", "0.1", "-q", "0.15", "--cap", "5"]]
+              ["pe", "--code", "codes/c1.code", "-p", "0.1", "-q", "0.15", "--cap", "5"],
+              ["sweep", "--code", "codes/c1.code", "-p", "0.1", "--q-from", "0.15",
+               "--q-to", "0.4", "--steps", "5", "--methods", "exact", "--cap", "5",
+               "--out", "out/over-cap.csv"]]
     return files, calls
 
 
