@@ -3,8 +3,8 @@
 Crossover probabilities are exact rationals parsed from decimal strings;
 the supported regime is 0 < p <= q < 1/2, where p is the 0->1 and q the
 1->0 flip probability.  Every decoder here ranks the pair kernel's blocks by
-the same integer likelihood keys, through _channel_keys, _keys and _decide;
-the README's "One exact decoding kernel" paragraph derives them.
+the same integer likelihood keys, from _channel_keys and _keys; the README's
+"One exact decoding kernel" paragraph derives them.
 """
 
 from __future__ import annotations
@@ -261,17 +261,23 @@ def exact_error_probabilities(code: Code, channels: list[ChannelParams],
 
 def monte_carlo_error_probability(code: Code, params: ChannelParams,
                                   trials: int, seed: int) -> tuple[float, float]:
-    """Estimate the decoder error rate by simulation.
+    """The one-channel call of monte_carlo_error_probabilities: (estimate, standard
+    error), the binomial standard error sqrt(e(1-e)/trials)."""
+    estimate = monte_carlo_error_probabilities(code, [params], trials, seed)[0]
+    return estimate, math.sqrt(estimate * (1.0 - estimate) / trials)
 
-    Returns (estimate, standard_error) with the binomial standard error
-    sqrt(e(1-e)/trials).
+
+def monte_carlo_error_probabilities(code: Code, channels: list[ChannelParams],
+                                    trials: int, seed: int) -> list[float]:
+    """Estimate the decoder error rate at each channel by simulation.
 
     Reproducibility contract: the generator is numpy's PCG64 via
     ``numpy.random.default_rng(seed)``.  Transmitted codeword indices for
     all trials are drawn first with a single ``integers`` call; channel
     flips then take n uniform doubles per trial from the same stream, drawn
     per decode block of trials, compared with q (on 1s) or p (on 0s); the
-    stream, and so every estimate, does not depend on the block size.
+    stream, and so every estimate, does not depend on the block size, and
+    every channel reads the same stream, so each estimate is its one-channel call's.
     A trial errs when the exact decoder (as mld_decode) ties or picks
     another codeword.  Any length n is accepted.
     """
@@ -281,22 +287,20 @@ def monte_carlo_error_probability(code: Code, params: ChannelParams,
         raise ValueError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     pairs = AndCounts.of_code(code)
-    channel = _channel_keys(pairs, *params.bracket(code.n))
     tx = rng.integers(0, len(code), size=trials)
-    errors = 0
-    fp, fq = float(params.p), float(params.q)
+    errors = [0] * len(channels)
     rows = max(1, BLOCK_CELLS // max(len(code), code.n))
     for start in range(0, trials, rows):
         idx = tx[start:start + rows]
-        sent = pairs.bits[idx]
-        u = rng.random((len(idx), code.n))
-        # u < q on ones, u < p on zeros: with p <= q, (u < q & one) | (u < p)
-        flips = u < fq
-        flips &= sent.view(bool)
-        flips |= u < fp
-        key = _keys(pairs.word_major(sent ^ flips), channel)
-        top, tie = _decide(key)
-        errors += int(np.count_nonzero(tie | (key[idx, np.arange(len(idx))] < top)))
-    estimate = errors / trials
-    stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
-    return estimate, stderr
+        sent, u, trial = pairs.bits[idx], rng.random((len(idx), code.n)), np.arange(len(idx))
+        for i, params in enumerate(channels):
+            # u < q on ones, u < p on zeros: with p <= q, (u < q & one) | (u < p)
+            flips = u < float(params.q)
+            flips &= sent.view(bool)
+            flips |= u < float(params.p)
+            key = _keys(pairs.word_major(sent ^ flips),
+                        _channel_keys(pairs, *params.bracket(code.n)))
+            # errs iff another key is at least the sent one's: hide it under every key
+            own, key[idx, trial] = key[idx, trial], np.iinfo(key.dtype).min
+            errors[i] += int(np.count_nonzero(key.max(axis=0) >= own))
+    return [e / trials for e in errors]

@@ -25,7 +25,8 @@ from .algebra import (dual_code, generator_from_code, golay_code, is_projective,
 from .bounds import ahb_union_bounds, weight_class_bounds
 from .channel import (DEFAULT_EXHAUSTIVE_CAP, ChannelParams, CapExceeded,
                       RegimeError, exact_error_probabilities, exact_error_probability,
-                      monte_carlo_error_probability, parse_probability)
+                      monte_carlo_error_probabilities, monte_carlo_error_probability,
+                      parse_probability)
 from .core import Code, ParseError, bidistance_distribution
 from .designs import (catalog_design, sbibd_ahb, sbibd_codes,
                       scheme_from_three_weight, three_weight_ahb, two_weight_ahb,
@@ -36,15 +37,15 @@ MAX_STEPS = 1 << 16
 #: most Monte Carlo trials a command takes: its up-front draw of 2**27 int64 indices is 1 GiB
 MAX_TRIALS = 1 << 27
 #: method -> its values at each channel of a list, from (code, channels, arguments): the
-#: bounds' reports, the exact Fractions, and Monte Carlo per channel by its contract;
+#: bounds' reports, the exact Fractions and the Monte Carlo estimates, one call each;
 #: looked up at call time, so a rebound module global takes effect
 COLUMNS = {
     "ahb": lambda code, grid, args: ahb_union_bounds(bidistance_distribution(code), grid),
     "cr_discrepancy": lambda code, grid, args: weight_class_bounds(code, grid, False),
     "cr_symmetric": lambda code, grid, args: weight_class_bounds(code, grid, True),
     "exact": lambda code, grid, args: exact_error_probabilities(code, grid, args.cap),
-    "monte_carlo": lambda code, grid, args: [monte_carlo_error_probability(
-        code, params, trials=args.trials, seed=args.seed)[0] for params in grid],
+    "monte_carlo": lambda code, grid, args: monte_carlo_error_probabilities(
+        code, grid, args.trials, args.seed),
 }
 #: the columns that are bounds, which the bounds command offers
 BOUNDS = ("ahb", "cr_discrepancy", "cr_symmetric")

@@ -90,6 +90,31 @@ def brute_error_probability(code: Code, params: ChannelParams) -> Fraction:
     return 1 - success / len(code)
 
 
+def reference_monte_carlo(code: Code, channels: Sequence[ChannelParams], trials: int,
+                          seed: int) -> list[float]:
+    """Monte Carlo estimates by the reproducibility contract, from the whole stream at
+    once: every trial's codeword index, then every trial's n uniforms.  At each channel,
+    c = wt(x & y) of every codeword and received word comes from one int64 product and
+    the keys c(u + v) - w*v from the channel's bracket (u, v); a trial errs when another
+    codeword's key ties or beats the sent word's."""
+    rng = np.random.default_rng(seed)
+    sent = rng.integers(0, len(code), size=trials)
+    uniforms = rng.random((trials, code.n))
+    bits = np.array([np.frombuffer(format(w, f"0{code.n}b")[::-1].encode(), np.uint8) - 48
+                     for w in code.words], dtype=np.int64)
+    weight, trial, ones = bits.sum(axis=1), np.arange(trials), bits[sent] == 1
+    out = []
+    for params in channels:
+        flips = (uniforms < float(params.q)) & ones | (uniforms < float(params.p))
+        common = bits @ (ones ^ flips).astype(np.int64).T
+        u, v = params.bracket(code.n)
+        key = common * (u + v) - weight[:, None] * v
+        top = key.max(axis=0)
+        errs = ((key == top).sum(axis=0) > 1) | (key[sent, trial] < top)
+        out.append(int(errs.sum()) / trials)
+    return out
+
+
 def brute_distribution_counts(code: Code) -> dict[tuple[int, int], int]:
     """Plain dictionary pair count, independent of the library loop."""
     counts: dict[tuple[int, int], int] = {}

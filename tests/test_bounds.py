@@ -17,8 +17,9 @@ from bidistance.bounds import (LatticePoint, _class_thresholds, _distinct_pairs,
                                min_symmetric_discrepancy, pairwise_error_probability,
                                region_threshold, symmetric_discrepancy,
                                symmetric_discrepancy_bound, weight_class_bounds)
-from bidistance.channel import ChannelParams, exact_error_probability
+from bidistance.channel import ChannelParams, exact_error_probabilities, exact_error_probability
 from bidistance.core import Code, Word, bidistance_distribution
+from bidistance.designs import DIFFERENCE_SETS, catalog_design, sbibd_codes
 from helpers import (eq3_pairwise_oracle, exact_flip_tail, gamma_at_least,
                      random_code, reference_ahb, reference_cr, reference_tail_gather,
                      reference_cr_thresholds, reference_exact_pep,
@@ -644,3 +645,28 @@ class TestWeightClassBounds:
                 assert ahb_union_bound(dist, params).value >= exact - 1e-9
                 assert discrepancy_bound(code, params).value >= exact - 1e-9
                 assert symmetric_discrepancy_bound(code, params).value >= exact - 1e-9
+
+    def test_claims_past_criterion_10b(self):
+        # criterion 10b's 45 channels on 40 seeded codes with n 9-14 and M 2-64 and
+        # on every sbibd catalog code with n <= 16: each bound dominates the exact
+        # error probability, and neither AHB nor the CR bounds is always the tighter
+        grid = [ChannelParams.from_decimals(f"0.{a:02d}", f"0.{b:02d}")
+                for a in range(5, 50, 5) for b in range(a, 50, 5)]
+        rng = random.Random(2026)
+        codes = [random_code(rng, n, rng.randrange(2, 65))
+                 for n in (rng.randrange(9, 15) for _ in range(40))]
+        codes += [code for v, k, lam in DIFFERENCE_SETS for family in (1, 2, 3, 4)
+                  if (code := sbibd_codes(catalog_design(v, k, lam), family)).n <= 16]
+        assert len(codes) == 56
+        ahb_tighter = cr_tighter = False
+        for code in codes:
+            columns = zip(exact_error_probabilities(code, grid),
+                          ahb_union_bounds(bidistance_distribution(code), grid),
+                          weight_class_bounds(code, grid, False),
+                          weight_class_bounds(code, grid, True))
+            for exact, ahb, *cr in columns:
+                cr_min = min(r.value for r in cr)
+                assert min(ahb.value, cr_min) >= float(exact) - 1e-9
+                ahb_tighter |= ahb.value < cr_min
+                cr_tighter |= cr_min < ahb.value
+        assert ahb_tighter and cr_tighter

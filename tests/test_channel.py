@@ -11,15 +11,17 @@ from hypothesis import strategies as st
 
 from bidistance import _bitops, channel
 from bidistance.bounds import region_threshold
-from bidistance._bitops import MAX_LENGTH, AndCounts, pack_bits, row_ints
+from bidistance._bitops import BLOCK_CELLS, MAX_LENGTH, AndCounts, pack_bits, row_ints
 from bidistance.channel import (ChannelParams, RegimeError,
                                 _channel_keys, _keys, _score_table,
                                 exact_error_probabilities, exact_error_probability,
                                 likelihood, llr, mld_decode,
+                                monte_carlo_error_probabilities,
                                 monte_carlo_error_probability, parse_probability)
 from bidistance.core import CapExceeded, Code, ParseError, Word, dir_distances
 from helpers import (EDGE_LENGTHS, brute_error_probability, brute_mld,
-                     edge_code, kernel_ranks, padded_code, random_code)
+                     edge_code, kernel_ranks, padded_code, random_code,
+                     reference_monte_carlo)
 
 _channel = ChannelParams.from_decimals
 
@@ -61,6 +63,24 @@ def block_cases(draw):
     words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=2, max_size=8,
                           unique=True))
     return Code(n, words), KEY_CHANNELS + [draw(st.sampled_from(KEY_CHANNELS))]
+
+
+def block_trials(code: Code) -> list[int]:
+    """One trial, and the trials on either side of one Monte Carlo block."""
+    rows = max(1, BLOCK_CELLS // max(len(code), code.n))
+    return sorted({1, rows - 1, rows, rows + 1} - {0})
+
+
+@st.composite
+def monte_carlo_cases(draw):
+    """A code with n <= 12 and M <= 16, one trial or a block edge of trials, and a
+    channel list of KEY_CHANNELS between two copies of a drawn channel."""
+    n = draw(st.integers(1, 12))
+    code = Code(n, draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                                 max_size=min(16, 1 << n), unique=True)))
+    p = draw(st.integers(1, 49))
+    params = ChannelParams(Fraction(p, 100), Fraction(draw(st.integers(p, 49)), 100))
+    return code, [params, *KEY_CHANNELS, params], draw(st.sampled_from(block_trials(code)))
 
 
 class TestParseProbability:
@@ -672,3 +692,52 @@ class TestMonteCarlo:
         trials = 20000
         est, _ = monte_carlo_error_probability(code, params, trials, seed=12)
         assert abs(est - exact) <= 5 * math.sqrt(exact * (1 - exact) / trials)
+
+
+class TestMonteCarloErrorProbabilities:
+    @PROPERTY
+    @given(monte_carlo_cases(), st.integers(0, 1000))
+    def test_matches_reference_at_every_channel(self, case, seed):
+        # p = q, several p values and a repeated channel in one call
+        code, channels, trials = case
+        assert monte_carlo_error_probabilities(code, channels, trials, seed) == \
+            reference_monte_carlo(code, channels, trials, seed)
+
+    @pytest.mark.parametrize("code", [
+        Code(10, [0b1011001110]),
+        padded_code(random.Random(68), random_code(random.Random(69), 8, 10), 65),
+        padded_code(random.Random(70), Code(6, [0b000111, 0b001111, 0b110001]),
+                    BLOCK_CELLS + 1),
+    ], ids=["one_word", "n_65", "past_block_cells"])
+    def test_matches_reference_at_block_edges(self, code):
+        channels = [*KEY_CHANNELS, KEY_CHANNELS[0]]
+        for trials in block_trials(code):
+            assert monte_carlo_error_probabilities(code, channels, trials, trials) == \
+                reference_monte_carlo(code, channels, trials, trials)
+
+    def test_memory_does_not_grow_with_the_grid_past_per_channel_state(self):
+        # at n = 10, M = 64 and two blocks, after a call has kept the brackets, a
+        # channel adds only its error count and estimate, well under 256 B; its slope
+        # and M offsets, or its flips or keys, held past its block would exceed it
+        code = random_code(random.Random(29), 10, 64)
+        peaks = []
+        for count in (10, 2000):
+            channels = [ChannelParams(Fraction(1, 20), Fraction(1, 20) + Fraction(k, 10000))
+                        for k in range(count)]
+            monte_carlo_error_probabilities(code, channels, 300, 1)
+            tracemalloc.start()
+            try:
+                monte_carlo_error_probabilities(code, channels, 300, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2000 * 256
+
+    def test_one_bit_matrix_per_call(self, monkeypatch, c1):
+        built = []
+        of_code = AndCounts.of_code
+        monkeypatch.setattr(AndCounts, "of_code", classmethod(
+            lambda cls, code: built.append(1) or of_code(code)))
+        grid = [_channel("0.05", f"0.{q:02d}") for q in range(5, 45, 4)]
+        assert len(monte_carlo_error_probabilities(c1, grid, 500, 1)) == 10
+        assert len(built) == 1

@@ -171,7 +171,8 @@ class TestSamplingFlags:
 
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate")
-        monkeypatch.setattr(cli, "monte_carlo_error_probability", refuse)
+        monkeypatch.setattr(cli, {"pe": "monte_carlo_error_probability",
+                                  "sweep": "monte_carlo_error_probabilities"}[command], refuse)
         rc, out, err = run(capsys, *args[command], "--code", str(c1_file), "--trials", "10")
         assert (rc, out) == (3, "") and err.startswith("error:")
         assert "Traceback" not in err and not out_path.exists()
@@ -420,7 +421,7 @@ class TestSweep:
     @pytest.mark.parametrize("column, name", [
         ("ahb", "ahb_union_bounds"), ("cr_discrepancy", "weight_class_bounds"),
         ("cr_symmetric", "weight_class_bounds"), ("exact", "exact_error_probabilities"),
-        ("monte_carlo", "monte_carlo_error_probability")])
+        ("monte_carlo", "monte_carlo_error_probabilities")])
     def test_every_column_failure_is_domain_error(self, capsys, ex5_file, tmp_path,
                                                   monkeypatch, column, name, error):
         # every column looks its library function up at call time: a rebound one that
