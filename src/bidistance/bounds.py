@@ -17,8 +17,8 @@ error mass of class j is the tail at (j, n - j, t_j).  Each class error
 is summed directly, never as 1 minus a retained mass.  Every threshold is
 an exact integer ceiling, with gamma taken as ChannelParams.bracket's u/v.
 
-Each bound is a many-channel call, and the one-channel functions are its one-element
-calls; each reads the ``_TailPlan`` its code or distribution keeps (README, Library layout).
+Each bound is a many-channel call, and the one-channel functions are its one-element calls;
+each makes one call of the ``_TailPlan`` its code or distribution keeps (README, Library layout).
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ def region_threshold(d10: int | np.ndarray, d01: int | np.ndarray,
 
 
 class _TailPlan:
-    """P(Bin(d1, q) + Bin(d2, p) >= t) for fixed int arrays d1, d2, called with
-    (t, params) per channel (README, Library layout): the log-binomial grid, -inf
-    past each length, is built once, log x is taken from x's integers, the latest
-    (p, p-tail window) pair is read once a call and replaced whole, so no other call
-    can swap a call's window, and entries are summed BLOCK_CELLS cells at a time."""
+    """P(Bin(d1, q) + Bin(d2, p) >= t) for fixed int arrays d1, d2, called with a call's
+    thresholds and channels, one tail row per channel (README, Library layout): the
+    log-binomial grid, -inf past each length, is built once and the plan is never written
+    after; log x is taken from x's integers, each run of equal p builds its p-tail window as
+    a local, and entries are summed BLOCK_CELLS cells at a time."""
 
     def __init__(self, d1: np.ndarray, d2: np.ndarray):
         lengths, row = np.unique(np.concatenate([d1, d2]), return_inverse=True)
@@ -62,30 +62,28 @@ class _TailPlan:
         self.rest = np.maximum(lengths[:, None] - self.k, 0)
         self.log_comb = np.where(self.k <= lengths[:, None], log_fact[lengths, None]
                                  - log_fact[self.k] - log_fact[self.rest], -np.inf)
-        self.window = None, None
 
     def _pmf(self, x: Fraction) -> np.ndarray:
         log_x = math.log(x.numerator) - math.log(x.denominator)
         return np.exp(self.log_comb + self.k * log_x + self.rest * math.log1p(-float(x)))
 
-    def __call__(self, t: np.ndarray, params: ChannelParams) -> np.ndarray:
+    def __call__(self, thresholds, channels: list[ChannelParams]):
         size, last = len(self.k), 2 * len(self.k) - 1
-        p, window = self.window
-        if params.p != p:
-            pmf_p = self._pmf(params.p)
-            # column m is the p-tail at j = last - m: 0 for j >= size, the whole sum for j <= 0
-            tail = np.cumsum(pmf_p[:, ::-1], axis=1)
-            padded = np.hstack([np.zeros_like(pmf_p), tail, tail[:, -1:].repeat(size - 1, axis=1)])
-            window = sliding_window_view(padded, size, axis=1)
-            self.window = params.p, window
-        pmf_q, start = self._pmf(params.q), last - np.minimum(np.maximum(t, 0), last)
-        out = np.empty(len(self.q_row))
-        step = max(1, BLOCK_CELLS // size)
-        for lo in range(0, len(out), step):
-            block = slice(lo, lo + step)
-            out[block] = (pmf_q[self.q_row[block]]
-                          * window[self.p_row[block], start[block]]).sum(axis=1)
-        return out
+        step, p = max(1, BLOCK_CELLS // size), None
+        for t, params in zip(thresholds, channels):
+            if params.p != p:
+                p, padded = params.p, np.zeros((len(self.log_comb), last + size))
+                # column m is the p-tail at j = last - m: 0 for j >= size, the whole sum for j <= 0
+                tail = np.cumsum(self._pmf(p)[:, ::-1], axis=1, out=padded[:, size:2 * size])
+                padded[:, 2 * size:] = tail[:, -1:]
+                window = sliding_window_view(padded, size, axis=1)
+            pmf_q, start = self._pmf(params.q), last - np.minimum(np.maximum(t, 0), last)
+            out = np.empty(len(self.q_row))
+            for lo in range(0, len(out), step):
+                block = slice(lo, lo + step)
+                out[block] = (pmf_q[self.q_row[block]]
+                              * window[self.p_row[block], start[block]]).sum(axis=1)
+            yield out
 
 
 def pairwise_error_probability(d10: int, d01: int, params: ChannelParams,
@@ -100,7 +98,8 @@ def pairwise_error_probability(d10: int, d01: int, params: ChannelParams,
         raise ValueError("directional distances must be non-negative")
     t = region_threshold(d10, d01, params)
     if not exact:
-        return float(_TailPlan(np.array([d10]), np.array([d01]))(np.array([t]), params)[0])
+        [row] = _TailPlan(np.array([d10]), np.array([d01]))([np.array([t])], [params])
+        return float(row[0])
     (pn, pd), (qn, qd) = params.p.as_integer_ratio(), params.q.as_integer_ratio()
     q_num = [math.comb(d10, i) * qn ** i * (qd - qn) ** (d10 - i) for i in range(d10 + 1)]
     p_num = [math.comb(d01, j) * pn ** j * (pd - pn) ** (d01 - j) for j in range(d01 + 1)]
@@ -193,9 +192,8 @@ def ahb_union_bounds(dist: BidistanceDistribution,
     (d10, d01), counts = dist.pairs[1:].T, dist.counts[1:]
     keys, tail = dist._keep("_ahb", lambda: (list(map("{},{}".format, d10.tolist(), d01.tolist())),
                                              _TailPlan(d10, d01)))
-    return [_report("ahb", keys, (counts * tail(region_threshold(d10, d01, params, dist.n),
-                                                params) / dist.size).tolist())
-            for params in channels]
+    rows = tail((region_threshold(d10, d01, params, dist.n) for params in channels), channels)
+    return [_report("ahb", keys, (counts * row / dist.size).tolist()) for row in rows]
 
 
 def ahb_union_bound(dist: BidistanceDistribution, params: ChannelParams) -> BoundReport:
@@ -228,10 +226,10 @@ def weight_class_bounds(code: Code, channels: list[ChannelParams],
     """'cr_symmetric' or 'cr_discrepancy' at each channel: over weight classes j, the
     sum of A_j / M times the tail at (j, n - j, t_j), from the class plan the code keeps."""
     counts, j, pairs, keys, tail = code._keep("_bounds", lambda: _class_plan(code))
+    rows = tail((_class_thresholds(code.n, j, pairs, params, symmetric) for params in channels),
+                channels)
     return [_report("cr_symmetric" if symmetric else "cr_discrepancy", keys,
-                    (counts * tail(_class_thresholds(code.n, j, pairs, params, symmetric),
-                                   params) / len(code)).tolist())
-            for params in channels]
+                    (counts * row / len(code)).tolist()) for row in rows]
 
 
 def discrepancy_bound(code: Code, params: ChannelParams) -> BoundReport:

@@ -290,16 +290,18 @@ def monte_carlo_error_probabilities(code: Code, channels: list[ChannelParams],
     tx = rng.integers(0, len(code), size=trials)
     errors = [0] * len(channels)
     rows = max(1, BLOCK_CELLS // max(len(code), code.n))
+    terms = [(float(params.p), float(params.q), params.bracket(code.n)) for params in channels]
     for start in range(0, trials, rows):
         idx = tx[start:start + rows]
         sent, u, trial = pairs.bits[idx], rng.random((len(idx), code.n)), np.arange(len(idx))
-        for i, params in enumerate(channels):
+        for i, (p, q, bracket) in enumerate(terms):
+            if not i or p != terms[i - 1][0]:  # one u < p per block and run of equal p
+                below_p = u < p
             # u < q on ones, u < p on zeros: with p <= q, (u < q & one) | (u < p)
-            flips = u < float(params.q)
+            flips = u < q
             flips &= sent.view(bool)
-            flips |= u < float(params.p)
-            key = _keys(pairs.word_major(sent ^ flips),
-                        _channel_keys(pairs, *params.bracket(code.n)))
+            flips |= below_p
+            key = _keys(pairs.word_major(sent ^ flips), _channel_keys(pairs, *bracket))
             # errs iff another key is at least the sent one's: hide it under every key
             own, key[idx, trial] = key[idx, trial], np.iinfo(key.dtype).min
             errors[i] += int(np.count_nonzero(key.max(axis=0) >= own))

@@ -636,9 +636,9 @@ def reference_ahb_union_bounds(n: int, size: int, entries: dict[tuple[int, int],
         return [bounds._report("ahb", [], []) for _ in channels]
     (d10, d01), counts = pairs[order].T, np.fromiter(entries.values(), np.int64)[order]
     keys = list(map("{},{}".format, d10.tolist(), d01.tolist()))
-    tail = bounds._TailPlan(d10, d01)
-    return [bounds._report("ahb", keys, (counts * tail(bounds.region_threshold(
-        d10, d01, params, n), params) / size).tolist()) for params in channels]
+    rows = bounds._TailPlan(d10, d01)(
+        [bounds.region_threshold(d10, d01, params, n) for params in channels], channels)
+    return [bounds._report("ahb", keys, (counts * row / size).tolist()) for row in rows]
 
 
 def check_dict_form(dist: BidistanceDistribution, want: dict[tuple[int, int], int]) -> None:

@@ -1,7 +1,9 @@
+import gc
 import math
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -145,32 +147,66 @@ def tail_cases(draw):
     return np.array(d1), np.array(d2), block, calls
 
 
+#: p runs a, a, b, a over one plan's thresholds, each q apart from every p
+P_RUNS = [ChannelParams.from_decimals(p, q) for p, q in
+          (("0.05", "0.1"), ("0.05", "0.3"), ("0.07", "0.3"), ("0.05", "0.2"))]
+P_RUNS_PLAN = np.array([3, 0, 7]), np.array([5, 2, 0])
+P_RUNS_T = [np.array(t) for t in ([2, 0, 9], [-1, 3, 5], [4, 12, 0], [8, 1, 2])]
+
+
 class TestTailWindow:
     @PROPERTY
     @given(tail_cases())
+    @example((*P_RUNS_PLAN, 16, list(zip(P_RUNS, map(np.ndarray.tolist, P_RUNS_T)))))
     def test_window_gather_equals_clip_gather(self, case):
-        # the kept p-tail window reads the same factors as a clip index, so
-        # every sum is the same to the bit, across p changes between calls
+        # each call's p-tail windows read the same factors as a clip index, so
+        # every sum is the same to the bit, across p changes inside one call
         d1, d2, block, calls = case
         plan = _TailPlan(d1, d2)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bounds, "BLOCK_CELLS", block)
-            for params, t in calls:
+            rows = plan([np.array(t) for _, t in calls], [params for params, _ in calls])
+            for row, (params, t) in zip(rows, calls):
                 t = np.array(t)
-                assert plan(t, params).tobytes() == \
+                assert row.tobytes() == \
                     reference_tail_gather(plan, t, params).tobytes()
 
-    def test_window_kept_until_p_changes(self):
-        plan = _TailPlan(np.array([3, 0, 7]), np.array([5, 2, 0]))
-        t = np.array([2, 0, 9])
-        first = ChannelParams.from_decimals("0.05", "0.1")
-        plan(t, first)
-        window = plan.window
-        plan(t, ChannelParams.from_decimals("0.05", "0.3"))
-        assert plan.window is window
-        plan(t, ChannelParams.from_decimals("0.07", "0.3"))
-        assert plan.window is not window
-        assert plan(t, first).tobytes() == reference_tail_gather(plan, t, first).tobytes()
+    def test_one_window_per_run_of_p_and_no_plan_writes(self, monkeypatch):
+        # a call builds one p-tail window, from one _pmf at p, per run of equal p:
+        # p runs a, a, b, a build 3; no call, one- or many-channel, writes the plan
+        plan = _TailPlan(*P_RUNS_PLAN)
+        kept, seen, pmf = dict(vars(plan)), [], _TailPlan._pmf
+        monkeypatch.setattr(_TailPlan, "_pmf", lambda plan, x: seen.append(x) or pmf(plan, x))
+        rows = list(plan(P_RUNS_T, P_RUNS))
+        assert [x for x in seen if x in {params.p for params in P_RUNS}] == \
+            [P_RUNS[0].p, P_RUNS[2].p, P_RUNS[3].p]
+        list(plan(P_RUNS_T[:1], P_RUNS[:1]))
+        assert vars(plan).keys() == kept.keys()
+        assert all(vars(plan)[name] is value for name, value in kept.items())
+        for row, t, params in zip(rows, P_RUNS_T, P_RUNS):
+            assert row.tobytes() == reference_tail_gather(plan, t, params).tobytes()
+
+
+def test_ahb_call_retains_no_window():
+    # a many-channel AHB call leaves the distribution holding its keys and the tail
+    # plan's __init__ arrays; each p-tail window, 3x the log-binomial grid, is freed
+    rng = random.Random(45)
+    dist = bidistance_distribution(Code(3000, [rng.getrandbits(3000) for _ in range(32)]))
+    grid = [ChannelParams.from_decimals(p, q) for p, q in
+            (("0.01", "0.2"), ("0.01", "0.25"), ("0.02", "0.25"))]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ahb_union_bounds(dist, grid)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    keys, plan = dist._ahb
+    arrays = sum(a.nbytes for a in (plan.q_row, plan.p_row, plan.k, plan.rest, plan.log_comb))
+    assert plan.log_comb.nbytes > 1 << 19
+    assert retained <= arrays + sys.getsizeof(keys) + sum(map(sys.getsizeof, keys)) + (64 << 10)
 
 
 #: n = 12 words on which AHB at REENTRY_A reads 0.39408, not 0.04098, when the

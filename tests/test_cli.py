@@ -871,7 +871,9 @@ def test_exit_code_contract(tmp_path_factory):
     check()
 
 
-#: run in a fresh interpreter: each step, then whether numpy has imported numpy.ma
+#: run in a fresh interpreter: after the imports and after each step, whether numpy.random
+#: is loaded, and each step's result and whether numpy has imported numpy.ma; ``pe mc``,
+#: the one step that draws, runs last, since a loaded module stays loaded
 COLD_START = """
 import contextlib, io, json, os, sys
 from bidistance.algebra import trace_code_27_6
@@ -887,7 +889,6 @@ pq = ["-p", "0.1", "-q", "0.15"]
 steps = {
     "bidist": lambda: main(["bidist", "--code", code]),
     "pe exact": lambda: main(["pe", "--code", code, *pq, "--mode", "exact"]),
-    "pe mc": lambda: main(["pe", "--code", code, *pq, "--mode", "mc", "--trials", "500"]),
     "sweep exact": lambda: main(["sweep", "--code", code, "-p", "0.1", "--q-from", "0.15",
                                  "--q-to", "0.3", "--steps", "3", "--methods", "ahb,exact",
                                  "--out", os.path.join(root, "sweep.csv")]),
@@ -897,19 +898,21 @@ steps = {
     "mld_decode": lambda: mld_decode(Code.from_file(code), Word.from_string("110100"),
                                      ChannelParams.from_decimals("0.1", "0.15")).is_failure,
     "verify_srg": lambda: verify_srg(trace_code_27_6(), 12).v,
+    "pe mc": lambda: main(["pe", "--code", code, *pq, "--mode", "mc", "--trials", "500"]),
 }
-seen = {}
+seen = {"imports": "numpy.random" in sys.modules}
 for name, step in steps.items():
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         result = step()
-    seen[name] = [result, "numpy.ma" in sys.modules]
+    seen[name] = [result, "numpy.ma" in sys.modules, "numpy.random" in sys.modules]
 print(json.dumps(seen))
 """
 
 
 def test_no_call_imports_numpy_ma(c1_file):
     # numpy imports numpy.ma, about 15 ms, on a plain np.unique; a fresh process
-    # must not pay it on any command or library call
+    # must not pay it on any command or library call, nor numpy.random, about 14 ms,
+    # on any but Monte Carlo
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -917,7 +920,8 @@ def test_no_call_imports_numpy_ma(c1_file):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout)
-    assert seen == {"bidist": [0, False], "pe exact": [0, False], "pe mc": [0, False],
-                    "sweep exact": [0, False], "bounds": [0, False],
-                    "construct golay-dual": [0, False], "scheme": [0, False],
-                    "mld_decode": [False, False], "verify_srg": [64, False]}
+    assert seen == {"imports": False, "bidist": [0, False, False],
+                    "pe exact": [0, False, False], "sweep exact": [0, False, False],
+                    "bounds": [0, False, False], "construct golay-dual": [0, False, False],
+                    "scheme": [0, False, False], "mld_decode": [False, False, False],
+                    "verify_srg": [64, False, False], "pe mc": [0, False, True]}
