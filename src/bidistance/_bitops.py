@@ -32,11 +32,11 @@ def packed_rows(words: Sequence[int], n: int) -> np.ndarray:
 
 
 def row_ints(packed: np.ndarray) -> list[int]:
-    """The bitmask int of each packed row."""
-    out = packed[:, -1].tolist()
-    for j in range(packed.shape[1] - 2, -1, -1):
-        out = [hi << 64 | lo for hi, lo in zip(out, packed[:, j].tolist())]
-    return out
+    """The bitmask int of each packed row; the NULs an ``S`` item drops are high zero bytes."""
+    if packed.shape[1] == 1:
+        return packed[:, 0].tolist()
+    rows = np.ascontiguousarray(packed, "<u8").view(f"S{8 * packed.shape[1]}")[:, 0]
+    return list(map(int.from_bytes, rows.tolist(), repeat("little")))
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:

@@ -169,8 +169,8 @@ def defining_set_code(field: BinaryField, defining_set: Sequence[int]) -> Code:
         bits[j] = np.bitwise_count(prods & field.trace_mask) & 1
         prods <<= 1
         prods ^= (prods >> field.m) * field.modulus
-    basis = _rref(row_ints(pack_bits(bits)), len(elems))[0]
-    return GeneratorMatrix.of_basis(len(elems), basis).codewords()
+    reduced, _ = row_reduce(pack_bits(bits), len(elems))
+    return GeneratorMatrix.of_basis(len(elems), row_ints(reduced)).codewords()
 
 
 def trace_code_27_6() -> Code:

@@ -50,7 +50,7 @@ class Word:
         seq = list(bits)
         if any(b not in (0, 1) for b in seq):
             raise ValueError("symbols must be 0 or 1")
-        return cls(len(seq), sum(b << i for i, b in enumerate(seq)))
+        return cls(len(seq), int("".join(map("01".__getitem__, reversed(seq))) or "0", 2))
 
     @classmethod
     def from_string(cls, text: str) -> "Word":
@@ -63,11 +63,11 @@ class Word:
         return self.bits.bit_count()
 
     def support(self) -> tuple[int, ...]:
-        """0-based coordinates holding a 1."""
-        return tuple(i for i in range(self.n) if (self.bits >> i) & 1)
+        """0-based coordinates holding a 1, read off ``str(self)``."""
+        return tuple(i for i, b in enumerate(str(self)) if b == "1")
 
     def to_bits(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.n))
+        return tuple(str(self).encode().translate(bytes.maketrans(b"01", b"\0\1")))
 
     def __xor__(self, other: "Word") -> "Word":
         if self.n != other.n:

@@ -130,6 +130,14 @@ def random_code(rng: random.Random, n: int, size: int) -> Code:
     return Code(n, words)
 
 
+def random_long_code(rng: random.Random, n: int, size: int) -> Code:
+    """``size`` distinct uniform words of any length n, in draw order."""
+    words: dict[int, None] = {}
+    while len(words) < size:
+        words.setdefault(rng.getrandbits(n))
+    return Code(n, list(words))
+
+
 def random_generator_rows(rng: random.Random, n: int, k: int) -> list[int]:
     """k independent random rows over F_2^n (resampled until full rank)."""
     while True:
@@ -184,6 +192,48 @@ def directional_pair(x: Word, y: Word) -> tuple[int, int]:
 
 #: lengths on both sides of each byte and 64-bit lane boundary
 EDGE_LENGTHS = (1, 7, 8, 9, 63, 64, 65, 129)
+
+
+# --- the per-lane and per-bit loops that int.from_bytes and Word's str form replaced
+
+def reference_row_ints(packed: np.ndarray) -> list[int]:
+    """The int of each packed row, one ``int.from_bytes`` over its little-endian bytes."""
+    return [int.from_bytes(row.astype("<u8").tobytes(), "little") for row in packed]
+
+
+def reference_to_bits(w: Word) -> tuple[int, ...]:
+    return tuple((w.bits >> i) & 1 for i in range(w.n))
+
+
+def reference_support(w: Word) -> tuple[int, ...]:
+    return tuple(i for i in range(w.n) if (w.bits >> i) & 1)
+
+
+def reference_from_bits(bits) -> Word:
+    seq = list(bits)
+    if any(b not in (0, 1) for b in seq):
+        raise ValueError("symbols must be 0 or 1")
+    return Word(len(seq), sum(b << i for i, b in enumerate(seq)))
+
+
+# --- the binomial tail that judges a Monte Carlo error count against a bound
+
+@functools.lru_cache(maxsize=8)
+def _log_factorials(m: int) -> np.ndarray:
+    """log j! for j = 0..m, from math.lgamma."""
+    return np.array([math.lgamma(j + 1) for j in range(m + 1)])
+
+
+def binomial_tail(trials: int, p: float, k: int) -> float:
+    """P(Bin(trials, p) >= k): the sum over j >= k of each term's exp, the binomial
+    coefficient taken from lgamma log-factorials; 1 or 0 where the tail is certain."""
+    if k <= 0 or p >= 1:
+        return 1.0
+    if p <= 0 or k > trials:
+        return 0.0
+    log_fact, j = _log_factorials(trials), np.arange(k, trials + 1)
+    return float(np.exp(log_fact[trials] - log_fact[j] - log_fact[trials - j]
+                        + j * math.log(p) + (trials - j) * math.log1p(-p)).sum())
 
 
 def edge_code(rng: random.Random, n: int, size: int = 8) -> Code:

@@ -214,10 +214,11 @@ class TestGeneratorMatrix:
 
     def test_built_generators_reduce_their_rows_once(self, monkeypatch):
         # a null-space or reduced basis is independent by construction, so the
-        # generator built from it is not row-reduced again; a caller's rows are
+        # generator built from it is not row-reduced again; a caller's rows are reduced
+        # once, to check them
         calls = []
-        rref = algebra._rref
-        monkeypatch.setattr(algebra, "_rref", lambda *args: calls.append(1) or rref(*args))
+        reduce = algebra.row_reduce
+        monkeypatch.setattr(algebra, "row_reduce", lambda *args: calls.append(1) or reduce(*args))
         built = {"user": lambda: golay_code(),
                  "dual": lambda: dual_code(golay_code()),
                  "from code": lambda: generator_from_code(golay_code().codewords()),

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bidistance import bounds
+from bidistance.algebra import trace_code_27_6
 from bidistance.bounds import (LatticePoint, _class_thresholds, _distinct_pairs, _TailPlan,
                                ahb_union_bound, ahb_union_bounds, discrepancy,
                                discrepancy_bound,
@@ -19,12 +20,13 @@ from bidistance.bounds import (LatticePoint, _class_thresholds, _distinct_pairs,
                                min_symmetric_discrepancy, pairwise_error_probability,
                                region_threshold, symmetric_discrepancy,
                                symmetric_discrepancy_bound, weight_class_bounds)
-from bidistance.channel import ChannelParams, exact_error_probabilities, exact_error_probability
+from bidistance.channel import (ChannelParams, exact_error_probabilities, exact_error_probability,
+                                monte_carlo_error_probabilities)
 from bidistance.core import Code, Word, bidistance_distribution
 from bidistance.designs import DIFFERENCE_SETS, catalog_design, sbibd_codes
-from helpers import (eq3_pairwise_oracle, exact_flip_tail, gamma_at_least,
-                     random_code, reference_ahb, reference_cr, reference_tail_gather,
-                     reference_cr_thresholds, reference_exact_pep,
+from helpers import (binomial_tail, eq3_pairwise_oracle, exact_flip_tail, gamma_at_least,
+                     random_code, random_long_code, reference_ahb, reference_cr,
+                     reference_tail_gather, reference_cr_thresholds, reference_exact_pep,
                      reference_region_threshold)
 
 #: derandomized, with no example database, so every run draws the same cases
@@ -706,3 +708,36 @@ class TestWeightClassBounds:
                 ahb_tighter |= ahb.value < cr_min
                 cr_tighter |= cr_min < ahb.value
         assert ahb_tighter and cr_tighter
+
+    def test_claims_past_the_exact_cap_against_monte_carlo(self):
+        # criterion 10b's 45 channels on 16 seeded codes with n 25-128 and M 2-64 and on
+        # trace-27-6, at 2000 trials a code: k errors are not too many for the least bound
+        # (P(Bin(T, bound) >= k) >= 1e-6 in every cell), and AHB and the CR bounds are
+        # each strictly the tighter somewhere.  On M = 2 codes AHB is the error probability,
+        # so an estimate above it is expected.
+        grid = [ChannelParams.from_decimals(f"0.{a:02d}", f"0.{b:02d}")
+                for a in range(5, 50, 5) for b in range(a, 50, 5)]
+        rng, trials = random.Random(2027), 2000
+        codes = [random_long_code(rng, n, rng.randrange(2, 65))
+                 for n in (rng.randrange(25, 129) for _ in range(16))] + [trace_code_27_6()]
+        ahb_tighter = cr_tighter = False
+        for code in codes:
+            columns = zip(monte_carlo_error_probabilities(code, grid, trials, 2026),
+                          ahb_union_bounds(bidistance_distribution(code), grid),
+                          weight_class_bounds(code, grid, False),
+                          weight_class_bounds(code, grid, True))
+            for estimate, ahb, *cr in columns:
+                cr_min = min(r.value for r in cr)
+                least = binomial_tail(trials, min(ahb.value, cr_min), round(estimate * trials))
+                assert least >= 1e-6, (code, estimate, ahb.value, cr_min)
+                ahb_tighter |= ahb.value < cr_min
+                cr_tighter |= cr_min < ahb.value
+        assert ahb_tighter and cr_tighter
+
+    def test_binomial_tail_matches_exact_sum(self):
+        for trials, p, k in [(1, 0.5, 1), (20, 0.25, 8), (30, 0.01, 3), (40, 0.9, 40)]:
+            exact = sum(Fraction(math.comb(trials, j)) * Fraction(p) ** j
+                        * (1 - Fraction(p)) ** (trials - j) for j in range(k, trials + 1))
+            assert math.isclose(binomial_tail(trials, p, k), exact, rel_tol=1e-12)
+        assert binomial_tail(10, 0.3, 0) == binomial_tail(10, 1.0, 4) == 1.0
+        assert binomial_tail(10, 0.0, 1) == binomial_tail(10, 0.3, 11) == 0.0

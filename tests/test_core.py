@@ -22,8 +22,9 @@ from bidistance.core import (BidistanceDistribution, BidistancePair, Code,
                              weights_from_bidistance)
 from helpers import (EDGE_LENGTHS, brute_distribution_counts, check_dict_form,
                      directional_pair, edge_code, random_generator_rows, reference_pair_table,
-                     reference_parse_code_text, reference_project, reference_word_text,
-                     span_code)
+                     reference_from_bits, reference_parse_code_text, reference_project,
+                     reference_row_ints, reference_support, reference_to_bits,
+                     reference_word_text, span_code)
 
 #: derandomized, with no example database, so every run draws the same cases
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -75,6 +76,71 @@ class TestWord:
         assert Word.from_string("110") ^ Word.from_string("011") == Word.from_string("101")
         with pytest.raises(ValueError):
             Word(2, 0) ^ Word(3, 0)
+
+
+class TestLinearBitConversions:
+    """``row_ints`` and Word's bit conversions against the per-lane and per-bit loops
+    they replaced, on both sides of each byte and lane edge."""
+
+    @given(st.sampled_from([1, 2, 3, 17]), st.integers(1, 64), st.integers(0, 12),
+           st.integers(0, 2 ** 32 - 1))
+    @PROPERTY
+    def test_row_ints_match_from_bytes(self, lanes, top, rows, seed):
+        # the top lane uses ``top`` of its 64 bits
+        n, rng = 64 * (lanes - 1) + top, random.Random(seed)
+        words = [rng.getrandbits(n) for _ in range(rows)]
+        packed = _bitops.packed_rows(words, n)
+        assert _bitops.row_ints(packed) == reference_row_ints(packed) == words
+
+    @pytest.mark.parametrize("lanes", [1, 2, 5])
+    def test_row_ints_of_strided_rows(self, lanes):
+        rng = random.Random(lanes)
+        words = [rng.getrandbits(64 * lanes - 3) for _ in range(9)]
+        packed = _bitops.packed_rows(words, 64 * lanes)
+        wide = np.repeat(packed, 2, axis=1)  # each lane twice: [:, ::2] strides over lanes
+        for rows, want in [(wide[:, ::2], words), (packed[::-2], words[::-2]),
+                           (np.asfortranarray(packed), words), (packed.astype(">u8"), words)]:
+            assert _bitops.row_ints(rows) == reference_row_ints(rows) == want
+
+    @pytest.mark.parametrize("n", sorted({*EDGE_LENGTHS, 2, 127, 128, 192, 193, 255, 256, 300}))
+    def test_word_bits_match_per_bit_loops(self, n):
+        rng = random.Random(n)
+        for bits in {0, 1, 1 << (n - 1), (1 << n) - 1, *(rng.getrandbits(n) for _ in range(6))}:
+            w = Word(n, bits)
+            assert w.to_bits() == reference_to_bits(w)
+            assert w.support() == reference_support(w)
+            assert {type(b) for b in w.to_bits() + w.support()} <= {int}
+            assert Word.from_bits(w.to_bits()) == reference_from_bits(w.to_bits()) == w
+            assert Word.from_bits(iter(map(bool, w.to_bits()))) == w
+
+    @pytest.mark.parametrize("bits, error", [
+        ([1, 2, 0], "symbols must be 0 or 1"), (["1"], "symbols must be 0 or 1"),
+        ([0, -1], "symbols must be 0 or 1"), ([None], "symbols must be 0 or 1"),
+        ([], "word length must be at least 1")])
+    def test_from_bits_refusals_match_per_bit_loop(self, bits, error):
+        for build in (Word.from_bits, reference_from_bits):
+            with pytest.raises(ValueError, match=f"^{error}$"):
+                build(bits)
+
+    def test_from_bits_float_symbols_refused_like_per_bit_loop(self):
+        # 1.0 == 1 passes the symbol check; neither builder takes a float as a bit
+        for build in (Word.from_bits, reference_from_bits):
+            with pytest.raises(TypeError):
+                build([0.0, 1.0])
+
+    def test_million_bit_rows_and_round_trip(self):
+        # values only: a row's int, a code file's words and a to_bits round trip
+        n, rng = 1_000_000, random.Random(46)
+        words = [rng.getrandbits(n) | 1 << (n - 1), rng.getrandbits(n - 9)]
+        assert _bitops.row_ints(_bitops.packed_rows(words, n)) == words
+        code = parse_code_text("\n".join(str(Word(n, w)) for w in words))
+        assert code.n == n and code.words == tuple(words)
+        w = Word(n, words[0])
+        bits = w.to_bits()
+        assert len(bits) == n and bits[-1] == 1
+        assert bits[:200] == reference_to_bits(Word(200, words[0] & ((1 << 200) - 1)))
+        assert Word.from_bits(bits) == w
+        assert w.support() == tuple(i for i, b in enumerate(bits) if b)
 
 
 class TestDirDistances:
